@@ -4,9 +4,8 @@
 // determinant storage (EventStore), antecedence-graph reachability,
 // sender-log churn, engine event scheduling — plus one end-to-end cluster
 // run, and emits a machine-readable JSON report (wall clock, throughput,
-// peak RSS). scripts/run_perf.sh drives this binary before and after
-// hot-path changes; BENCH_hotpath.json in the repo root records the
-// measured history.
+// peak RSS). Run it on two trees to compare a hot-path change; end-to-end
+// host time is bench/e2e's job.
 //
 // Usage: bench_micro_hotpath [--quick] [--json PATH]
 #include <sys/resource.h>

@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Docs hygiene: keeps docs/SCENARIOS.md from rotting against the parser.
 #
-#  1. Every `faults.*` key in the shared key table (src/scenario/spec.cpp,
-#     between the BEGIN/END FAULT KEY TABLE markers — the same table the
-#     parser dispatches from and `mpiv_run --list` prints) must appear in
+#  1. Every key in the scenario key table (src/scenario/spec.cpp, between
+#     the BEGIN/END KEY TABLE markers — the same table the parser, the
+#     scenario-text printer and `mpiv_run --list` read) must appear in
 #     docs/SCENARIOS.md as `key`.
-#  2. Every other scenario/cost key the parser compares against
-#     (key == "..." in spec.cpp) must appear in docs/SCENARIOS.md too.
-#  3. Every relative markdown link in README.md and docs/*.md must point at
+#  2. Every relative markdown link in README.md and docs/*.md must point at
 #     a file that exists.
 #
 # No build needed: CI's docs-check job runs this straight off the checkout.
@@ -24,37 +22,25 @@ if [[ ! -f "$DOC" ]]; then
   exit 1
 fi
 
-# --- 1. faults.* keys from the shared table --------------------------------
-table=$(sed -n '/BEGIN FAULT KEY TABLE/,/END FAULT KEY TABLE/p' "$SPEC")
+# --- 1. every key from the table -------------------------------------------
+table=$(sed -n '/BEGIN KEY TABLE/,/END KEY TABLE/p' "$SPEC")
 if [[ -z "$table" ]]; then
-  echo "error: FAULT KEY TABLE markers not found in $SPEC" >&2
+  echo "error: KEY TABLE markers not found in $SPEC" >&2
   exit 1
 fi
-fault_keys=$(echo "$table" | grep -oE '"faults\.[a-z_]+"' | tr -d '"' | sort -u)
-if [[ -z "$fault_keys" ]]; then
-  echo "error: no faults.* keys found in the table region of $SPEC" >&2
+keys=$(echo "$table" | grep -oE '\.doc = \{"[^"]+"' | sed 's/.*{"//; s/"$//')
+if [[ -z "$keys" ]]; then
+  echo "error: no keys found in the table region of $SPEC" >&2
   exit 1
 fi
-for key in $fault_keys; do
+while IFS= read -r key; do
   if ! grep -qF "\`$key\`" "$DOC"; then
-    echo "MISSING: $key (fault key table) not documented in $DOC" >&2
+    echo "MISSING: $key (key table) not documented in $DOC" >&2
     fail=1
   fi
-done
+done <<< "$keys"
 
-# --- 2. scalar scenario + cost keys the parser dispatches on ---------------
-scalar_keys=$(grep -oE 'key == "[a-z_0-9.]+"' "$SPEC" | sed 's/key == //; s/"//g' | sort -u)
-for key in $scalar_keys; do
-  case "$key" in
-    faults.*) continue ;;  # covered above via the table
-  esac
-  if ! grep -qF "\`$key\`" "$DOC"; then
-    echo "MISSING: scenario key $key not documented in $DOC" >&2
-    fail=1
-  fi
-done
-
-# --- 3. relative markdown links resolve ------------------------------------
+# --- 2. relative markdown links resolve ------------------------------------
 for md in README.md docs/*.md; do
   dir=$(dirname "$md")
   # Extract (target) parts of [text](target) links, one per line.
@@ -76,4 +62,4 @@ if [[ $fail -ne 0 ]]; then
   echo "docs check FAILED" >&2
   exit 1
 fi
-echo "docs check OK ($(echo "$fault_keys" | wc -l) fault keys, $(echo "$scalar_keys" | wc -w) scalar keys, links resolve)"
+echo "docs check OK ($(echo "$keys" | wc -l) table keys, links resolve)"

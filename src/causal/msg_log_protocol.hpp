@@ -203,15 +203,7 @@ class MsgLogProtocolBase : public ftapi::VProtocol {
     svc_.send_ctl_to_rank(failed, std::move(resp));
 
     // Re-send logged payloads the failed rank's checkpoint does not cover.
-    if (getenv("MPIV_DEBUG_RECOVERY")) {
-      std::fprintf(stderr, "[dbg] rank %d: peer %d recovering, arr_ssn=%llu, log entries to peer=%zu\n",
-                   svc_.rank, failed, (unsigned long long)arr_ssn, slog_->entries());
-    }
     slog_->for_pending(failed, arr_ssn, [&](const SenderLog::Entry& e) {
-      if (getenv("MPIV_DEBUG_RECOVERY")) {
-        std::fprintf(stderr, "[dbg]   resend %d->%d ssn=%llu tag=%d\n", svc_.rank,
-                     failed, (unsigned long long)e.ssn, e.tag);
-      }
       net::Message r;
       r.kind = net::MsgKind::kPayloadResend;
       r.src = svc_.layout.rank_node(svc_.rank);

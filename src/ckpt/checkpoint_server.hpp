@@ -16,6 +16,11 @@
 
 namespace mpiv::ckpt {
 
+/// Fetch version that matches no stored image: a coordinated rollback before
+/// the first committed wave restarts every rank from scratch. (Version 0
+/// means "latest", which is what message-logging restarts want.)
+inline constexpr std::uint64_t kNoImage = ~std::uint64_t{0};
+
 class CheckpointServer {
  public:
   CheckpointServer(net::Network& net, const ftapi::NodeLayout& layout)
@@ -74,7 +79,7 @@ class CheckpointServer {
       }
       case net::MsgKind::kCkptFetchReq: {
         const int rank = static_cast<int>(m.arg);
-        const std::uint64_t version = m.ssn;  // 0 = latest
+        const std::uint64_t version = m.ssn;  // 0 = latest, kNoImage = none
         const net::NodeId reply_to = m.src;
         net::Message resp;
         resp.kind = net::MsgKind::kCkptFetchResp;

@@ -102,7 +102,8 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   void crash();
   /// Starts a new incarnation that recovers and re-runs the application.
   /// `image_version` selects the checkpoint image to restore (0 = latest);
-  /// coordinated rollback passes the last globally-complete snapshot.
+  /// coordinated rollback passes the last globally-complete snapshot, or
+  /// ckpt::kNoImage to restart from scratch.
   void restart(AppFactory factory, std::uint64_t image_version = 0);
   bool app_finished() const { return app_finished_; }
 

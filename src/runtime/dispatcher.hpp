@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "ckpt/checkpoint_server.hpp"
 #include "coord/coordinated_protocol.hpp"
 #include "fault/timeline.hpp"
 #include "ftapi/services.hpp"
@@ -68,11 +69,6 @@ class Dispatcher {
   /// Queued if another recovery is still in flight; dropped once the run
   /// completed or the rank already finished.
   void fault(int rank) {
-    if (getenv("MPIV_DEBUG_RECOVERY")) {
-      std::fprintf(stderr, "[dbg] fault(%d) at %.3fs: all_done=%d done=%zu busy=%d\n",
-                   rank, sim::to_sec(port_.engine().now()), all_done(), done_.size(),
-                   recovery_busy_);
-    }
     if (all_done() || done_.count(rank) != 0 || dead_.count(rank) != 0 ||
         promoting_.count(rank) != 0) {
       return;
@@ -203,8 +199,10 @@ class Dispatcher {
     recovery_busy_ = true;
     if (mode_ == RecoveryMode::kCoordinated) {
       // Global rollback: every rank dies and restarts from the last
-      // globally-complete snapshot.
-      const std::uint64_t snapshot = coordinator_.last_complete();
+      // globally-complete snapshot, or from scratch before the first wave
+      // commits (a rank's newer, uncommitted image must not leak in).
+      const std::uint64_t wave = coordinator_.last_complete();
+      const std::uint64_t snapshot = wave != 0 ? wave : ckpt::kNoImage;
       done_.clear();
       for (mpi::RankRuntime* r : ranks_) r->crash();
       if (timeline_ != nullptr) {

@@ -1,17 +1,26 @@
-// Spec plumbing: typed parameter access, the shared key=value mutation
+// Spec plumbing: the scenario key table, the shared key=value mutation
 // path, the scenario text format, and build-time validation.
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
+#include <variant>
 
 #include "scenario/registry.hpp"
 
 namespace mpiv::scenario {
 
 namespace {
+
+using S = ScenarioSpec;
 
 std::string trim(const std::string& s) {
   const std::size_t b = s.find_first_not_of(" \t\r\n");
@@ -36,6 +45,15 @@ std::int64_t parse_i64(const std::string& key, const std::string& value) {
   bad_value(key, value, "an integer");
 }
 
+int parse_int(const std::string& key, const std::string& value) {
+  const std::int64_t v = parse_i64(key, value);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    bad_value(key, value, "an integer that fits in 32 bits");
+  }
+  return static_cast<int>(v);
+}
+
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
@@ -52,10 +70,20 @@ double parse_f64(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
     const double v = std::stod(value, &used);
-    if (trim(value.substr(used)).empty()) return v;
+    if (std::isfinite(v) && trim(value.substr(used)).empty()) return v;
   } catch (const std::exception&) {
   }
-  bad_value(key, value, "a number");
+  bad_value(key, value, "a finite number");
+}
+
+/// A per-minute Poisson rate. A mean interval under 1 ns would never
+/// advance simulated time, so faster streams are rejected.
+double parse_rate(const std::string& key, const std::string& value) {
+  const double rate = parse_f64(key, value);
+  if (rate > static_cast<double>(sim::kMinute)) {
+    bad_value(key, value, "at most 6e10 per minute (a mean interval >= 1ns)");
+  }
+  return rate;
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
@@ -69,77 +97,108 @@ bool parse_bool(const std::string& key, const std::string& value) {
 }
 
 /// Durations accept a unit suffix: "250ms", "5s", "32us", "123456ns";
-/// a bare number is nanoseconds.
+/// a bare number is nanoseconds. The result must fit in int64 ns.
 sim::Time parse_time(const std::string& key, const std::string& value) {
+  constexpr const char* kExpected = "a duration like 250ms / 5s / 32us";
   std::size_t used = 0;
   double v = 0;
   try {
     v = std::stod(value, &used);
   } catch (const std::exception&) {
-    bad_value(key, value, "a duration like 250ms / 5s / 32us");
+    bad_value(key, value, kExpected);
   }
   const std::string unit = trim(value.substr(used));
-  if (unit.empty() || unit == "ns") return static_cast<sim::Time>(v);
-  if (unit == "us") return sim::from_us(v);
-  if (unit == "ms") return sim::from_ms(v);
-  if (unit == "s") return sim::from_sec(v);
-  if (unit == "min") return static_cast<sim::Time>(v * sim::kMinute);
-  if (unit == "h") return static_cast<sim::Time>(v * 60 * sim::kMinute);
-  bad_value(key, value, "a duration like 250ms / 5s / 32us");
+  double ns = v;
+  if (unit == "us") {
+    ns = v * 1e3;
+  } else if (unit == "ms") {
+    ns = v * 1e6;
+  } else if (unit == "s") {
+    ns = v * 1e9;
+  } else if (unit == "min") {
+    ns = v * sim::kMinute;
+  } else if (unit == "h") {
+    ns = v * 60 * sim::kMinute;
+  } else if (!unit.empty() && unit != "ns") {
+    bad_value(key, value, kExpected);
+  }
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) {
+    bad_value(key, value, "a duration that fits in int64 nanoseconds");
+  }
+  return static_cast<sim::Time>(ns);
 }
 
-ckpt::Policy parse_policy(const std::string& key, const std::string& value) {
-  if (value == "none") return ckpt::Policy::kNone;
-  if (value == "round-robin") return ckpt::Policy::kRoundRobin;
-  if (value == "random") return ckpt::Policy::kRandom;
-  if (value == "all-at-once") return ckpt::Policy::kAllAtOnce;
-  bad_value(key, value, "none / round-robin / random / all-at-once");
+std::string num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
-/// Parses a partition rank group: '+'-separated elements, each a rank or
-/// an inclusive range "a-b" ("0-2+5" = {0,1,2,5}). Commas are taken by the
-/// sweep-axis tokenizer, so groups use '+'.
-std::vector<int> parse_rank_group(const std::string& key,
-                                  const std::string& s) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t plus = s.find('+', pos);
-    if (plus == std::string::npos) plus = s.size();
-    const std::string tok = trim(s.substr(pos, plus - pos));
-    pos = plus + 1;
-    if (tok.empty()) bad_value(key, s, "ranks like '0+1' or ranges '0-3'");
-    // A '-' after the first character splits a range (a leading '-' would
-    // be a negative rank, rejected downstream by validation).
-    const std::size_t dash = tok.find('-', 1);
-    if (dash == std::string::npos) {
-      out.push_back(static_cast<int>(parse_i64(key, tok)));
-    } else {
-      const int lo = static_cast<int>(parse_i64(key, tok.substr(0, dash)));
-      const int hi = static_cast<int>(parse_i64(key, tok.substr(dash + 1)));
-      if (hi < lo) bad_value(key, s, "an ascending range like '0-3'");
-      for (int r = lo; r <= hi; ++r) out.push_back(r);
+std::string ns(sim::Time t) { return std::to_string(t) + "ns"; }
+
+// --- typed scalar codecs: one read/text pair per field type ----------------
+
+void read(const std::string& k, const std::string& v, int& out) {
+  out = parse_int(k, v);
+}
+void read(const std::string& k, const std::string& v, std::uint32_t& out) {
+  const std::uint64_t x = parse_u64(k, v);
+  if (x > std::numeric_limits<std::uint32_t>::max()) {
+    bad_value(k, v, "an unsigned integer that fits in 32 bits");
+  }
+  out = static_cast<std::uint32_t>(x);
+}
+void read(const std::string& k, const std::string& v, std::uint64_t& out) {
+  out = parse_u64(k, v);
+}
+void read(const std::string& k, const std::string& v, sim::Time& out) {
+  out = parse_time(k, v);
+}
+void read(const std::string& k, const std::string& v, bool& out) {
+  out = parse_bool(k, v);
+}
+void read(const std::string&, const std::string& v, std::string& out) {
+  out = v;
+}
+void read(const std::string& k, const std::string& v, ckpt::Policy& out) {
+  for (const ckpt::Policy p : {ckpt::Policy::kNone, ckpt::Policy::kRoundRobin,
+                               ckpt::Policy::kRandom,
+                               ckpt::Policy::kAllAtOnce}) {
+    if (v == ckpt::policy_name(p)) {
+      out = p;
+      return;
     }
-    if (pos > s.size()) break;
   }
-  return out;
+  bad_value(k, v, "none / round-robin / random / all-at-once");
+}
+void read(const std::string& k, const std::string& v, fault::ElFailover& out) {
+  for (const fault::ElFailover f :
+       {fault::ElFailover::kReassign, fault::ElFailover::kStandby}) {
+    if (v == fault::el_failover_name(f)) {
+      out = f;
+      return;
+    }
+  }
+  bad_value(k, v, "reassign / standby");
 }
 
-std::string format_rank_group(const std::vector<int>& ranks) {
-  std::string out;
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    if (i) out += "+";
-    out += std::to_string(ranks[i]);
-  }
-  return out;
-}
+std::string text(int v) { return std::to_string(v); }
+std::string text(std::uint32_t v) { return std::to_string(v); }
+std::string text(std::uint64_t v) { return std::to_string(v); }
+std::string text(sim::Time v) { return ns(v); }
+std::string text(bool v) { return v ? "true" : "false"; }
+std::string text(const std::string& v) { return v; }
+std::string text(ckpt::Policy p) { return ckpt::policy_name(p); }
+std::string text(fault::ElFailover f) { return fault::el_failover_name(f); }
 
-/// Parses one side of a service partition: the rank-group grammar extended
-/// with service tokens — "elK" names EL shard K, "ckpt" the checkpoint
-/// server ("el0+2+4" = shard 0 plus ranks {2,4}). Ranks land in `ranks`,
-/// service ids in `services` (fault::kCkptService for the ckpt server).
-void parse_service_group(const std::string& key, const std::string& s,
-                         std::vector<int>& ranks, std::vector<int>& services) {
+// --- fault-injection value grammar -----------------------------------------
+
+/// Parses one side of a partition: '+'-separated elements, each a rank or
+/// an inclusive range "a-b" ("0-2+5" = {0,1,2,5}); commas are taken by the
+/// sweep-axis tokenizer. When `services` is given, "elK" names EL shard K
+/// and "ckpt" the checkpoint server ("el0+2+4" = shard 0 plus ranks {2,4}).
+void parse_group(const std::string& key, const std::string& s,
+                 std::vector<int>& ranks, std::vector<int>* services) {
   std::size_t pos = 0;
   while (pos <= s.size()) {
     std::size_t plus = s.find('+', pos);
@@ -147,21 +206,29 @@ void parse_service_group(const std::string& key, const std::string& s,
     const std::string tok = trim(s.substr(pos, plus - pos));
     pos = plus + 1;
     if (tok.empty()) {
-      bad_value(key, s, "ranks/ranges plus service tokens like 'el0' / 'ckpt'");
+      bad_value(key, s,
+                services != nullptr
+                    ? "ranks/ranges plus service tokens like 'el0' / 'ckpt'"
+                    : "ranks like '0+1' or ranges '0-3'");
     }
-    if (tok == "ckpt") {
-      services.push_back(fault::kCkptService);
-    } else if (tok.size() > 2 && tok.rfind("el", 0) == 0 &&
+    if (services != nullptr && tok == "ckpt") {
+      services->push_back(fault::kCkptService);
+    } else if (services != nullptr && tok.size() > 2 &&
+               tok.rfind("el", 0) == 0 &&
                tok.find_first_not_of("0123456789", 2) == std::string::npos) {
-      services.push_back(static_cast<int>(parse_i64(key, tok.substr(2))));
+      services->push_back(parse_int(key, tok.substr(2)));
     } else {
+      // A '-' after the first character splits a range (a leading '-'
+      // would be a negative rank, rejected downstream by validation).
       const std::size_t dash = tok.find('-', 1);
       if (dash == std::string::npos) {
-        ranks.push_back(static_cast<int>(parse_i64(key, tok)));
+        ranks.push_back(parse_int(key, tok));
       } else {
-        const int lo = static_cast<int>(parse_i64(key, tok.substr(0, dash)));
-        const int hi = static_cast<int>(parse_i64(key, tok.substr(dash + 1)));
-        if (hi < lo) bad_value(key, s, "an ascending range like '0-3'");
+        const int lo = parse_int(key, tok.substr(0, dash));
+        const int hi = parse_int(key, tok.substr(dash + 1));
+        if (hi < lo || hi - static_cast<std::int64_t>(lo) >= 4096) {
+          bad_value(key, s, "an ascending range of at most 4096 ranks");
+        }
         for (int r = lo; r <= hi; ++r) ranks.push_back(r);
       }
     }
@@ -169,9 +236,13 @@ void parse_service_group(const std::string& key, const std::string& s,
   }
 }
 
-std::string format_service_group(const std::vector<int>& ranks,
-                                 const std::vector<int>& services) {
-  std::string out = format_rank_group(ranks);
+std::string format_group(const std::vector<int>& ranks,
+                         const std::vector<int>& services) {
+  std::string out;
+  for (const int r : ranks) {
+    if (!out.empty()) out += "+";
+    out += std::to_string(r);
+  }
   for (const int s : services) {
     if (!out.empty()) out += "+";
     out += s == fault::kCkptService ? std::string("ckpt")
@@ -180,8 +251,11 @@ std::string format_service_group(const std::vector<int>& ranks,
   return out;
 }
 
-/// Splits ':'-separated injection fields, trimming each.
-std::vector<std::string> split_fields(const std::string& s) {
+/// Splits ':'-separated injection fields, trimming each, and checks that
+/// there are between `min` and `max` of them.
+std::vector<std::string> fields(const std::string& key, const std::string& s,
+                                std::size_t min, std::size_t max,
+                                const char* expected) {
   std::vector<std::string> out;
   std::size_t pos = 0;
   while (pos <= s.size()) {
@@ -190,6 +264,7 @@ std::vector<std::string> split_fields(const std::string& s) {
     out.push_back(trim(s.substr(pos, colon - pos)));
     pos = colon + 1;
   }
+  if (out.size() < min || out.size() > max) bad_value(key, s, expected);
   return out;
 }
 
@@ -209,197 +284,51 @@ void parse_fault_trigger(const std::string& key, const std::string& tok,
   inj.at = parse_time(key, tok);
 }
 
-[[noreturn]] void bad_fields(const std::string& key, const std::string& value,
-                             const char* expected) {
-  bad_value(key, value, expected);
+/// Partition value "<time>:<A>|<B>:<duration>[:<backoff>]"; `services`
+/// admits 'elK' / 'ckpt' tokens in the groups.
+fault::Injection parse_partition(const std::string& key,
+                                 const std::string& value, bool services,
+                                 const char* expected) {
+  const auto f = fields(key, value, 3, 4, expected);
+  const std::size_t bar = f[1].find('|');
+  if (bar == std::string::npos) {
+    bad_value(key, value, "two '|'-separated groups like '0-3|4-7'");
+  }
+  fault::Injection inj;
+  inj.target = fault::Target::kFabric;
+  inj.action = fault::Action::kPartition;
+  inj.at = parse_time(key, f[0]);
+  parse_group(key, trim(f[1].substr(0, bar)), inj.group_a,
+              services ? &inj.services_a : nullptr);
+  parse_group(key, trim(f[1].substr(bar + 1)), inj.group_b,
+              services ? &inj.services_b : nullptr);
+  inj.duration = parse_time(key, f[2]);
+  inj.magnitude = f.size() == 4 ? parse_time(key, f[3]) : 2 * sim::kMillisecond;
+  return inj;
 }
 
-/// The `faults.*` key family — the scenario-file face of fault::Campaign.
-/// Every key handled here MUST be listed in fault_key_table() (the parser
-/// rejects unlisted keys up front, and a unit test feeds each table
-/// example back through this function), so the table, the CLI listing and
-/// docs/SCENARIOS.md cannot silently diverge.
-bool apply_fault_key(ScenarioSpec& spec, const std::string& key,
-                     const std::string& value) {
-  bool listed = false;
-  for (const FaultKeyInfo& e : fault_key_table()) listed |= key == e.key;
-  if (!listed) return false;
-  fault::Campaign& c = spec.faults.campaign;
-  const std::vector<std::string> f = split_fields(value);
-  if (key == "faults.crash_rank") {
-    // "<time>:<rank>" or "ckpt@N:<rank>".
-    if (f.size() != 2) bad_fields(key, value, "'<time|ckpt@N>:<rank>'");
-    fault::Injection inj;
-    inj.target = fault::Target::kRank;
-    parse_fault_trigger(key, f[0], "ckpt", fault::Trigger::kOnCheckpoint, inj);
-    inj.index = static_cast<int>(parse_i64(key, f[1]));
-    c.injections.push_back(inj);
-  } else if (key == "faults.crash_el") {
-    // "<time>:<shard>" or "stored@N:<shard>".
-    if (f.size() != 2) bad_fields(key, value, "'<time|stored@N>:<shard>'");
-    fault::Injection inj;
-    inj.target = fault::Target::kElShard;
-    parse_fault_trigger(key, f[0], "stored", fault::Trigger::kOnElStored, inj);
-    inj.index = static_cast<int>(parse_i64(key, f[1]));
-    c.injections.push_back(inj);
-  } else if (key == "faults.el_outage") {
-    if (f.size() != 3) bad_fields(key, value, "'<time>:<shard>:<duration>'");
-    fault::Injection inj;
-    inj.target = fault::Target::kElShard;
-    inj.action = fault::Action::kOutage;
-    inj.at = parse_time(key, f[0]);
-    inj.index = static_cast<int>(parse_i64(key, f[1]));
-    inj.duration = parse_time(key, f[2]);
-    c.injections.push_back(inj);
-  } else if (key == "faults.ckpt_outage") {
-    if (f.size() != 2) bad_fields(key, value, "'<time>:<duration>'");
-    fault::Injection inj;
-    inj.target = fault::Target::kCkptServer;
-    inj.action = fault::Action::kOutage;
-    inj.at = parse_time(key, f[0]);
-    inj.duration = parse_time(key, f[1]);
-    c.injections.push_back(inj);
-  } else if (key == "faults.link_latency") {
-    if (f.size() != 4) {
-      bad_fields(key, value, "'<time>:<rank>:<extra>:<duration>'");
-    }
-    fault::Injection inj;
-    inj.target = fault::Target::kLink;
-    inj.action = fault::Action::kLatencySpike;
-    inj.at = parse_time(key, f[0]);
-    inj.index = static_cast<int>(parse_i64(key, f[1]));
-    inj.magnitude = parse_time(key, f[2]);
-    inj.duration = parse_time(key, f[3]);
-    c.injections.push_back(inj);
-  } else if (key == "faults.link_drop") {
-    if (f.size() != 3 && f.size() != 4) {
-      bad_fields(key, value, "'<time>:<rank>:<duration>[:<backoff>]'");
-    }
-    fault::Injection inj;
-    inj.target = fault::Target::kLink;
-    inj.action = fault::Action::kDropWindow;
-    inj.at = parse_time(key, f[0]);
-    inj.index = static_cast<int>(parse_i64(key, f[1]));
-    inj.duration = parse_time(key, f[2]);
-    inj.magnitude =
-        f.size() == 4 ? parse_time(key, f[3]) : 5 * sim::kMillisecond;
-    c.injections.push_back(inj);
-  } else if (key == "faults.rank_rate") {
-    // A Poisson crash process over random live ranks — the campaign twin of
-    // the legacy `faults_per_minute` key, salted/swept independently. Rate
-    // 0 = stream off, so a sweep axis can include the fault-free corner.
-    const double rate = parse_f64(key, value);
-    if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
-    if (rate > 0) {
-      fault::Injection inj;
-      inj.target = fault::Target::kRank;
-      inj.index = -1;
-      inj.trigger = fault::Trigger::kRate;
-      inj.rate_per_minute = rate;
-      c.injections.push_back(inj);
-    }
-  } else if (key == "faults.crash_daemon") {
-    // "<time>:<rank>[:<downtime>]" — only the communication daemon dies;
-    // the app rank stalls until the dispatcher respawns it.
-    if (f.size() != 2 && f.size() != 3) {
-      bad_fields(key, value, "'<time>:<rank>[:<downtime>]'");
-    }
-    fault::Injection inj;
-    inj.target = fault::Target::kDaemon;
-    inj.at = parse_time(key, f[0]);
-    inj.index = static_cast<int>(parse_i64(key, f[1]));
-    if (f.size() == 3) inj.duration = parse_time(key, f[2]);
-    c.injections.push_back(inj);
-  } else if (key == "faults.daemon_rate") {
-    // The daemon twin of rank_rate: Poisson daemon crashes over random
-    // live ranks (the rank survives each one, stalled). 0 = off.
-    const double rate = parse_f64(key, value);
-    if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
-    if (rate > 0) {
-      fault::Injection inj;
-      inj.target = fault::Target::kDaemon;
-      inj.index = -1;
-      inj.trigger = fault::Trigger::kRate;
-      inj.rate_per_minute = rate;
-      c.injections.push_back(inj);
-    }
-  } else if (key == "faults.daemon_restart_delay") {
-    c.daemon_restart_delay = parse_time(key, value);
-  } else if (key == "faults.partition") {
-    // "<time>:<groupA>|<groupB>:<duration>[:<backoff>]" with '+'-separated
-    // ranks or 'a-b' ranges per group, e.g. "10ms:0-3|4-7:25ms:2ms".
-    if (f.size() != 3 && f.size() != 4) {
-      bad_fields(key, value, "'<time>:<ranks>|<ranks>:<duration>[:<backoff>]'");
-    }
-    const std::size_t bar = f[1].find('|');
-    if (bar == std::string::npos) {
-      bad_fields(key, value, "two '|'-separated rank groups like '0-3|4-7'");
-    }
-    fault::Injection inj;
-    inj.target = fault::Target::kFabric;
-    inj.action = fault::Action::kPartition;
-    inj.at = parse_time(key, f[0]);
-    inj.group_a = parse_rank_group(key, trim(f[1].substr(0, bar)));
-    inj.group_b = parse_rank_group(key, trim(f[1].substr(bar + 1)));
-    inj.duration = parse_time(key, f[2]);
-    inj.magnitude =
-        f.size() == 4 ? parse_time(key, f[3]) : 2 * sim::kMillisecond;
-    c.injections.push_back(inj);
-  } else if (key == "faults.partition_services") {
-    // Like faults.partition, but each side may also name service endpoints:
-    // "elK" (EL shard K) or "ckpt", e.g. "30ms:el0|2+4:80ms:2ms" cuts shard
-    // 0 away from ranks 2 and 4 (split-brain when a failover fires inside
-    // the window).
-    if (f.size() != 3 && f.size() != 4) {
-      bad_fields(key, value,
-                 "'<time>:<group>|<group>:<duration>[:<backoff>]' with "
-                 "ranks, 'elK' and 'ckpt' tokens per group");
-    }
-    const std::size_t bar = f[1].find('|');
-    if (bar == std::string::npos) {
-      bad_fields(key, value, "two '|'-separated groups like 'el0|2+4'");
-    }
-    fault::Injection inj;
-    inj.target = fault::Target::kFabric;
-    inj.action = fault::Action::kPartition;
-    inj.at = parse_time(key, f[0]);
-    parse_service_group(key, trim(f[1].substr(0, bar)), inj.group_a,
-                        inj.services_a);
-    parse_service_group(key, trim(f[1].substr(bar + 1)), inj.group_b,
-                        inj.services_b);
-    if (inj.services_a.empty() && inj.services_b.empty()) {
-      bad_fields(key, value,
-                 "at least one 'elK' / 'ckpt' token (use faults.partition "
-                 "for rank-only cuts)");
-    }
-    inj.duration = parse_time(key, f[2]);
-    inj.magnitude =
-        f.size() == 4 ? parse_time(key, f[3]) : 2 * sim::kMillisecond;
-    c.injections.push_back(inj);
-  } else if (key == "faults.detection_delay") {
-    c.detection_delay = parse_time(key, value);
-    if (c.detection_delay <= 0) {
-      bad_value(key, value, "a positive duration like 5ms");
-    }
-  } else if (key == "faults.el_failover") {
-    if (value == "reassign") {
-      c.el_failover = fault::ElFailover::kReassign;
-    } else if (value == "standby") {
-      c.el_failover = fault::ElFailover::kStandby;
-    } else {
-      bad_value(key, value, "reassign / standby");
-    }
-  } else if (key == "faults.el_failover_delay") {
-    c.el_failover_delay = parse_time(key, value);
-  } else if (key == "faults.service_retry") {
-    c.service_retry = parse_time(key, value);
-  } else if (key == "faults.seed_salt") {
-    c.seed_salt = parse_u64(key, value);
-  } else {
-    return false;
-  }
-  return true;
+std::string format_partition(const fault::Injection& i) {
+  return ns(i.at) + ":" + format_group(i.group_a, i.services_a) + "|" +
+         format_group(i.group_b, i.services_b) + ":" + ns(i.duration) + ":" +
+         ns(i.magnitude);
 }
+
+/// Appends a Poisson crash stream over random live targets; rate 0 = stream
+/// off, so a sweep axis can include the fault-free corner.
+void add_rate_stream(S& s, const std::string& key, const std::string& value,
+                     fault::Target target) {
+  const double rate = parse_rate(key, value);
+  if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
+  if (rate == 0) return;
+  fault::Injection inj;
+  inj.target = target;
+  inj.index = -1;
+  inj.trigger = fault::Trigger::kRate;
+  inj.rate_per_minute = rate;
+  s.faults.campaign.injections.push_back(inj);
+}
+
+// --- variant helpers -------------------------------------------------------
 
 std::string protocol_name(runtime::ProtocolKind kind) {
   for (const auto& entry : protocols().entries()) {
@@ -431,141 +360,577 @@ void refresh_variant(VariantSpec& v) {
   }
 }
 
-/// `cost.*` keys: the calibration knobs scenarios are allowed to retune.
-bool apply_cost_key(net::CostModel& cost, const std::string& key,
-                    const std::string& value) {
-  if (key == "cost.bandwidth_mbps") {
-    cost.bandwidth_bps = parse_f64(key, value) * 1e6;
-  } else if (key == "cost.wire_latency") {
-    cost.wire_latency = parse_time(key, value);
-  } else if (key == "cost.el_service") {
-    cost.el_service = parse_time(key, value);
-  } else if (key == "cost.el_ack_build") {
-    cost.el_ack_build = parse_time(key, value);
-  } else if (key == "cost.mlog_send_fixed") {
-    cost.mlog_send_fixed = parse_time(key, value);
-  } else if (key == "cost.mlog_recv_fixed") {
-    cost.mlog_recv_fixed = parse_time(key, value);
-  } else if (key == "cost.eager_threshold") {
-    cost.eager_threshold = parse_u64(key, value);
-  } else if (key == "cost.node_gflops") {
-    cost.node_gflops = parse_f64(key, value);
-  } else if (key == "cost.ckpt_disk_mbps") {
-    cost.ckpt_disk_bps = parse_f64(key, value) * 1e6 * 8;
-  } else if (key == "cost.slog_ns_per_byte") {
-    cost.slog_ns_per_byte = parse_f64(key, value);
+// --- the key table ---------------------------------------------------------
+
+/// A scalar row's binding to its ScenarioSpec member. The member's type
+/// picks the row's parse (read), print (text) and range rules.
+template <typename T>
+using Ref = T& (*)(S&);
+using Field = std::variant<std::monostate, Ref<int>, Ref<std::uint32_t>,
+                           Ref<std::uint64_t>, Ref<double>, Ref<sim::Time>,
+                           Ref<bool>, Ref<std::string>, Ref<ckpt::Policy>,
+                           Ref<fault::ElFailover>>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// One scenario key. Scalar rows bind a member (`field`) and get parsing,
+/// printing and bound checks from its type; rows that touch more than one
+/// field override `apply` (and `print`). Fault-injection rows pair their
+/// parser with `matches`/`format`, which recognize and print back the
+/// campaign injections the key produces.
+struct KeyRow {
+  KeyInfo doc;
+  Field field{};
+  /// Printed whenever its section is (the [scenario] section always is).
+  bool lead = false;
+  /// Print condition; nullptr = the field differs from the default spec.
+  bool (*shown)(const S&) = nullptr;
+  /// validate() bounds on the field, inclusive unless `open`.
+  double lo = -kInf;
+  double hi = kInf;
+  bool open = false;
+  /// f64 fields: the member holds the written value times `scale`.
+  double scale = 1;
+  void (*apply)(S&, const std::string& key, const std::string& value) = nullptr;
+  void (*print)(const S&, std::string& out) = nullptr;
+  bool (*matches)(const fault::Injection&) = nullptr;
+  std::string (*format)(const fault::Injection&) = nullptr;
+};
+
+#define MEMBER(path) +[](S& s) -> auto& { return s.path; }
+
+using fault::Action;
+using fault::Injection;
+using fault::Target;
+using fault::Trigger;
+
+bool ckpt_set(const S& s) {
+  return s.ckpt_policy != ckpt::Policy::kNone || s.ckpt_interval != 0;
+}
+bool midrun_set(const S& s) { return s.faults.midrun_rank >= 0; }
+
+// Rows print in table order, which is the [scenario], [trace], [metrics],
+// [cost], [faults] order of to_scenario_text. scripts/check_docs.sh reads
+// the keys between the markers; keep them on their own lines.
+// BEGIN KEY TABLE (scripts/check_docs.sh)
+constexpr KeyRow kKeys[] = {
+    // [scenario] — identity, variant, topology, workload.
+    {.doc = {"name", "scenario", "<text>", "my_experiment",
+             "report name (default: the file stem)"},
+     .field = MEMBER(name), .lead = true},
+    {.doc = {"notes", "scenario", "<text>", "sweeps the EL on and off",
+             "free-form description, documentation only"},
+     .field = MEMBER(notes)},
+    {.doc = {"variant", "scenario", "<protocol> | <strategy>[:el|:noel]",
+             "manetho:el",
+             "protocol variant (causal strategies default to :el)"},
+     .field = MEMBER(variant.name), .lead = true,
+     .apply = [](S& s, const std::string&, const std::string& v) {
+       s.variant = parse_variant(v);
+     }},
+    {.doc = {"protocol", "scenario", "<protocol>", "coordinated",
+             "piecemeal: set just the protocol"},
+     .apply = [](S& s, const std::string&, const std::string& v) {
+       s.variant.protocol = protocols().at(v).kind;
+       refresh_variant(s.variant);
+     }},
+    {.doc = {"strategy", "scenario", "<strategy>", "logon",
+             "piecemeal: set just the causal strategy"},
+     .apply = [](S& s, const std::string&, const std::string& v) {
+       s.variant.strategy = strategies().at(v).kind;
+       refresh_variant(s.variant);
+     }},
+    {.doc = {"event_logger", "scenario", "<bool>", "false",
+             "piecemeal: enable or disable the Event Logger"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       s.variant.event_logger = parse_bool(k, v);
+       refresh_variant(s.variant);
+     }},
+    {.doc = {"nranks", "scenario", "<int 1..4096>", "8",
+             "compute ranks (MPI process + communication daemon each)"},
+     .field = MEMBER(nranks), .lead = true, .lo = 1, .hi = 4096},
+    {.doc = {"el_shards", "scenario", "<int >= 1>", "2",
+             "Event Logger shards (at most nranks; > 1 needs the EL)"},
+     .field = MEMBER(el_shards),
+     .shown = [](const S& s) { return s.el_shards_set; }, .lo = 1,
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       s.el_shards = parse_int(k, v);
+       s.el_shards_set = true;
+     }},
+    {.doc = {"el_standby", "scenario", "<int 0..64>", "1",
+             "cold standby EL shard nodes (failover targets)"},
+     .field = MEMBER(el_standby), .lo = 0, .hi = 64},
+    {.doc = {"seed", "scenario", "<u64>", "7",
+             "master seed: workload RNG, checkpoint scheduler, fault streams"},
+     .field = MEMBER(seed), .lead = true},
+    {.doc = {"ckpt_policy", "scenario", "none|round-robin|random|all-at-once",
+             "round-robin", "checkpoint scheduler policy"},
+     .field = MEMBER(ckpt_policy), .shown = ckpt_set},
+    {.doc = {"ckpt_interval", "scenario", "<duration>", "30ms",
+             "checkpoint scheduler tick"},
+     .field = MEMBER(ckpt_interval), .shown = ckpt_set, .lo = 0},
+    {.doc = {"detection_delay", "scenario", "<duration>", "250ms",
+             "failure-detector latency from fault to restart"},
+     .field = MEMBER(detection_delay), .lead = true},
+    {.doc = {"max_sim_time", "scenario", "<duration>", "2h",
+             "simulated-time budget; runs past it are abandoned"},
+     .field = MEMBER(max_sim_time), .lead = true},
+    {.doc = {"compare_reference", "scenario", "<bool>", "true",
+             "run a fault-free reference pass for any faulty run"},
+     .field = MEMBER(compare_reference)},
+    {.doc = {"replica.sync_interval", "scenario", "<int >= 0>", "4",
+             "replication: application sends between shadow syncs"},
+     .field = MEMBER(replica_sync_interval), .lo = 0},
+    {.doc = {"ulfm.repair_cost", "scenario", "<duration>", "7ms",
+             "ULFM agreement + communicator-rebuild window"},
+     .field = MEMBER(ulfm_repair_cost), .lo = 0},
+    {.doc = {"runner.parallelism", "scenario", "<int 1..1024>", "4",
+             "forked workers for the sweep (same report bytes)"},
+     .field = MEMBER(runner_parallelism), .lo = 1, .hi = 1024},
+    {.doc = {"payload_at_sender", "scenario", "<bool>", "true",
+             "causal only: keep logged payloads in sender memory"},
+     .field = MEMBER(payload_at_sender)},
+    {.doc = {"faults_per_minute", "scenario", "<per-minute>", "0.5",
+             "legacy Poisson crash process over random ranks"},
+     .field = MEMBER(faults.faults_per_minute), .lo = 0,
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       s.faults.faults_per_minute = parse_rate(k, v);
+     }},
+    {.doc = {"fault", "scenario", "<time>:<rank>", "120ms:1",
+             "deterministic crash; repeat the key for more"},
+     .shown = [](const S& s) { return !s.faults.faults.empty(); },
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const std::size_t colon = v.rfind(':');
+       if (colon == std::string::npos) bad_value(k, v, "'<time>:<rank>'");
+       s.faults.faults.push_back(
+           runtime::FaultSpec{parse_time(k, v.substr(0, colon)),
+                              parse_int(k, v.substr(colon + 1))});
+     },
+     .print = [](const S& s, std::string& out) {
+       for (const runtime::FaultSpec& f : s.faults.faults) {
+         out += "fault = " + ns(f.at) + ":" + std::to_string(f.rank) + "\n";
+       }
+     }},
+    {.doc = {"midrun_fault_rank", "scenario", "<rank>", "3",
+             "crash this rank mid-run, after a fault-free reference pass"},
+     .field = MEMBER(faults.midrun_rank), .shown = midrun_set},
+    {.doc = {"midrun_fault_frac", "scenario", "<fraction in (0, 1)>", "0.6",
+             "when the midrun crash lands, as a share of the reference time"},
+     .field = MEMBER(faults.midrun_frac), .shown = midrun_set, .lo = 0,
+     .hi = 1, .open = true},
+    {.doc = {"workload", "scenario", "<workload>", "random_then_ring",
+             "workload name; switching clears the workload.* parameters"},
+     .field = MEMBER(workload.name), .lead = true,
+     .apply = [](S& s, const std::string&, const std::string& v) {
+       s.workload.name = v;
+       s.workload.params.clear();
+     }},
+    {.doc = {"workload.*", "scenario", "<value>", "30",
+             "workload parameter (mpiv_run --list names each workload's)"},
+     .shown = [](const S& s) { return !s.workload.params.empty(); },
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       s.workload.params[k.substr(sizeof("workload.") - 1)] = v;
+     },
+     .print = [](const S& s, std::string& out) {
+       for (const auto& [k, v] : s.workload.params) {
+         out += "workload." + k + " = " + v + "\n";
+       }
+     }},
+    {.doc = {"nas", "scenario", "<kernel>:<class>:<scale>", "bt:A:0.15",
+             "NAS workload selector: kernel, class and scale in one value"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f =
+           fields(k, v, 3, 3, "'<kernel>:<class>:<scale>' like bt:A:0.15");
+       s.workload.name = "nas";
+       s.workload.params.clear();
+       s.workload.params["kernel"] = f[0];
+       s.workload.params["class"] = f[1];
+       s.workload.params["scale"] = f[2];
+     }},
+
+    // [trace] — per-rank trace lanes.
+    {.doc = {"trace.enabled", "trace", "<bool>", "true",
+             "capture trace lanes in every pass"},
+     .field = MEMBER(trace.enabled), .lead = true},
+    {.doc = {"trace.capacity", "trace", "<int 16..4194304>", "4096",
+             "retained records per lane"},
+     .field = MEMBER(trace.capacity), .lo = 16, .hi = 1u << 22},
+    {.doc = {"trace.dir", "trace", "<path>", "out/traces",
+             "write each point's merged stream under this directory"},
+     .field = MEMBER(trace_dir)},
+
+    // [metrics] — aggregate metrics + virtual-time gauge sampler.
+    {.doc = {"metrics.enabled", "metrics", "<bool>", "true",
+             "aggregate metrics + gauge sampler (schedule-neutral)"},
+     .field = MEMBER(metrics.enabled), .lead = true},
+    {.doc = {"metrics.sample_interval", "metrics", "<duration>", "250us",
+             "virtual time between gauge snapshots"},
+     .field = MEMBER(metrics.sample_interval), .lo = 0, .open = true},
+    {.doc = {"metrics.dir", "metrics", "<path>", "out/metrics",
+             "write per-run time-series CSV files here"},
+     .field = MEMBER(metrics_dir)},
+
+    // [cost] — the calibration knobs scenarios may retune.
+    {.doc = {"cost.bandwidth_mbps", "cost", "<Mb/s>", "100", "NIC line rate"},
+     .field = MEMBER(cost.bandwidth_bps), .scale = 1e6},
+    {.doc = {"cost.wire_latency", "cost", "<duration>", "32us",
+             "propagation + switch forwarding"},
+     .field = MEMBER(cost.wire_latency)},
+    {.doc = {"cost.el_service", "cost", "<duration>", "2ms",
+             "Event Logger service cost per stored determinant"},
+     .field = MEMBER(cost.el_service)},
+    {.doc = {"cost.el_ack_build", "cost", "<duration>", "500us",
+             "Event Logger ack construction"},
+     .field = MEMBER(cost.el_ack_build)},
+    {.doc = {"cost.mlog_send_fixed", "cost", "<duration>", "8us",
+             "fixed message-logging send-side overhead"},
+     .field = MEMBER(cost.mlog_send_fixed)},
+    {.doc = {"cost.mlog_recv_fixed", "cost", "<duration>", "6us",
+             "fixed message-logging receive-side overhead"},
+     .field = MEMBER(cost.mlog_recv_fixed)},
+    {.doc = {"cost.eager_threshold", "cost", "<bytes>", "65536",
+             "eager/rendezvous switch point"},
+     .field = MEMBER(cost.eager_threshold)},
+    {.doc = {"cost.node_gflops", "cost", "<GFLOP/s>", "0.55",
+             "compute speed (NAS kernels)"},
+     .field = MEMBER(cost.node_gflops)},
+    {.doc = {"cost.ckpt_disk_mbps", "cost", "<MB/s>", "25",
+             "checkpoint-server disk bandwidth"},
+     .field = MEMBER(cost.ckpt_disk_bps), .scale = 8e6},
+    {.doc = {"cost.slog_ns_per_byte", "cost", "<ns/B>", "4.5",
+             "sender-log copy cost"},
+     .field = MEMBER(cost.slog_ns_per_byte)},
+
+    // [faults] — the fault::Campaign surface. Injection lines print first,
+    // in campaign order, each through the row whose matches() claims it.
+    {.doc = {"faults.crash_rank", "faults", "<time|ckpt@N>:<rank>", "120ms:3",
+             "kill the rank at a time or on its Nth checkpoint commit"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f = fields(k, v, 2, 2, "'<time|ckpt@N>:<rank>'");
+       Injection inj;
+       inj.target = Target::kRank;
+       parse_fault_trigger(k, f[0], "ckpt", Trigger::kOnCheckpoint, inj);
+       inj.index = parse_int(k, f[1]);
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kRank && i.trigger != Trigger::kRate;
+     },
+     .format = [](const Injection& i) {
+       return (i.trigger == Trigger::kOnCheckpoint
+                   ? "ckpt@" + std::to_string(i.nth)
+                   : ns(i.at)) +
+              ":" + std::to_string(i.index);
+     }},
+    {.doc = {"faults.rank_rate", "faults", "<per-minute>", "0.5",
+             "Poisson rank crashes over random live ranks"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       add_rate_stream(s, k, v, Target::kRank);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kRank && i.trigger == Trigger::kRate;
+     },
+     .format = [](const Injection& i) { return num(i.rate_per_minute); }},
+    {.doc = {"faults.crash_daemon", "faults", "<time>:<rank>[:<downtime>]",
+             "50ms:2",
+             "kill only the rank's daemon; the app stalls until respawn"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f = fields(k, v, 2, 3, "'<time>:<rank>[:<downtime>]'");
+       Injection inj;
+       inj.target = Target::kDaemon;
+       inj.at = parse_time(k, f[0]);
+       inj.index = parse_int(k, f[1]);
+       if (f.size() == 3) inj.duration = parse_time(k, f[2]);
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kDaemon && i.trigger != Trigger::kRate;
+     },
+     .format = [](const Injection& i) {
+       return ns(i.at) + ":" + std::to_string(i.index) +
+              (i.duration > 0 ? ":" + ns(i.duration) : "");
+     }},
+    {.doc = {"faults.daemon_rate", "faults", "<per-minute>", "1.5",
+             "Poisson daemon crashes over random live ranks"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       add_rate_stream(s, k, v, Target::kDaemon);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kDaemon && i.trigger == Trigger::kRate;
+     },
+     .format = [](const Injection& i) { return num(i.rate_per_minute); }},
+    {.doc = {"faults.crash_el", "faults", "<time|stored@N>:<shard>", "60ms:0",
+             "permanently crash the EL shard (failover follows)"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f = fields(k, v, 2, 2, "'<time|stored@N>:<shard>'");
+       Injection inj;
+       inj.target = Target::kElShard;
+       parse_fault_trigger(k, f[0], "stored", Trigger::kOnElStored, inj);
+       inj.index = parse_int(k, f[1]);
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kElShard && i.action != Action::kOutage;
+     },
+     .format = [](const Injection& i) {
+       return (i.trigger == Trigger::kOnElStored
+                   ? "stored@" + std::to_string(i.nth)
+                   : ns(i.at)) +
+              ":" + std::to_string(i.index);
+     }},
+    {.doc = {"faults.el_outage", "faults", "<time>:<shard>:<duration>",
+             "10ms:0:25ms",
+             "transient EL service outage; the persistent log survives"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f = fields(k, v, 3, 3, "'<time>:<shard>:<duration>'");
+       Injection inj;
+       inj.target = Target::kElShard;
+       inj.action = Action::kOutage;
+       inj.at = parse_time(k, f[0]);
+       inj.index = parse_int(k, f[1]);
+       inj.duration = parse_time(k, f[2]);
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kElShard && i.action == Action::kOutage;
+     },
+     .format = [](const Injection& i) {
+       return ns(i.at) + ":" + std::to_string(i.index) + ":" + ns(i.duration);
+     }},
+    {.doc = {"faults.ckpt_outage", "faults", "<time>:<duration>", "40ms:30ms",
+             "checkpoint-server outage; images persist, clients retransmit"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f = fields(k, v, 2, 2, "'<time>:<duration>'");
+       Injection inj;
+       inj.target = Target::kCkptServer;
+       inj.action = Action::kOutage;
+       inj.at = parse_time(k, f[0]);
+       inj.duration = parse_time(k, f[1]);
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches =
+         [](const Injection& i) { return i.target == Target::kCkptServer; },
+     .format =
+         [](const Injection& i) { return ns(i.at) + ":" + ns(i.duration); }},
+    {.doc = {"faults.link_latency", "faults",
+             "<time>:<rank>:<extra>:<duration>", "5ms:2:1ms:20ms",
+             "latency spike on the rank's link"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f = fields(k, v, 4, 4, "'<time>:<rank>:<extra>:<duration>'");
+       Injection inj;
+       inj.target = Target::kLink;
+       inj.action = Action::kLatencySpike;
+       inj.at = parse_time(k, f[0]);
+       inj.index = parse_int(k, f[1]);
+       inj.magnitude = parse_time(k, f[2]);
+       inj.duration = parse_time(k, f[3]);
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kLink && i.action != Action::kDropWindow;
+     },
+     .format = [](const Injection& i) {
+       return ns(i.at) + ":" + std::to_string(i.index) + ":" + ns(i.magnitude) +
+              ":" + ns(i.duration);
+     }},
+    {.doc = {"faults.link_drop", "faults",
+             "<time>:<rank>:<duration>[:<backoff>]", "7ms:4:8ms:2ms",
+             "drop-with-retransmit window on the rank's link"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       const auto f =
+           fields(k, v, 3, 4, "'<time>:<rank>:<duration>[:<backoff>]'");
+       Injection inj;
+       inj.target = Target::kLink;
+       inj.action = Action::kDropWindow;
+       inj.at = parse_time(k, f[0]);
+       inj.index = parse_int(k, f[1]);
+       inj.duration = parse_time(k, f[2]);
+       inj.magnitude =
+           f.size() == 4 ? parse_time(k, f[3]) : 5 * sim::kMillisecond;
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kLink && i.action == Action::kDropWindow;
+     },
+     .format = [](const Injection& i) {
+       return ns(i.at) + ":" + std::to_string(i.index) + ":" + ns(i.duration) +
+              ":" + ns(i.magnitude);
+     }},
+    {.doc = {"faults.partition", "faults",
+             "<time>:<ranks>|<ranks>:<duration>[:<backoff>]",
+             "10ms:0-1|2-3:25ms:2ms",
+             "partial partition: the two rank groups mutually unreachable"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       s.faults.campaign.injections.push_back(parse_partition(
+           k, v, false, "'<time>:<ranks>|<ranks>:<duration>[:<backoff>]'"));
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kFabric && !i.cuts_services();
+     },
+     .format = format_partition},
+    {.doc = {"faults.partition_services", "faults",
+             "<time>:<group>|<group>:<duration>[:<backoff>]",
+             "30ms:el0|2+4:80ms:2ms",
+             "partition whose sides may name services ('elK', 'ckpt'); cutting "
+             "a serving EL shard arms split-brain reconciliation"},
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       Injection inj = parse_partition(
+           k, v, true,
+           "'<time>:<group>|<group>:<duration>[:<backoff>]' with ranks, 'elK' "
+           "and 'ckpt' tokens per group");
+       if (!inj.cuts_services()) {
+         bad_value(k, v,
+                   "at least one 'elK' / 'ckpt' token (use faults.partition "
+                   "for rank-only cuts)");
+       }
+       s.faults.campaign.injections.push_back(inj);
+     },
+     .matches = [](const Injection& i) {
+       return i.target == Target::kFabric && i.cuts_services();
+     },
+     .format = format_partition},
+    {.doc = {"faults.el_failover", "faults", "reassign|standby", "standby",
+             "what mounts a dead shard's log: surviving shard or cold standby"},
+     .field = MEMBER(faults.campaign.el_failover)},
+    {.doc = {"faults.el_failover_delay", "faults", "<duration>", "25ms",
+             "shard-crash detection + log-mount initiation delay"},
+     .field = MEMBER(faults.campaign.el_failover_delay)},
+    {.doc = {"faults.detection_delay", "faults", "<duration>", "5ms",
+             "suspicion window for a service cut (default: cluster "
+             "detection_delay)"},
+     .field = MEMBER(faults.campaign.detection_delay),
+     .apply = [](S& s, const std::string& k, const std::string& v) {
+       // -1 (inherit) is the default, not a scenario-file value.
+       s.faults.campaign.detection_delay = parse_time(k, v);
+       if (s.faults.campaign.detection_delay <= 0) {
+         bad_value(k, v, "a positive duration like 5ms");
+       }
+     }},
+    {.doc = {"faults.daemon_restart_delay", "faults", "<duration>", "40ms",
+             "daemon detect + respawn + reconnect delay"},
+     .field = MEMBER(faults.campaign.daemon_restart_delay)},
+    {.doc = {"faults.service_retry", "faults", "<duration>", "500ms",
+             "client retransmit interval for unacked EL/ckpt requests"},
+     .field = MEMBER(faults.campaign.service_retry)},
+    {.doc = {"faults.seed_salt", "faults", "<u64>", "77",
+             "salt mixed into the campaign's stochastic streams"},
+     .field = MEMBER(faults.campaign.seed_salt)},
+};
+// END KEY TABLE (scripts/check_docs.sh)
+
+#undef MEMBER
+
+/// Calls `fn(ref)` with the row's typed member binding; no-op for rows
+/// without one.
+template <typename Fn>
+void with_field(const KeyRow& row, Fn&& fn) {
+  std::visit(
+      [&](auto ref) {
+        if constexpr (!std::is_same_v<decltype(ref), std::monostate>) fn(ref);
+      },
+      row.field);
+}
+
+/// Read-only access through a binding (the accessor never writes).
+template <typename T>
+const T& get(Ref<T> ref, const S& s) {
+  return ref(const_cast<S&>(s));
+}
+
+template <typename T>
+std::string field_text(const KeyRow& row, const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return num(v / row.scale);
   } else {
-    return false;
+    return text(v);
   }
-  return true;
+}
+
+const KeyRow* find_key(std::string_view key) {
+  // Built once: sweep expansion looks keys up for every point. A family row
+  // ("workload.*") is filed under its prefix ("workload.").
+  static const auto index = [] {
+    std::unordered_map<std::string_view, const KeyRow*> m;
+    for (const KeyRow& row : kKeys) {
+      std::string_view k = row.doc.key;
+      if (k.ends_with('*')) k.remove_suffix(1);
+      m.emplace(k, &row);
+    }
+    return m;
+  }();
+  auto it = index.find(key);
+  if (it == index.end()) it = index.find(key.substr(0, key.find('.') + 1));
+  return it == index.end() ? nullptr : it->second;
+}
+
+[[noreturn]] void unknown_key(const std::string& key) {
+  const std::size_t dot = key.find('.');
+  std::string known;
+  for (const KeyRow& row : kKeys) {
+    if (dot != std::string::npos && key.compare(0, dot, row.doc.section) == 0) {
+      known += known.empty() ? "" : ", ";
+      known += row.doc.key;
+    }
+  }
+  if (known.empty()) throw SpecError("unknown scenario key '" + key + "'");
+  throw SpecError("unknown " + key.substr(0, dot) + " key '" + key +
+                  "' (known: " + known + ")");
+}
+
+/// The key's spelling inside its section: "[cost] wire_latency" but
+/// "[scenario] replica.sync_interval".
+const char* local_name(const KeyRow& row) {
+  const std::size_t n = std::strlen(row.doc.section);
+  return std::strncmp(row.doc.key, row.doc.section, n) == 0 &&
+                 row.doc.key[n] == '.'
+             ? row.doc.key + n + 1
+             : row.doc.key;
+}
+
+bool changed(const KeyRow& row, const S& spec) {
+  if (row.shown != nullptr) return row.shown(spec);
+  static const S kDefault{};
+  bool differs = false;
+  with_field(row, [&](auto ref) {
+    differs = get(ref, spec) != get(ref, kDefault);
+  });
+  return differs;
+}
+
+void print_row(const KeyRow& row, const S& spec, std::string& out) {
+  if (row.print != nullptr) {
+    row.print(spec, out);
+    return;
+  }
+  with_field(row, [&](auto ref) {
+    out += std::string(local_name(row)) + " = " +
+           field_text(row, get(ref, spec)) + "\n";
+  });
+}
+
+bool is_section(const std::string& name) {
+  for (const KeyRow& row : kKeys) {
+    if (name == row.doc.section) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
-// The single source of truth for the `faults.*` key family. The parser
-// consults it before dispatching, `mpiv_run --list` prints it, a unit test
-// replays every example through apply_key, and scripts/check_docs.sh greps
-// the region between the markers to assert docs/SCENARIOS.md documents
-// every key. Keep the markers on their own lines.
-// BEGIN FAULT KEY TABLE (scripts/check_docs.sh)
-const std::vector<FaultKeyInfo>& fault_key_table() {
-  static const std::vector<FaultKeyInfo> table = {
-      {"faults.crash_rank", "<time|ckpt@N>:<rank>", "120ms:3",
-       "kill the rank at a time or on its Nth checkpoint commit"},
-      {"faults.rank_rate", "<per-minute>", "0.5",
-       "Poisson rank crashes over random live ranks"},
-      {"faults.crash_daemon", "<time>:<rank>[:<downtime>]", "50ms:2",
-       "kill only the rank's daemon; the app stalls until respawn"},
-      {"faults.daemon_rate", "<per-minute>", "1.5",
-       "Poisson daemon crashes over random live ranks"},
-      {"faults.daemon_restart_delay", "<duration>", "40ms",
-       "daemon detect + respawn + reconnect delay"},
-      {"faults.crash_el", "<time|stored@N>:<shard>", "60ms:0",
-       "permanently crash the EL shard (failover follows)"},
-      {"faults.el_outage", "<time>:<shard>:<duration>", "10ms:0:25ms",
-       "transient EL service outage; the persistent log survives"},
-      {"faults.ckpt_outage", "<time>:<duration>", "40ms:30ms",
-       "checkpoint-server outage; images persist, clients retransmit"},
-      {"faults.link_latency", "<time>:<rank>:<extra>:<duration>",
-       "5ms:2:1ms:20ms", "latency spike on the rank's link"},
-      {"faults.link_drop", "<time>:<rank>:<duration>[:<backoff>]",
-       "7ms:4:8ms:2ms", "drop-with-retransmit window on the rank's link"},
-      {"faults.partition", "<time>:<ranks>|<ranks>:<duration>[:<backoff>]",
-       "10ms:0-1|2-3:25ms:2ms",
-       "partial partition: the two rank groups mutually unreachable"},
-      {"faults.partition_services",
-       "<time>:<group>|<group>:<duration>[:<backoff>]", "30ms:el0|2+4:80ms:2ms",
-       "partition whose sides may name services ('elK', 'ckpt'); cutting a "
-       "serving EL shard arms split-brain reconciliation"},
-      {"faults.detection_delay", "<duration>", "5ms",
-       "suspicion window for a service cut (default: cluster "
-       "detection_delay)"},
-      {"faults.el_failover", "reassign | standby", "standby",
-       "what mounts a dead shard's log: surviving shard or cold standby"},
-      {"faults.el_failover_delay", "<duration>", "25ms",
-       "shard-crash detection + log-mount initiation delay"},
-      {"faults.service_retry", "<duration>", "500ms",
-       "client retransmit interval for unacked EL/ckpt requests"},
-      {"faults.seed_salt", "<u64>", "77",
-       "salt mixed into the campaign's stochastic streams"},
-  };
+const std::vector<KeyInfo>& key_table() {
+  static const std::vector<KeyInfo> table = [] {
+    std::vector<KeyInfo> out;
+    for (const KeyRow& row : kKeys) out.push_back(row.doc);
+    return out;
+  }();
   return table;
 }
-// END FAULT KEY TABLE (scripts/check_docs.sh)
 
 void strip_fault_key(ScenarioSpec& spec, const std::string& key) {
-  using fault::Action;
-  using fault::Injection;
-  using fault::Target;
-  using fault::Trigger;
-  bool (*match)(const Injection&) = nullptr;
-  if (key == "faults.crash_rank") {
-    match = [](const Injection& i) {
-      return i.target == Target::kRank && i.trigger != Trigger::kRate;
-    };
-  } else if (key == "faults.rank_rate") {
-    match = [](const Injection& i) {
-      return i.target == Target::kRank && i.trigger == Trigger::kRate;
-    };
-  } else if (key == "faults.crash_daemon") {
-    match = [](const Injection& i) {
-      return i.target == Target::kDaemon && i.trigger != Trigger::kRate;
-    };
-  } else if (key == "faults.daemon_rate") {
-    match = [](const Injection& i) {
-      return i.target == Target::kDaemon && i.trigger == Trigger::kRate;
-    };
-  } else if (key == "faults.partition") {
-    match = [](const Injection& i) {
-      return i.target == Target::kFabric && !i.cuts_services();
-    };
-  } else if (key == "faults.partition_services") {
-    match = [](const Injection& i) {
-      return i.target == Target::kFabric && i.cuts_services();
-    };
-  } else if (key == "faults.crash_el") {
-    match = [](const Injection& i) {
-      return i.target == Target::kElShard && i.action == Action::kCrash;
-    };
-  } else if (key == "faults.el_outage") {
-    match = [](const Injection& i) {
-      return i.target == Target::kElShard && i.action == Action::kOutage;
-    };
-  } else if (key == "faults.ckpt_outage") {
-    match = [](const Injection& i) { return i.target == Target::kCkptServer; };
-  } else if (key == "faults.link_latency") {
-    match = [](const Injection& i) {
-      return i.target == Target::kLink && i.action == Action::kLatencySpike;
-    };
-  } else if (key == "faults.link_drop") {
-    match = [](const Injection& i) {
-      return i.target == Target::kLink && i.action == Action::kDropWindow;
-    };
-  } else {
-    return;  // scalar keys override naturally
-  }
+  const KeyRow* row = find_key(key);
+  if (row == nullptr || row->matches == nullptr) return;  // scalars override
   auto& inj = spec.faults.campaign.injections;
-  inj.erase(std::remove_if(inj.begin(), inj.end(), match), inj.end());
+  inj.erase(std::remove_if(inj.begin(), inj.end(), row->matches), inj.end());
 }
 
 std::vector<std::string> split_list(const std::string& csv) {
@@ -611,110 +976,19 @@ void apply_key(ScenarioSpec& spec, const std::string& raw_key,
                const std::string& raw_value) {
   const std::string key = trim(raw_key);
   const std::string value = trim(raw_value);
-  if (key == "name") {
-    spec.name = value;
-  } else if (key == "notes") {
-    spec.notes = value;
-  } else if (key == "variant") {
-    spec.variant = parse_variant(value);
-  } else if (key == "protocol") {
-    spec.variant.protocol = protocols().at(value).kind;
-    refresh_variant(spec.variant);
-  } else if (key == "strategy") {
-    spec.variant.strategy = strategies().at(value).kind;
-    refresh_variant(spec.variant);
-  } else if (key == "event_logger") {
-    spec.variant.event_logger = parse_bool(key, value);
-    refresh_variant(spec.variant);
-  } else if (key == "nranks") {
-    spec.nranks = static_cast<int>(parse_i64(key, value));
-  } else if (key == "el_shards") {
-    spec.el_shards = static_cast<int>(parse_i64(key, value));
-    spec.el_shards_set = true;
-  } else if (key == "el_standby") {
-    spec.el_standby = static_cast<int>(parse_i64(key, value));
-  } else if (key == "seed") {
-    spec.seed = parse_u64(key, value);
-  } else if (key == "ckpt_policy") {
-    spec.ckpt_policy = parse_policy(key, value);
-  } else if (key == "ckpt_interval") {
-    spec.ckpt_interval = parse_time(key, value);
-  } else if (key == "detection_delay") {
-    spec.detection_delay = parse_time(key, value);
-  } else if (key == "max_sim_time") {
-    spec.max_sim_time = parse_time(key, value);
-  } else if (key == "compare_reference") {
-    spec.compare_reference = parse_bool(key, value);
-  } else if (key == "replica.sync_interval") {
-    spec.replica_sync_interval = static_cast<int>(parse_i64(key, value));
-  } else if (key == "runner.parallelism") {
-    spec.runner_parallelism = static_cast<int>(parse_i64(key, value));
-  } else if (key == "ulfm.repair_cost") {
-    spec.ulfm_repair_cost = parse_time(key, value);
-  } else if (key == "payload_at_sender") {
-    spec.payload_at_sender = parse_bool(key, value);
-  } else if (key == "faults_per_minute") {
-    spec.faults.faults_per_minute = parse_f64(key, value);
-  } else if (key == "fault") {
-    // "<time>:<rank>", e.g. "120ms:1" — repeat the key for more faults.
-    const std::size_t colon = value.rfind(':');
-    if (colon == std::string::npos) bad_value(key, value, "'<time>:<rank>'");
-    spec.faults.faults.push_back(runtime::FaultSpec{
-        parse_time(key, value.substr(0, colon)),
-        static_cast<int>(parse_i64(key, value.substr(colon + 1)))});
-  } else if (key == "midrun_fault_rank") {
-    spec.faults.midrun_rank = static_cast<int>(parse_i64(key, value));
-  } else if (key == "midrun_fault_frac") {
-    spec.faults.midrun_frac = parse_f64(key, value);
-  } else if (key == "workload") {
-    // Same contract as ScenarioBuilder::workload(): switching workloads
-    // drops the previous workload's parameters.
-    spec.workload.name = value;
-    spec.workload.params.clear();
-  } else if (key == "nas") {
-    // Compound NAS selector "<kernel>:<class>:<scale>" — one sweep axis
-    // value carries the kernel together with its calibrated scale.
-    const std::size_t c1 = value.find(':');
-    const std::size_t c2 = c1 == std::string::npos ? c1 : value.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      bad_value(key, value, "'<kernel>:<class>:<scale>' like bt:A:0.15");
-    }
-    spec.workload.name = "nas";
-    spec.workload.params.clear();
-    spec.workload.params["kernel"] = trim(value.substr(0, c1));
-    spec.workload.params["class"] = trim(value.substr(c1 + 1, c2 - c1 - 1));
-    spec.workload.params["scale"] = trim(value.substr(c2 + 1));
-  } else if (key.rfind("workload.", 0) == 0) {
-    spec.workload.params[key.substr(sizeof("workload.") - 1)] = value;
-  } else if (key.rfind("faults.", 0) == 0) {
-    if (!apply_fault_key(spec, key, value)) {
-      std::string known;
-      for (const FaultKeyInfo& e : fault_key_table()) {
-        if (!known.empty()) known += ", ";
-        known += e.key;
-      }
-      throw SpecError("unknown faults key '" + key + "' (known: " + known +
-                      ")");
-    }
-  } else if (key == "trace.enabled") {
-    spec.trace.enabled = parse_bool(key, value);
-  } else if (key == "trace.capacity") {
-    spec.trace.capacity = static_cast<std::uint32_t>(parse_u64(key, value));
-  } else if (key == "trace.dir") {
-    spec.trace_dir = value;
-  } else if (key == "metrics.enabled") {
-    spec.metrics.enabled = parse_bool(key, value);
-  } else if (key == "metrics.sample_interval") {
-    spec.metrics.sample_interval = parse_time(key, value);
-  } else if (key == "metrics.dir") {
-    spec.metrics_dir = value;
-  } else if (key.rfind("cost.", 0) == 0) {
-    if (!apply_cost_key(spec.cost, key, value)) {
-      throw SpecError("unknown cost key '" + key + "'");
-    }
-  } else {
-    throw SpecError("unknown scenario key '" + key + "'");
+  const KeyRow* row = find_key(key);
+  if (row == nullptr) unknown_key(key);
+  if (row->apply != nullptr) {
+    row->apply(spec, key, value);
+    return;
   }
+  with_field(*row, [&]<typename T>(Ref<T> ref) {
+    if constexpr (std::is_same_v<T, double>) {
+      ref(spec) = parse_f64(key, value) * row->scale;
+    } else {
+      read(key, value, ref(spec));
+    }
+  });
 }
 
 ScenarioSpec parse_scenario_text(const std::string& text,
@@ -735,9 +1009,7 @@ ScenarioSpec parse_scenario_text(const std::string& text,
       if (line.front() == '[') {
         if (line.back() != ']') throw SpecError("unterminated section header");
         section = trim(line.substr(1, line.size() - 2));
-        if (section != "scenario" && section != "cost" && section != "sweep" &&
-            section != "quick" && section != "faults" && section != "trace" &&
-            section != "metrics") {
+        if (section != "sweep" && section != "quick" && !is_section(section)) {
           throw SpecError("unknown section [" + section +
                           "] (use [scenario], [cost], [faults], [trace], "
                           "[metrics], [sweep], [quick])");
@@ -751,24 +1023,18 @@ ScenarioSpec parse_scenario_text(const std::string& text,
       const std::string key = trim(line.substr(0, eq));
       const std::string value = trim(line.substr(eq + 1));
       if (key.empty()) throw SpecError("empty key");
-      if (section == "scenario") {
-        apply_key(spec, key, value);
-      } else if (section == "cost") {
-        apply_key(spec, "cost." + key, value);
-      } else if (section == "faults") {
-        apply_key(spec, "faults." + key, value);
-      } else if (section == "trace") {
-        apply_key(spec, "trace." + key, value);
-      } else if (section == "metrics") {
-        apply_key(spec, "metrics." + key, value);
-      } else if (section == "sweep") {
+      if (section == "sweep") {
         const std::vector<std::string> values = split_list(value);
         if (values.empty()) {
           throw SpecError("sweep axis '" + key + "' has no values");
         }
         spec.sweep.emplace_back(key, values);
-      } else {  // quick
+      } else if (section == "quick") {
         spec.quick.emplace_back(key, value);
+      } else if (section == "scenario") {
+        apply_key(spec, key, value);
+      } else {
+        apply_key(spec, section + "." + key, value);
       }
     } catch (const SpecError& e) {
       throw SpecError(origin + ":" + std::to_string(lineno) + ": " + e.what());
@@ -798,231 +1064,82 @@ ScenarioSpec parse_scenario_file(const std::string& path) {
 }
 
 std::string to_scenario_text(const ScenarioSpec& spec) {
-  std::ostringstream out;
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
-  out << "[scenario]\n";
-  out << "name = " << spec.name << "\n";
-  if (!spec.notes.empty()) out << "notes = " << spec.notes << "\n";
-  out << "variant = " << spec.variant.name << "\n";
-  out << "nranks = " << spec.nranks << "\n";
-  if (spec.el_shards_set) out << "el_shards = " << spec.el_shards << "\n";
-  if (spec.el_standby != 0) out << "el_standby = " << spec.el_standby << "\n";
-  out << "seed = " << spec.seed << "\n";
-  if (spec.ckpt_policy != ckpt::Policy::kNone || spec.ckpt_interval != 0) {
-    out << "ckpt_policy = " << ckpt::policy_name(spec.ckpt_policy) << "\n";
-    out << "ckpt_interval = " << spec.ckpt_interval << "ns\n";
-  }
-  out << "detection_delay = " << spec.detection_delay << "ns\n";
-  out << "max_sim_time = " << spec.max_sim_time << "ns\n";
-  if (spec.compare_reference) out << "compare_reference = true\n";
-  // Protocol-family knobs: emitted only when they depart from the defaults
-  // (same contract as [trace] / [cost] below), so existing scenarios
-  // round-trip byte-identically.
-  const ScenarioSpec sdef{};
-  if (spec.replica_sync_interval != sdef.replica_sync_interval) {
-    out << "replica.sync_interval = " << spec.replica_sync_interval << "\n";
-  }
-  if (spec.ulfm_repair_cost != sdef.ulfm_repair_cost) {
-    out << "ulfm.repair_cost = " << spec.ulfm_repair_cost << "ns\n";
-  }
-  if (spec.runner_parallelism != sdef.runner_parallelism) {
-    out << "runner.parallelism = " << spec.runner_parallelism << "\n";
-  }
-  if (spec.payload_at_sender) out << "payload_at_sender = true\n";
-  if (spec.faults.faults_per_minute > 0) {
-    out << "faults_per_minute = " << num(spec.faults.faults_per_minute) << "\n";
-  }
-  for (const runtime::FaultSpec& f : spec.faults.faults) {
-    out << "fault = " << f.at << "ns:" << f.rank << "\n";
-  }
-  if (spec.faults.midrun_rank >= 0) {
-    out << "midrun_fault_rank = " << spec.faults.midrun_rank << "\n";
-    out << "midrun_fault_frac = " << num(spec.faults.midrun_frac) << "\n";
-  }
-  out << "workload = " << spec.workload.name << "\n";
-  for (const auto& [k, v] : spec.workload.params) {
-    out << "workload." << k << " = " << v << "\n";
-  }
-  // The [trace] section is emitted only when tracing departs from the
-  // all-defaults (disabled) config — same contract as [cost] below.
-  const trace::Config tdef{};
-  if (spec.trace.enabled || spec.trace.capacity != tdef.capacity ||
-      !spec.trace_dir.empty()) {
-    out << "\n[trace]\n";
-    out << "enabled = " << (spec.trace.enabled ? "true" : "false") << "\n";
-    if (spec.trace.capacity != tdef.capacity) {
-      out << "capacity = " << spec.trace.capacity << "\n";
+  // One section per run of same-section rows. [scenario] is always printed;
+  // any other section only when one of its keys departs from the default,
+  // so a spec that never touched a section round-trips without it.
+  std::string out;
+  const KeyRow* const end = std::end(kKeys);
+  for (const KeyRow* first = std::begin(kKeys); first != end;) {
+    const KeyRow* last = first;
+    while (last != end &&
+           std::strcmp(last->doc.section, first->doc.section) == 0) {
+      ++last;
     }
-    if (!spec.trace_dir.empty()) out << "dir = " << spec.trace_dir << "\n";
-  }
-  // The [metrics] section, same only-when-non-default contract.
-  const metrics::Config mdef{};
-  if (spec.metrics.enabled ||
-      spec.metrics.sample_interval != mdef.sample_interval ||
-      !spec.metrics_dir.empty()) {
-    out << "\n[metrics]\n";
-    out << "enabled = " << (spec.metrics.enabled ? "true" : "false") << "\n";
-    if (spec.metrics.sample_interval != mdef.sample_interval) {
-      out << "sample_interval = " << spec.metrics.sample_interval << "ns\n";
+    std::string body;
+    bool any = first == std::begin(kKeys);
+    for (const Injection& inj : spec.faults.campaign.injections) {
+      for (const KeyRow* row = first; row != last; ++row) {
+        if (row->matches != nullptr && row->matches(inj)) {
+          body += std::string(local_name(*row)) + " = " + row->format(inj) +
+                  "\n";
+          any = true;
+          break;
+        }
+      }
     }
-    if (!spec.metrics_dir.empty()) out << "dir = " << spec.metrics_dir << "\n";
-  }
-  // The [cost] section is emitted only when a supported knob differs from
-  // the calibrated default.
-  const net::CostModel def{};
-  std::ostringstream cost_body;
-  const net::CostModel& c = spec.cost;
-  if (c.bandwidth_bps != def.bandwidth_bps) {
-    cost_body << "bandwidth_mbps = " << num(c.bandwidth_bps / 1e6) << "\n";
-  }
-  if (c.wire_latency != def.wire_latency) {
-    cost_body << "wire_latency = " << c.wire_latency << "ns\n";
-  }
-  if (c.el_service != def.el_service) {
-    cost_body << "el_service = " << c.el_service << "ns\n";
-  }
-  if (c.el_ack_build != def.el_ack_build) {
-    cost_body << "el_ack_build = " << c.el_ack_build << "ns\n";
-  }
-  if (c.mlog_send_fixed != def.mlog_send_fixed) {
-    cost_body << "mlog_send_fixed = " << c.mlog_send_fixed << "ns\n";
-  }
-  if (c.mlog_recv_fixed != def.mlog_recv_fixed) {
-    cost_body << "mlog_recv_fixed = " << c.mlog_recv_fixed << "ns\n";
-  }
-  if (c.eager_threshold != def.eager_threshold) {
-    cost_body << "eager_threshold = " << c.eager_threshold << "\n";
-  }
-  if (c.node_gflops != def.node_gflops) {
-    cost_body << "node_gflops = " << num(c.node_gflops) << "\n";
-  }
-  if (c.ckpt_disk_bps != def.ckpt_disk_bps) {
-    cost_body << "ckpt_disk_mbps = " << num(c.ckpt_disk_bps / 8 / 1e6) << "\n";
-  }
-  if (c.slog_ns_per_byte != def.slog_ns_per_byte) {
-    cost_body << "slog_ns_per_byte = " << num(c.slog_ns_per_byte) << "\n";
-  }
-  if (!cost_body.str().empty()) {
-    out << "\n[cost]\n" << cost_body.str();
-  }
-  // The [faults] campaign section: one line per injection plus any
-  // non-default engine knobs (same keys apply_fault_key parses back).
-  const fault::Campaign& camp = spec.faults.campaign;
-  const fault::Campaign defc{};
-  std::ostringstream fb;
-  for (const fault::Injection& inj : camp.injections) {
-    switch (inj.target) {
-      case fault::Target::kRank:
-        if (inj.trigger == fault::Trigger::kRate) {
-          fb << "rank_rate = " << num(inj.rate_per_minute) << "\n";
-        } else if (inj.trigger == fault::Trigger::kOnCheckpoint) {
-          fb << "crash_rank = ckpt@" << inj.nth << ":" << inj.index << "\n";
-        } else {
-          fb << "crash_rank = " << inj.at << "ns:" << inj.index << "\n";
-        }
-        break;
-      case fault::Target::kElShard:
-        if (inj.action == fault::Action::kOutage) {
-          fb << "el_outage = " << inj.at << "ns:" << inj.index << ":"
-             << inj.duration << "ns\n";
-        } else if (inj.trigger == fault::Trigger::kOnElStored) {
-          fb << "crash_el = stored@" << inj.nth << ":" << inj.index << "\n";
-        } else {
-          fb << "crash_el = " << inj.at << "ns:" << inj.index << "\n";
-        }
-        break;
-      case fault::Target::kDaemon:
-        if (inj.trigger == fault::Trigger::kRate) {
-          fb << "daemon_rate = " << num(inj.rate_per_minute) << "\n";
-        } else if (inj.duration > 0) {
-          fb << "crash_daemon = " << inj.at << "ns:" << inj.index << ":"
-             << inj.duration << "ns\n";
-        } else {
-          fb << "crash_daemon = " << inj.at << "ns:" << inj.index << "\n";
-        }
-        break;
-      case fault::Target::kFabric:
-        if (inj.cuts_services()) {
-          fb << "partition_services = " << inj.at << "ns:"
-             << format_service_group(inj.group_a, inj.services_a) << "|"
-             << format_service_group(inj.group_b, inj.services_b) << ":"
-             << inj.duration << "ns:" << inj.magnitude << "ns\n";
-        } else {
-          fb << "partition = " << inj.at << "ns:"
-             << format_rank_group(inj.group_a) << "|"
-             << format_rank_group(inj.group_b) << ":" << inj.duration << "ns:"
-             << inj.magnitude << "ns\n";
-        }
-        break;
-      case fault::Target::kCkptServer:
-        fb << "ckpt_outage = " << inj.at << "ns:" << inj.duration << "ns\n";
-        break;
-      case fault::Target::kLink:
-        if (inj.action == fault::Action::kDropWindow) {
-          fb << "link_drop = " << inj.at << "ns:" << inj.index << ":"
-             << inj.duration << "ns:" << inj.magnitude << "ns\n";
-        } else {
-          fb << "link_latency = " << inj.at << "ns:" << inj.index << ":"
-             << inj.magnitude << "ns:" << inj.duration << "ns\n";
-        }
-        break;
+    for (const KeyRow* row = first; row != last; ++row) {
+      const bool c = changed(*row, spec);
+      if (c || row->lead) print_row(*row, spec, body);
+      any = any || c;
     }
-  }
-  if (camp.el_failover != defc.el_failover) {
-    fb << "el_failover = " << fault::el_failover_name(camp.el_failover) << "\n";
-  }
-  if (camp.el_failover_delay != defc.el_failover_delay) {
-    fb << "el_failover_delay = " << camp.el_failover_delay << "ns\n";
-  }
-  if (camp.detection_delay != defc.detection_delay) {
-    fb << "detection_delay = " << camp.detection_delay << "ns\n";
-  }
-  if (camp.daemon_restart_delay != defc.daemon_restart_delay) {
-    fb << "daemon_restart_delay = " << camp.daemon_restart_delay << "ns\n";
-  }
-  if (camp.service_retry != defc.service_retry) {
-    fb << "service_retry = " << camp.service_retry << "ns\n";
-  }
-  if (camp.seed_salt != defc.seed_salt) {
-    fb << "seed_salt = " << camp.seed_salt << "\n";
-  }
-  if (!fb.str().empty()) {
-    out << "\n[faults]\n" << fb.str();
+    if (any) {
+      if (!out.empty()) out += "\n";
+      out += "[" + std::string(first->doc.section) + "]\n" + body;
+    }
+    first = last;
   }
   if (!spec.sweep.empty()) {
-    out << "\n[sweep]\n";
+    out += "\n[sweep]\n";
     for (const auto& [axis, values] : spec.sweep) {
-      out << axis << " = ";
+      out += axis + " = ";
       for (std::size_t i = 0; i < values.size(); ++i) {
-        out << (i ? ", " : "") << values[i];
+        out += (i ? ", " : "") + values[i];
       }
-      out << "\n";
+      out += "\n";
     }
   }
   if (!spec.quick.empty()) {
-    out << "\n[quick]\n";
-    for (const auto& [k, v] : spec.quick) out << k << " = " << v << "\n";
+    out += "\n[quick]\n";
+    for (const auto& [k, v] : spec.quick) out += k + " = " + v + "\n";
   }
-  return out.str();
+  return out;
 }
 
 void validate(const ScenarioSpec& spec) {
   auto fail = [&spec](const std::string& what) {
     throw SpecError("scenario '" + spec.name + "': " + what);
   };
-  if (spec.nranks <= 0) {
-    fail("nranks must be positive (got " + std::to_string(spec.nranks) + ")");
+  // Per-field bounds, straight from the key table.
+  for (const KeyRow& row : kKeys) {
+    if (row.lo == -kInf && row.hi == kInf) continue;
+    with_field(row, [&](auto ref) {
+      const auto& v = get(ref, spec);
+      if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(v)>>) {
+        const double x = static_cast<double>(v);
+        if (row.open ? x > row.lo && x < row.hi : x >= row.lo && x <= row.hi) {
+          return;
+        }
+        const std::string range =
+            row.hi == kInf ? (row.open ? "> " : ">= ") + num(row.lo)
+                           : std::string("in ") + (row.open ? "(" : "[") +
+                                 num(row.lo) + ", " + num(row.hi) +
+                                 (row.open ? ")" : "]");
+        fail(std::string(row.doc.key) + " must be " + range + " (got " +
+             field_text(row, v) + ")");
+      }
+    });
   }
-  if (spec.nranks > 4096) {
-    fail("nranks " + std::to_string(spec.nranks) + " exceeds the 4096 limit");
-  }
-  if (spec.el_shards < 1) {
-    fail("el_shards must be >= 1 (got " + std::to_string(spec.el_shards) + ")");
-  }
+  // Cross-field rules.
   if (spec.el_shards > spec.nranks) {
     fail("el_shards (" + std::to_string(spec.el_shards) +
          ") cannot exceed nranks (" + std::to_string(spec.nranks) + ")");
@@ -1033,10 +1150,6 @@ void validate(const ScenarioSpec& spec) {
     fail("el_shards = " + std::to_string(spec.el_shards) + " but variant '" +
          spec.variant.name +
          "' disables the event logger — sharding needs event_logger = true");
-  }
-  if (spec.el_standby < 0 || spec.el_standby > 64) {
-    fail("el_standby must be in [0, 64] (got " +
-         std::to_string(spec.el_standby) + ")");
   }
   if (spec.el_standby > 0 && !spec.variant.event_logger) {
     fail("el_standby = " + std::to_string(spec.el_standby) + " but variant '" +
@@ -1065,39 +1178,15 @@ void validate(const ScenarioSpec& spec) {
     fail("midrun fault names rank " + std::to_string(spec.faults.midrun_rank) +
          " but only ranks 0.." + std::to_string(spec.nranks - 1) + " exist");
   }
-  if (spec.faults.midrun_frac <= 0 || spec.faults.midrun_frac >= 1) {
-    fail("midrun_fault_frac must be in (0, 1)");
-  }
-  if (spec.faults.faults_per_minute < 0) {
-    fail("faults_per_minute must be >= 0");
-  }
   // Campaign sanity through the shared rule set (fault/campaign.hpp) —
   // scenario files must fail with a reportable SpecError, not an abort.
   fault::validate_campaign(spec.faults.campaign, spec.nranks,
                            spec.el_shards + spec.el_standby,
                            spec.variant.event_logger, fail);
-  if (spec.ckpt_interval < 0) fail("ckpt_interval must be >= 0");
-  if (spec.replica_sync_interval < 0) {
-    fail("replica.sync_interval must be >= 0 (got " +
-         std::to_string(spec.replica_sync_interval) + ")");
-  }
-  if (spec.ulfm_repair_cost < 0) fail("ulfm.repair_cost must be >= 0");
-  if (spec.runner_parallelism < 1 || spec.runner_parallelism > 1024) {
-    fail("runner.parallelism must be in [1, 1024] (got " +
-         std::to_string(spec.runner_parallelism) + ")");
-  }
   if (spec.payload_at_sender &&
       spec.variant.protocol != runtime::ProtocolKind::kCausal) {
     fail("payload_at_sender is a causal-logging knob but variant '" +
          spec.variant.name + "' is not causal");
-  }
-  if (spec.trace.capacity < 16 || spec.trace.capacity > (1u << 22)) {
-    fail("trace.capacity must be in [16, 4194304] (got " +
-         std::to_string(spec.trace.capacity) + ")");
-  }
-  if (spec.metrics.sample_interval <= 0) {
-    fail("metrics.sample_interval must be > 0 (got " +
-         std::to_string(spec.metrics.sample_interval) + "ns)");
   }
   const WorkloadEntry& wl = workload_registry().at(spec.workload.name);
   for (const auto& [param, value] : spec.workload.params) {

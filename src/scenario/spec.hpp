@@ -166,22 +166,26 @@ void strip_fault_key(ScenarioSpec& spec, const std::string& key);
 /// axis and quick-overlay tokenizer).
 std::vector<std::string> split_list(const std::string& csv);
 
-/// One `faults.*` scenario key: name, value syntax, an example value the
-/// parser accepts, and a one-line summary. The table below is the single
-/// source of truth the parser, `mpiv_run --list` and the docs check share —
-/// a key can be parsed only if it is listed here, and scripts/check_docs.sh
-/// fails when a listed key is missing from docs/SCENARIOS.md.
-struct FaultKeyInfo {
-  const char* key;
+/// The documentation columns of one scenario key. spec.cpp holds one table
+/// row per key, and that table is the single source of truth: apply_key,
+/// to_scenario_text, strip_fault_key and validate's per-field bounds all
+/// read it, `mpiv_run --list` prints it, and scripts/check_docs.sh fails
+/// when a key in it is missing from docs/SCENARIOS.md.
+struct KeyInfo {
+  const char* key;      // flat spelling, e.g. "cost.wire_latency"
+  const char* section;  // "scenario", "trace", "metrics", "cost" or "faults"
   const char* syntax;
-  const char* example;
+  const char* example;  // a value apply_key accepts
   const char* summary;
 };
-const std::vector<FaultKeyInfo>& fault_key_table();
+/// Every key in table order, grouped by section. `workload.*` stands for the
+/// workload parameter family.
+const std::vector<KeyInfo>& key_table();
 
-/// Parses the `mpiv_run` scenario text format (INI-style sections
-/// [scenario] / [cost] / [sweep] / [quick], '#' comments). Throws
-/// SpecError with file:line context on malformed input.
+/// Parses the `mpiv_run` scenario text format (INI-style sections: the key
+/// table's [scenario] / [trace] / [metrics] / [cost] / [faults], plus
+/// [sweep] / [quick]; '#' comments). Throws SpecError with file:line
+/// context on malformed input.
 ScenarioSpec parse_scenario_text(const std::string& text,
                                  const std::string& origin = "<string>");
 ScenarioSpec parse_scenario_file(const std::string& path);

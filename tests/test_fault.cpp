@@ -196,20 +196,6 @@ TEST(FaultCampaign, ServicePartitionKeysParse) {
                SpecError);
 }
 
-TEST(FaultCampaign, KeyTableExamplesAllParse) {
-  // The table is the contract between the parser, `mpiv_run --list` and
-  // docs/SCENARIOS.md: every listed example must go through apply_key, and
-  // any key the parser would accept must be listed (unlisted keys are
-  // rejected before the dispatch chain).
-  for (const scenario::FaultKeyInfo& e : scenario::fault_key_table()) {
-    ScenarioSpec spec;
-    spec.nranks = 8;
-    EXPECT_NO_THROW(scenario::apply_key(spec, e.key, e.example)) << e.key;
-  }
-  ScenarioSpec spec;
-  EXPECT_THROW(scenario::apply_key(spec, "faults.no_such_key", "1"), SpecError);
-}
-
 TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
   const ScenarioSpec spec =
       base("roundtrip", 8, 2)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/cluster.hpp"
+#include "scenario/runner.hpp"
 #include "workloads/apps.hpp"
 
 namespace mpiv {
@@ -143,6 +144,34 @@ TEST(RecoveryEdge, CoordinatedSurvivesRepeatedRollbacks) {
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.faults_injected, 2u);
   EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums);
+}
+
+TEST(RecoveryEdge, CoordinatedRollbackBeforeFirstWaveRestartsFromScratch) {
+  // A crash before the first checkpoint wave commits must roll every rank
+  // back to the start, not to whatever image it alone managed to store:
+  // such an image is ahead of the other ranks' restart state. Seed 43
+  // crashes rank 0 inside that window.
+  for (const std::uint64_t seed : {1, 2, 43}) {
+    SCOPED_TRACE(seed);
+    scenario::ScenarioSpec spec = scenario::parse_scenario_text(
+        "variant = coordinated\n"
+        "nranks = 8\n"
+        "ckpt_policy = round-robin\n"
+        "ckpt_interval = 100ms\n"
+        "detection_delay = 10ms\n"
+        "max_sim_time = 3s\n"
+        "compare_reference = true\n"
+        "workload = ring\n"
+        "workload.laps = 150\n"
+        "workload.bytes = 2048\n"
+        "[faults]\n"
+        "rank_rate = 120\n");
+    spec.seed = seed;
+    const scenario::RunResult r = scenario::run_spec(spec);
+    ASSERT_TRUE(r.completed);
+    EXPECT_GT(r.report.faults_injected, 0u);
+    EXPECT_EQ(r.outcome(), scenario::Outcome::kRecoveredExact);
+  }
 }
 
 TEST(RecoveryEdge, StarvedEventLoggerStillRecoversCorrectly) {

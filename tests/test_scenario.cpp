@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -35,7 +37,8 @@ std::string error_of(const std::function<void()>& fn) {
 TEST(Builder, RejectsNonPositiveRanks) {
   const std::string msg =
       error_of([] { ScenarioBuilder("t").nranks(0).build(); });
-  EXPECT_NE(msg.find("nranks must be positive"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("nranks must be in [1, 4096] (got 0)"), std::string::npos)
+      << msg;
   EXPECT_THROW(ScenarioBuilder("t").nranks(-3).build(), SpecError);
 }
 
@@ -455,6 +458,144 @@ TEST(ScenarioFile, DurationsAndCommentsParse) {
   EXPECT_EQ(spec.ckpt_interval, 75 * sim::kMillisecond);
   EXPECT_EQ(spec.detection_delay, 250 * sim::kMicrosecond);
   EXPECT_EQ(spec.max_sim_time, 2LL * 3600 * sim::kSecond);
+}
+
+TEST(ScenarioFile, NumbersThatDoNotFitTheirFieldAreRejected) {
+  // Unchecked, each value would wrap in a narrowing cast, silently turn a
+  // stream off, abort in the RNG, hang the engine, or convert a double to
+  // int64 out of range.
+  struct Case {
+    const char* text;
+    const char* key;
+  };
+  for (const Case& c : {
+           Case{"nranks = 4294967300\n", "'nranks'"},
+           Case{"[trace]\ncapacity = 4294967312\n", "'trace.capacity'"},
+           Case{"[faults]\nrank_rate = nan\n", "'faults.rank_rate'"},
+           Case{"faults_per_minute = inf\n", "'faults_per_minute'"},
+           Case{"[faults]\nrank_rate = 1e300\n", "'faults.rank_rate'"},
+           Case{"max_sim_time = 1e300s\n", "'max_sim_time'"},
+           Case{"[faults]\ndaemon_rate = 7e10\n", "'faults.daemon_rate'"},
+           Case{"[faults]\ncrash_rank = 1ms:4294967296\n",
+                "'faults.crash_rank'"},
+           Case{"[cost]\nnode_gflops = inf\n", "'cost.node_gflops'"},
+       }) {
+    const std::string msg =
+        error_of([&] { scenario::parse_scenario_text(c.text, "demo.scn"); });
+    EXPECT_NE(msg.find(c.key), std::string::npos) << c.text << msg;
+    EXPECT_NE(msg.find("demo.scn:"), std::string::npos) << c.text << msg;
+  }
+  // The largest fitting values still parse.
+  const ScenarioSpec ok = scenario::parse_scenario_text(
+      "nranks = 2147483647\n"
+      "trace.capacity = 4294967295\n"
+      "faults.rank_rate = 6e10\n"
+      "max_sim_time = 9e18\n");
+  EXPECT_EQ(ok.nranks, 2147483647);
+  EXPECT_EQ(ok.trace.capacity, 4294967295u);
+  EXPECT_EQ(ok.max_sim_time, 9000000000000000000);
+}
+
+TEST(ScenarioFile, OutOfBoundSweepValuesAreSkippedPoints) {
+  // Values that fit their field but break a bound are validate()'s call,
+  // so a sweep corner stays a skipped point rather than a parse error.
+  const ScenarioSpec spec = scenario::parse_scenario_text(
+      "[sweep]\n"
+      "nranks = 4, 5000\n"
+      "trace.capacity = 8, 64\n");
+  const std::vector<scenario::RunPoint> points = scenario::expand(spec);
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_NE(points[0].skip_reason.find("trace.capacity must be in [16, "
+                                       "4194304] (got 8)"),
+            std::string::npos)
+      << points[0].skip_reason;
+  EXPECT_FALSE(points[1].skipped) << points[1].skip_reason;
+  EXPECT_NE(points[3].skip_reason.find("nranks must be in [1, 4096] (got "
+                                       "5000)"),
+            std::string::npos)
+      << points[3].skip_reason;
+}
+
+// ---------------------------------------------------------------------------
+// The key table: one row per key drives parse, print, --list and the docs
+// ---------------------------------------------------------------------------
+
+std::string mpiv_run_list() {
+  std::string out;
+  std::FILE* p = ::popen(MPIV_RUN_BINARY " --list", "r");
+  if (p == nullptr) return out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) out.append(buf, n);
+  ::pclose(p);
+  return out;
+}
+
+TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
+  const std::string listing = mpiv_run_list();
+  ASSERT_NE(listing.find("[faults]"), std::string::npos) << listing;
+  std::size_t rows = 0;
+  for (const scenario::KeyInfo& k : scenario::key_table()) {
+    SCOPED_TRACE(k.key);
+    ++rows;
+    // `workload.*` stands for the parameter family; exercise one member.
+    std::string key = k.key;
+    if (key.back() == '*') key.replace(key.size() - 1, 1, "laps");
+
+    ScenarioSpec flat;
+    ASSERT_NO_THROW(scenario::apply_key(flat, key, k.example));
+    const std::string text = scenario::to_scenario_text(flat);
+    EXPECT_EQ(scenario::to_scenario_text(scenario::parse_scenario_text(text)),
+              text);
+
+    // The same line under its [section] header lands identically.
+    const std::string section = k.section;
+    const std::string local = section == "scenario"
+                                  ? key
+                                  : key.substr(section.size() + 1);
+    const ScenarioSpec sectioned = scenario::parse_scenario_text(
+        "[" + section + "]\n" + local + " = " + k.example + "\n");
+    EXPECT_EQ(scenario::to_scenario_text(sectioned), text);
+
+    EXPECT_NE(listing.find(std::string(" ") + k.key + " "), std::string::npos);
+  }
+  EXPECT_EQ(rows, 59u);  // 58 keys plus the workload.* family
+
+  ScenarioSpec spec;
+  EXPECT_THROW(scenario::apply_key(spec, "faults.no_such_key", "1"), SpecError);
+  const std::string msg =
+      error_of([&] { scenario::apply_key(spec, "cost.no_such_key", "1"); });
+  EXPECT_NE(msg.find("cost.wire_latency"), std::string::npos) << msg;
+}
+
+TEST(KeyTable, BundledScenariosReachATextFixedPoint) {
+  // Every bundled scenario, parsed and at every expanded point, full and
+  // quick, serializes to text that parses back to the same text.
+  std::size_t files = 0;
+  for (const char* dir : {"/scenarios", "/bench/e2e/workloads"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(MPIV_SOURCE_DIR) + dir)) {
+      if (entry.path().extension() != ".scn") continue;
+      SCOPED_TRACE(entry.path().string());
+      ++files;
+      const ScenarioSpec parsed =
+          scenario::parse_scenario_file(entry.path().string());
+      ScenarioSpec quick = parsed;
+      scenario::apply_quick(quick);
+      for (const ScenarioSpec& spec : {parsed, quick}) {
+        const std::string text = scenario::to_scenario_text(spec);
+        EXPECT_EQ(
+            scenario::to_scenario_text(scenario::parse_scenario_text(text)),
+            text);
+        for (const scenario::RunPoint& p : scenario::expand(spec)) {
+          const std::string t = scenario::to_scenario_text(p.spec);
+          const ScenarioSpec back = scenario::parse_scenario_text(t);
+          EXPECT_EQ(scenario::to_scenario_text(back), t) << p.label;
+        }
+      }
+    }
+  }
+  EXPECT_GE(files, 20u);
 }
 
 // ---------------------------------------------------------------------------

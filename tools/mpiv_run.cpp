@@ -37,7 +37,7 @@ void usage(std::FILE* out, const char* argv0) {
                "  --seed N         override the seed (replaces a seed sweep axis)\n"
                "  --print          print the expanded run matrix, run nothing\n"
                "  --list           list registered protocols/strategies/"
-               "workloads and faults.* keys\n",
+               "workloads and every scenario key\n",
                argv0);
 }
 
@@ -62,23 +62,19 @@ void list_registries() {
                 params.empty() ? "" : " (", params.c_str(),
                 params.empty() ? "" : ")");
   }
-  // The [faults] key family straight from the parser's own table, so this
-  // listing and docs/SCENARIOS.md cannot diverge from what .scn files
-  // accept (scripts/check_docs.sh checks the docs side).
-  std::printf("scenario [faults] keys (docs/SCENARIOS.md has the full "
+  // Every scenario key straight from the parser's own table, so this
+  // listing and docs/SCENARIOS.md cannot diverge from what .scn files accept
+  // (scripts/check_docs.sh checks the docs side).
+  std::printf("scenario keys by section (docs/SCENARIOS.md has the full "
               "reference):\n");
-  for (const scenario::FaultKeyInfo& e : scenario::fault_key_table()) {
-    std::printf("  %-27s %-40s %s\n", e.key, e.syntax, e.summary);
+  const char* section = "";
+  for (const scenario::KeyInfo& k : scenario::key_table()) {
+    if (std::strcmp(k.section, section) != 0) {
+      section = k.section;
+      std::printf("  [%s]\n", section);
+    }
+    std::printf("    %-27s %-40s %s\n", k.key, k.syntax, k.summary);
   }
-  std::printf("scenario [metrics] keys (summaries in the JSON report, "
-              "analyzed with mpiv_stat):\n");
-  std::printf("  %-27s %-40s %s\n", "metrics.enabled", "bool",
-              "aggregate metrics + gauge sampler (schedule-neutral)");
-  std::printf("  %-27s %-40s %s\n", "metrics.sample_interval",
-              "duration (default 1ms)",
-              "virtual time between gauge snapshots");
-  std::printf("  %-27s %-40s %s\n", "metrics.dir", "path",
-              "write per-run time-series CSV files here");
 }
 
 /// --set uses quick-overlay semantics: replace a same-named sweep axis,
