@@ -36,7 +36,9 @@ class AntecedenceGraph {
 
   /// Adds a vertex for determinant `d` (dep_* fields are the cross edge).
   void add(const ftapi::Determinant& d) {
-    per_[d.creator].emplace(d.seq, Vertex{d.dep_creator, d.dep_seq});
+    if (per_[d.creator].emplace(d.seq, Vertex{d.dep_creator, d.dep_seq})) {
+      ++vertices_;
+    }
   }
 
   /// Removes all vertices with seq <= stable[creator] (Event Logger GC:
@@ -44,7 +46,7 @@ class AntecedenceGraph {
   /// incident edges").
   void prune_stable(const std::vector<std::uint64_t>& stable) {
     for (std::size_t c = 0; c < per_.size(); ++c) {
-      per_[c].prune_to(stable[c]);
+      per_[c].prune_to(stable[c], [this](const Vertex&) { --vertices_; });
     }
   }
 
@@ -115,11 +117,7 @@ class AntecedenceGraph {
     return visits;
   }
 
-  std::size_t vertex_count() const {
-    std::size_t n = 0;
-    for (const auto& w : per_) n += w.size();
-    return n;
-  }
+  std::size_t vertex_count() const { return vertices_; }
   std::size_t vertex_count(std::uint32_t creator) const {
     return per_[creator].size();
   }
@@ -129,6 +127,7 @@ class AntecedenceGraph {
 
   void reset() {
     for (auto& w : per_) w.reset();
+    vertices_ = 0;
   }
 
  private:
@@ -140,6 +139,7 @@ class AntecedenceGraph {
   };
 
   std::vector<util::SeqWindow<Vertex>> per_;
+  std::size_t vertices_ = 0;  // total vertices across creators (O(1) stat)
   mutable std::uint64_t epoch_ = 0;
   // Reused traversal worklist (allocation-free after warmup).
   mutable std::vector<std::pair<std::uint32_t, std::uint64_t>> stack_;

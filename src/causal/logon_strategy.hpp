@@ -7,6 +7,12 @@
 // antecedents are already in place — making receive cheap; the reordering
 // work moves to the send side, and the partial order forbids factoring, so
 // each event carries its creator and sequence (wider wire format).
+//
+// Host side, the order is Kahn's algorithm with a FIFO ready list over a
+// flat (creator, seq) -> position hash index and a CSR adjacency, linear in
+// the piggyback size. Its arrays are scratch shared by every rank of the
+// process and grown on demand inside build(), so once warm the ordering
+// allocates nothing.
 #pragma once
 
 #include "causal/manetho_strategy.hpp"
@@ -20,7 +26,8 @@ class LogOnStrategy final : public ManethoStrategy {
   Work absorb(int src, util::Buffer& in, const DepShadow& deps) override;
 
   /// Orders `events` topologically w.r.t. causal dependencies (ancestors
-  /// first). Exposed for the property tests.
+  /// first). Exposed for the property tests and the micro benchmark; build()
+  /// uses the same ordering without copying the events.
   static std::vector<ftapi::Determinant> causal_order(
       std::vector<ftapi::Determinant> events);
 };

@@ -6,9 +6,8 @@
 
 namespace mpiv::causal {
 
-Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
-                                      DepShadow& deps) {
-  Work w;
+std::uint64_t ManethoStrategy::select_unknown(
+    int dst, std::vector<ftapi::Determinant>& events) {
   PeerView& view = views_[static_cast<std::size_t>(dst)];
 
   // What does dst know? Traverse the graph backward from dst's newest event
@@ -20,14 +19,14 @@ Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
   graph_->known_from_cached(static_cast<std::uint32_t>(dst),
                             store_->known(static_cast<std::uint32_t>(dst)),
                             reach);
+  std::uint64_t visits = 0;
   for (int c = 0; c < nranks_; ++c) {
     const auto creator = static_cast<std::uint32_t>(c);
     if (reach[creator] > store_->stable(creator)) {
-      w.visits += reach[creator] - store_->stable(creator);
+      visits += reach[creator] - store_->stable(creator);
     }
   }
 
-  std::vector<ftapi::Determinant> events;
   for (int c = 0; c < nranks_; ++c) {
     if (c == dst) continue;
     const auto creator = static_cast<std::uint32_t>(c);
@@ -45,6 +44,15 @@ Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
     if (top > view.sent[creator]) view.sent[creator] = top;
     view.raise_cap(creator, top);
   }
+  return visits;
+}
+
+Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
+                                      DepShadow& deps) {
+  Work w;
+  std::vector<ftapi::Determinant>& events = selected_scratch();
+  w.visits = select_unknown(dst, events);
+  deps.reserve(deps.size() + events.size());
   for (const ftapi::Determinant& d : events) {
     deps.emplace_back(d.dep_creator, d.dep_seq);
   }
@@ -59,22 +67,18 @@ Strategy::Work ManethoStrategy::build(int dst, util::Buffer& out,
 Strategy::Work ManethoStrategy::absorb(int src, util::Buffer& in,
                                        const DepShadow& deps) {
   Work w;
-  std::vector<ftapi::Determinant> events = wire::factored_parse(in);
-  MPIV_CHECK(deps.size() == events.size(), "dep shadow size %zu vs %zu",
-             deps.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ftapi::Determinant& d = events[i];
-    d.dep_creator = deps[i].first;
-    d.dep_seq = deps[i].second;
-    if (store_->add(d)) graph_->add(d);
-    note_learned(src, d);
-  }
-  w.events = events.size();
+  std::size_t i = 0;
+  const std::size_t n = wire::factored_decode(in, [&](ftapi::Determinant& d) {
+    attach_dep(d, deps, i++);
+    merge(src, d);
+  });
+  MPIV_CHECK(deps.size() == n, "dep shadow size %zu vs %zu", deps.size(), n);
+  w.events = n;
   // Manetho must first add the events, then re-cross the graph to generate
   // the new edges (paper §III-B.2) — the extra per-event walk is what makes
   // its receive side slower than LogOn's.
-  w.visits = 2 * events.size();
-  w.cpu = static_cast<sim::Time>(events.size()) *
+  w.visits = 2 * n;
+  w.cpu = static_cast<sim::Time>(n) *
               (cost_->ev_deserialize + cost_->graph_insert) +
           w.visits * cost_->graph_visit;
   return w;

@@ -46,6 +46,18 @@ class ManethoStrategy : public Strategy {
   const AntecedenceGraph& graph() const { return *graph_; }
 
  protected:
+  /// Appends to `events` every held determinant the graph cannot prove
+  /// `dst` knows, grouped by creator in ascending seq, and advances dst's
+  /// view. Returns the priced vertex visits of the backward traversal.
+  std::uint64_t select_unknown(int dst,
+                               std::vector<ftapi::Determinant>& events);
+
+  /// Merges one absorbed determinant: store, graph and sender view.
+  void merge(int src, const ftapi::Determinant& d) {
+    if (store_->add(d)) graph_->add(d);
+    note_learned(src, d);
+  }
+
   /// The graph's vertices are exactly the held (unstable) determinants, so
   /// after a restore it is rebuilt from the EventStore.
   void rebuild_graph() {

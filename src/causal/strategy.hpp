@@ -14,6 +14,7 @@
 #include "causal/event_store.hpp"
 #include "net/cost_model.hpp"
 #include "util/buffer.hpp"
+#include "util/check.hpp"
 
 namespace mpiv::causal {
 
@@ -112,6 +113,26 @@ class Strategy {
   virtual std::size_t graph_vertices() const { return 0; }
 
  protected:
+  /// Returns the emptied scratch that holds the events a build() selects.
+  /// There is one per process, shared by every rank and strategy (sweep
+  /// workers are forked, so each has its own): it grows to the largest
+  /// piggyback once instead of allocating per send, and per-rank copies
+  /// would keep a no-EL piggyback's worth of memory resident for each rank.
+  static std::vector<ftapi::Determinant>& selected_scratch() {
+    thread_local std::vector<ftapi::Determinant> events;
+    events.clear();
+    return events;
+  }
+
+  /// Attaches the shadowed cross edge of the `i`-th event of a piggyback.
+  static void attach_dep(ftapi::Determinant& d, const DepShadow& deps,
+                         std::size_t i) {
+    MPIV_CHECK(i < deps.size(), "dep shadow shorter than piggyback: %zu",
+               deps.size());
+    d.dep_creator = deps[i].first;
+    d.dep_seq = deps[i].second;
+  }
+
   /// Records knowledge implied by a piggyback received from `src`.
   void note_learned(int src, const ftapi::Determinant& d) {
     PeerView& v = views_[static_cast<std::size_t>(src)];

@@ -10,7 +10,7 @@ Strategy::Work VcausalStrategy::build(int dst, util::Buffer& out,
                                       DepShadow& deps) {
   Work w;
   PeerView& view = views_[static_cast<std::size_t>(dst)];
-  std::vector<ftapi::Determinant> events;
+  std::vector<ftapi::Determinant>& events = selected_scratch();
   for (int c = 0; c < nranks_; ++c) {
     if (c == dst) continue;  // never send a peer its own events back
     const auto creator = static_cast<std::uint32_t>(c);
@@ -25,6 +25,7 @@ Strategy::Work VcausalStrategy::build(int dst, util::Buffer& out,
     });
     if (top > view.sent[creator]) view.sent[creator] = top;
   }
+  deps.reserve(deps.size() + events.size());
   for (const ftapi::Determinant& d : events) {
     deps.emplace_back(d.dep_creator, d.dep_seq);
   }
@@ -41,18 +42,15 @@ Strategy::Work VcausalStrategy::build(int dst, util::Buffer& out,
 Strategy::Work VcausalStrategy::absorb(int src, util::Buffer& in,
                                        const DepShadow& deps) {
   Work w;
-  std::vector<ftapi::Determinant> events = wire::factored_parse(in);
-  MPIV_CHECK(deps.size() == events.size(), "dep shadow size %zu vs %zu",
-             deps.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ftapi::Determinant& d = events[i];
-    d.dep_creator = deps[i].first;
-    d.dep_seq = deps[i].second;
+  std::size_t i = 0;
+  const std::size_t n = wire::factored_decode(in, [&](ftapi::Determinant& d) {
+    attach_dep(d, deps, i++);
     store_->add(d);
     note_learned(src, d);
-  }
-  w.events = events.size();
-  w.cpu = static_cast<sim::Time>(events.size()) *
+  });
+  MPIV_CHECK(deps.size() == n, "dep shadow size %zu vs %zu", deps.size(), n);
+  w.events = n;
+  w.cpu = static_cast<sim::Time>(n) *
           (cost_->ev_deserialize + cost_->seq_append);
   return w;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -132,11 +133,23 @@ class Buffer : public ByteReader<Buffer> {
 
   // --- Writing ---------------------------------------------------------
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
-  void put_u16(std::uint16_t v) { put_raw(&v, sizeof v); }
-  void put_u32(std::uint32_t v) { put_raw(&v, sizeof v); }
-  void put_u64(std::uint64_t v) { put_raw(&v, sizeof v); }
-  void put_i64(std::int64_t v) { put_raw(&v, sizeof v); }
-  void put_f64(double v) { put_raw(&v, sizeof v); }
+  void put_u16(std::uint16_t v) { put_packed(v); }
+  void put_u32(std::uint32_t v) { put_packed(v); }
+  void put_u64(std::uint64_t v) { put_packed(v); }
+  void put_i64(std::int64_t v) { put_packed(v); }
+  void put_f64(double v) { put_packed(v); }
+  /// Appends each argument's bytes back to back in one growth step: the
+  /// same bytes as the matching put_* calls in sequence, for hot loops that
+  /// write fixed-size records.
+  template <class... Ts>
+  void put_packed(Ts... vs) {
+    static_assert((std::is_arithmetic_v<Ts> && ...), "scalar fields only");
+    constexpr std::size_t n = (sizeof(Ts) + ...);
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::uint8_t* p = bytes_.data() + at;
+    ((std::memcpy(p, &vs, sizeof(Ts)), p += sizeof(Ts)), ...);
+  }
   void put_string(const std::string& s) {
     put_u32(static_cast<std::uint32_t>(s.size()));
     put_raw(s.data(), s.size());

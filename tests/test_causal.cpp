@@ -2,9 +2,14 @@
 // formats, the event store, the antecedence graph (including the paper's
 // Fig. 3 scenario), the sender log, and the strategy invariants —
 // no-event-sent-twice, graph-pruning soundness (Manetho/LogOn piggyback a
-// subset of Vcausal's), and LogOn's partial-order emission.
+// subset of Vcausal's), and LogOn's partial-order emission (checked against
+// a map-indexed Kahn oracle) — plus a digest pin over every piggyback of a
+// seeded 32-rank exchange under each strategy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "causal/antecedence_graph.hpp"
@@ -81,6 +86,25 @@ TEST(Wire, FactoredSplitsNonContiguousRuns) {
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].seq, 1u);
   EXPECT_EQ(parsed[1].seq, 3u);
+}
+
+TEST(Wire, FactoredSplitsRunsLongerThanABlock) {
+  // A block counts its events in a u16: a 70,000-event run of one creator
+  // must be split over two blocks, not wrap the count.
+  std::vector<ftapi::Determinant> events;
+  for (std::uint64_t s = 1; s <= 70000; ++s) {
+    events.push_back(det(5, s, 2, s + 3, static_cast<int>(s % 11)));
+  }
+  util::Buffer b;
+  wire::factored_serialize(events, b);
+  EXPECT_EQ(b.size(), wire::kFactoredHeader + 2 * wire::kFactoredBlockHeader +
+                          events.size() * wire::kFactoredPerEvent);
+  const auto parsed = wire::factored_parse(b);
+  ASSERT_EQ(parsed.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(parsed[i], events[i]) << "index " << i;
+  }
+  EXPECT_EQ(b.remaining(), 0u);
 }
 
 // --- event store ---------------------------------------------------------------
@@ -175,6 +199,31 @@ TEST(Graph, PruneStableRemovesVertices) {
   EXPECT_EQ(g.vertex_count(), 3u);
   EXPECT_FALSE(g.contains(1, 5));
   EXPECT_TRUE(g.contains(1, 6));
+}
+
+TEST(Graph, RunningVertexCountMatchesWindows) {
+  // vertex_count() is kept as a running total; it must equal the sum of
+  // the per-creator windows through duplicate adds, adds below the pruned
+  // base, prunes and a reset.
+  util::Rng rng(31);
+  AntecedenceGraph g(5);
+  std::vector<std::uint64_t> stable(5, 0);
+  auto sum = [&g] {
+    std::size_t n = 0;
+    for (std::uint32_t c = 0; c < 5; ++c) n += g.vertex_count(c);
+    return n;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const auto c = static_cast<std::uint32_t>(rng.next_below(5));
+    g.add(det(c, 1 + rng.next_below(300), 0, 1));
+    if (i % 97 == 0) {
+      stable[c] += rng.next_below(40);
+      g.prune_stable(stable);
+    }
+    ASSERT_EQ(g.vertex_count(), sum()) << "step " << i;
+  }
+  g.reset();
+  EXPECT_EQ(g.vertex_count(), 0u);
 }
 
 TEST(Graph, CachedTraversalMatchesFullTraversal) {
@@ -388,6 +437,36 @@ TEST(LogOnOrder, EmissionRespectsPartialOrder) {
   }
 }
 
+// Every in-set antecedent of each event (process order and cross edge)
+// precedes it in `ordered`, and `ordered` is a permutation of `input`.
+void expect_topological(const std::vector<ftapi::Determinant>& input,
+                        const std::vector<ftapi::Determinant>& ordered) {
+  ASSERT_EQ(ordered.size(), input.size());
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> pos;
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    pos[{ordered[i].creator, ordered[i].seq}] = i;
+  }
+  for (const ftapi::Determinant& d : input) {
+    EXPECT_TRUE(pos.count({d.creator, d.seq}))
+        << "event (" << d.creator << "," << d.seq << ") lost";
+  }
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    const ftapi::Determinant& d = ordered[i];
+    if (d.seq > 1) {
+      const auto it = pos.find({d.creator, d.seq - 1});
+      if (it != pos.end()) {
+        EXPECT_LT(it->second, i) << "process order violated at index " << i;
+      }
+    }
+    if (d.dep_creator != UINT32_MAX && d.dep_seq > 0) {
+      const auto it = pos.find({d.dep_creator, d.dep_seq});
+      if (it != pos.end()) {
+        EXPECT_LT(it->second, i) << "cross edge violated at index " << i;
+      }
+    }
+  }
+}
+
 TEST(LogOnOrder, CausalOrderIsStableUnderPermutation) {
   std::vector<ftapi::Determinant> events;
   std::vector<std::uint64_t> seq(4, 0);
@@ -401,9 +480,195 @@ TEST(LogOnOrder, CausalOrderIsStableUnderPermutation) {
   }
   const auto ordered = LogOnStrategy::causal_order(events);
   EXPECT_EQ(ordered.size(), events.size());
+  expect_topological(events, ordered);
   std::reverse(events.begin(), events.end());
   const auto ordered2 = LogOnStrategy::causal_order(events);
   EXPECT_EQ(ordered2.size(), ordered.size());
+  expect_topological(events, ordered2);
+}
+
+// The map-indexed Kahn ordering LogOn shipped with, kept as the oracle:
+// edges are added in ascending target order, the process-order edge before
+// the cross edge, and the ready list is processed FIFO.
+std::vector<ftapi::Determinant> map_kahn_oracle(
+    const std::vector<ftapi::Determinant>& events) {
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> index;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    index[{events[i].creator, events[i].seq}] = i;
+  }
+  std::vector<int> indegree(events.size(), 0);
+  std::vector<std::vector<std::size_t>> out(events.size());
+  auto add_edge = [&](std::uint32_t c, std::uint64_t s, std::size_t to) {
+    auto it = index.find({c, s});
+    if (it == index.end()) return;
+    out[it->second].push_back(to);
+    ++indegree[to];
+  };
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ftapi::Determinant& d = events[i];
+    if (d.seq > 1) add_edge(d.creator, d.seq - 1, i);
+    if (d.dep_creator != UINT32_MAX && d.dep_seq > 0) {
+      add_edge(d.dep_creator, d.dep_seq, i);
+    }
+  }
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (indegree[i] == 0) ready.push_back(i);
+  }
+  std::vector<ftapi::Determinant> ordered;
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const std::size_t i = ready[head];
+    ordered.push_back(events[i]);
+    for (const std::size_t j : out[i]) {
+      if (--indegree[j] == 0) ready.push_back(j);
+    }
+  }
+  return ordered;
+}
+
+TEST(LogOnOrder, CausalOrderMatchesMapKahnOracle) {
+  // Random causal histories: every dep points at an event created earlier,
+  // so the graph is acyclic. A random subset is kept (holes), some deps
+  // point outside the kept set or at nothing, some events depend on their
+  // own creator's previous event (the process edge doubled by the cross
+  // edge), creators and sequence numbers are offset far from zero, and the
+  // input order is shuffled.
+  util::Rng rng(0xC0FFEE);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto ncreators = static_cast<std::uint32_t>(1 + rng.next_below(12));
+    const std::uint32_t creator_base =
+        trial % 3 == 0 ? 0 : static_cast<std::uint32_t>(rng.next_below(60000));
+    const std::uint64_t seq_base =
+        trial % 4 == 0 ? 0 : rng.next_below(std::uint64_t{1} << 40);
+    std::vector<std::uint64_t> seq(ncreators, seq_base);
+    std::vector<ftapi::Determinant> history;
+    const auto len = static_cast<int>(rng.next_below(400));
+    for (int i = 0; i < len; ++i) {
+      const auto c = static_cast<std::uint32_t>(rng.next_below(ncreators));
+      ftapi::Determinant d = det(creator_base + c, ++seq[c], 0, i + 1);
+      const std::uint64_t kind = rng.next_below(8);
+      if (kind == 0) {
+        d.dep_creator = UINT32_MAX;
+      } else if (kind == 1 && seq[c] > seq_base + 1) {
+        d.dep_creator = creator_base + c;
+        d.dep_seq = seq[c] - 1;
+      } else {
+        const auto s = static_cast<std::uint32_t>(rng.next_below(ncreators));
+        d.dep_creator = creator_base + s;
+        d.dep_seq = seq[s] - (s == c ? 1 : rng.next_below(3));
+      }
+      d.src = d.dep_creator == UINT32_MAX ? 0 : d.dep_creator;
+      history.push_back(d);
+    }
+    std::vector<ftapi::Determinant> events;
+    const std::uint64_t keep = 1 + rng.next_below(4);  // keep ~1/keep
+    for (const ftapi::Determinant& d : history) {
+      if (keep == 1 || rng.next_below(keep) != 0) events.push_back(d);
+    }
+    for (std::size_t i = events.size(); i > 1; --i) {
+      std::swap(events[i - 1], events[rng.next_below(i)]);
+    }
+    const std::vector<ftapi::Determinant> expected = map_kahn_oracle(events);
+    const std::vector<ftapi::Determinant> got =
+        LogOnStrategy::causal_order(events);
+    ASSERT_EQ(got.size(), expected.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], expected[i]) << "trial " << trial << " index " << i;
+      ASSERT_EQ(got[i].dep_creator, expected[i].dep_creator);
+      ASSERT_EQ(got[i].dep_seq, expected[i].dep_seq);
+    }
+    expect_topological(events, got);
+  }
+}
+
+// FNV-1a over raw bytes.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+template <class T>
+std::uint64_t fnv1a(std::uint64_t h, T v) {
+  return fnv1a(h, &v, sizeof v);
+}
+
+// A seeded 32-rank exchange through real strategy instances: random
+// point-to-point messages, each piggyback built by the sender and absorbed
+// by the receiver, which then creates its reception determinant. The first
+// half runs without stability (no Event Logger), the second half advances
+// a lagging stable vector on every rank. Returns an FNV digest of every
+// piggyback's bytes, its dep shadow and the priced work of both sides.
+std::uint64_t exchange_digest(StrategyKind kind) {
+  constexpr int kN = 32;
+  constexpr int kMessages = 1600;
+  net::CostModel cost;
+  std::vector<std::unique_ptr<EventStore>> stores;
+  std::vector<std::unique_ptr<Strategy>> strats;
+  for (int r = 0; r < kN; ++r) {
+    stores.push_back(std::make_unique<EventStore>(kN));
+    strats.push_back(make_strategy(kind));
+    strats.back()->attach(stores.back().get(), &cost, r, kN);
+  }
+  std::vector<std::uint64_t> ssn(kN, 0);
+  std::vector<std::uint64_t> stable(kN, 0);
+  util::Rng rng(1405);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix_work = [&h](const Strategy::Work& w) {
+    h = fnv1a(h, w.events);
+    h = fnv1a(h, w.bytes);
+    h = fnv1a(h, w.visits);
+    h = fnv1a(h, w.cpu);
+  };
+  for (int m = 0; m < kMessages; ++m) {
+    const auto src = static_cast<int>(rng.next_below(kN));
+    auto dst = static_cast<int>(rng.next_below(kN - 1));
+    if (dst >= src) ++dst;
+    util::Buffer pb;
+    Strategy::DepShadow deps;
+    mix_work(strats[static_cast<std::size_t>(src)]->build(dst, pb, deps));
+    h = fnv1a(h, pb.bytes().data(), pb.size());
+    for (const auto& [dc, ds] : deps) {
+      h = fnv1a(h, dc);
+      h = fnv1a(h, ds);
+    }
+    pb.rewind();
+    mix_work(strats[static_cast<std::size_t>(dst)]->absorb(src, pb, deps));
+
+    EventStore& store = *stores[static_cast<std::size_t>(dst)];
+    const auto creator = static_cast<std::uint32_t>(dst);
+    ftapi::Determinant d = det(creator, store.known(creator) + 1,
+                               static_cast<std::uint32_t>(src),
+                               ++ssn[static_cast<std::size_t>(src)], m % 7);
+    d.dep_creator = static_cast<std::uint32_t>(src);
+    d.dep_seq = store.known(static_cast<std::uint32_t>(src));
+    store.add(d);
+    strats[static_cast<std::size_t>(dst)]->on_local_event(d);
+
+    if (m >= kMessages / 2 && m % 50 == 0) {
+      for (int c = 0; c < kN; ++c) {
+        const auto ci = static_cast<std::size_t>(c);
+        const std::uint64_t created =
+            stores[ci]->known(static_cast<std::uint32_t>(c));
+        if (created > stable[ci] + 8) stable[ci] = created - 8;
+      }
+      for (int r = 0; r < kN; ++r) {
+        stores[static_cast<std::size_t>(r)]->set_stable(stable);
+        strats[static_cast<std::size_t>(r)]->on_stable(stable);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(StrategyPin, ExchangeDigestsAreUnchanged) {
+  // Pins the piggyback bytes, dep shadows and priced work of every
+  // strategy: host-side changes to build/absorb must leave them as they are.
+  EXPECT_EQ(exchange_digest(StrategyKind::kVcausal), 0xcaa4e15f0da58f50ULL);
+  EXPECT_EQ(exchange_digest(StrategyKind::kManetho), 0x9134f266d7868a01ULL);
+  EXPECT_EQ(exchange_digest(StrategyKind::kLogOn), 0x1ec36b0234cf2178ULL);
 }
 
 TEST(PeerViewTest, RestartClampsAndCaps) {

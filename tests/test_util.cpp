@@ -101,6 +101,21 @@ TEST(Buffer, SizeCountsExactBytes) {
   EXPECT_EQ(b.size(), 12u);
 }
 
+TEST(Buffer, PutPackedMatchesSequentialPuts) {
+  Buffer seq;
+  seq.put_u8(7);
+  seq.put_u16(0xBEEF);
+  seq.put_u64(0x0123456789ABCDEFull);
+  seq.put_u16(3);
+  seq.put_u32(0xDEADBEEFu);
+  Buffer packed;
+  packed.put_u8(7);
+  packed.put_packed(std::uint16_t{0xBEEF}, std::uint64_t{0x0123456789ABCDEFull},
+                    std::uint16_t{3}, std::uint32_t{0xDEADBEEFu});
+  EXPECT_EQ(packed.size(), 1u + 2 + 8 + 2 + 4);
+  EXPECT_EQ(packed, seq);
+}
+
 TEST(BufferView, ReadsInPlaceWithoutConsumingParent) {
   Buffer b;
   b.put_u32(7);
