@@ -23,7 +23,12 @@ void FaultEngine::arm(const std::vector<std::pair<sim::Time, int>>& legacy_fault
   // Legacy deterministic plan first (same scheduling order the dispatcher
   // used), then the campaign, then the stochastic streams.
   for (const auto& [at, rank] : legacy_faults) {
-    b_.eng->at(at, [this, rank = rank] { b_.crash_rank(rank); });
+    // Counted like a campaign timed crash: once it fires inside the run.
+    b_.eng->at(at, [this, rank = rank] {
+      if (b_.run_done()) return;
+      ++counts_.rank_crashes;
+      b_.crash_rank(rank);
+    });
   }
   for (std::size_t i = 0; i < campaign_.injections.size(); ++i) {
     const Injection& inj = campaign_.injections[i];

@@ -462,6 +462,23 @@ TEST(FaultTriggers, CheckpointTriggerKillsTheRank) {
   EXPECT_GT(r.report.recoveries[0].fault_at, 16 * sim::kMillisecond);
 }
 
+TEST(FaultTriggers, PlannedAndMidrunCrashesAreCounted) {
+  // A `fault =` line and a midrun crash reach the engine as the legacy
+  // plan; they count as rank crashes exactly like a campaign timed crash.
+  const scenario::RunResult planned = scenario::run_spec(
+      ring_base("planned").fault_at(20 * sim::kMillisecond, 2).build());
+  ASSERT_TRUE(planned.completed);
+  EXPECT_EQ(planned.report.faults_injected, 1u);
+  EXPECT_EQ(planned.report.fault_counts.rank_crashes, 1u);
+
+  const scenario::RunResult midrun =
+      scenario::run_spec(ring_base("midrun").midrun_fault(3).build());
+  ASSERT_TRUE(midrun.completed);
+  EXPECT_TRUE(midrun.recovered_exact);
+  EXPECT_EQ(midrun.report.faults_injected, 1u);
+  EXPECT_EQ(midrun.report.fault_counts.rank_crashes, 1u);
+}
+
 TEST(FaultTriggers, StoredCountTriggerCrashesTheShard) {
   const scenario::RunResult ref =
       scenario::run_spec(ring_base("stored_ref", 6, 2).build());

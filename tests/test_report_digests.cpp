@@ -38,13 +38,13 @@ struct Pin {
 
 // BEGIN DIGEST TABLE
 constexpr Pin kPins[] = {
-    {"ablation_ckpt_sched.scn", 0x7cdee7d2f8ab34f6ULL, false},
+    {"ablation_ckpt_sched.scn", 0xf30cdc088e9a7942ULL, false},
     {"ablation_el_latency.scn", 0xc07fc4afa31eed1aULL, false},
     {"ablation_multi_el.scn", 0x5363e5db1b7dab48ULL, false},
     {"chaos_soak.scn", 0x520de294cd202924ULL, true},
     {"family_race.scn", 0xdf62b0cdae4cc081ULL, false},
-    {"fault_campaign.scn", 0x7c047051b690ff19ULL, false},
-    {"fig10.scn", 0xc42b24c53975e1b1ULL, false},
+    {"fault_campaign.scn", 0x1d6f90c4a3fbd20cULL, false},
+    {"fig10.scn", 0x20d5381e59d1f123ULL, false},
     {"fig1_coordinated.scn", 0xbaef5a86425451e8ULL, false},
     {"fig1_logging.scn", 0x8eeb013694bdf4ceULL, true},
     {"fig6a.scn", 0xecf3f4310272d6c2ULL, false},
@@ -53,10 +53,10 @@ constexpr Pin kPins[] = {
     {"fig8a.scn", 0x52fa20fd3cd9fe3eULL, false},
     {"fig8b.scn", 0x468731400a72db9bULL, false},
     {"fig9.scn", 0xae1b3c20a47ad014ULL, false},
-    {"quickstart.scn", 0xf786579f33488491ULL, false},
+    {"quickstart.scn", 0x45f72aee2c399770ULL, false},
     {"scale_probe.scn", 0x07dcb7e168a5b24bULL, false},
-    {"split_brain.scn", 0x32c4b65b4d9ae5b8ULL, false},
-    {"+observed_quickstart", 0x03e0a46d6e5d0210ULL, false},
+    {"split_brain.scn", 0x0be4a04fd039daf4ULL, false},
+    {"+observed_quickstart", 0x8b5d2872747fb6f9ULL, false},
     {"+skipped_point", 0x7f01cb639e72d0bcULL, false},
     {"+failed_point", 0xcf95c09c4cf54e37ULL, true},
 };
