@@ -10,205 +10,9 @@
 
 namespace mpiv::metrics {
 
+using util::Json;
+
 namespace {
-
-/// Recursive-descent JSON parser over the in-memory document. The grammar
-/// is full JSON (the reports only use a subset, but scn users may feed any
-/// file to mpiv_stat).
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json: " + what + " at byte " +
-                             std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(const char* lit) {
-    const std::size_t n = std::char_traits<char>::length(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  Json value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        Json v;
-        v.kind = Json::Kind::kString;
-        v.str = string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.kind = Json::Kind::kBool;
-        if (consume("true")) {
-          v.boolean = true;
-        } else if (consume("false")) {
-          v.boolean = false;
-        } else {
-          fail("bad literal");
-        }
-        return v;
-      }
-      case 'n': {
-        if (!consume("null")) fail("bad literal");
-        return Json{};
-      }
-      default: return number();
-    }
-  }
-
-  Json object() {
-    Json v;
-    v.kind = Json::Kind::kObject;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      if (peek() != '"') fail("expected member name");
-      std::string name = string();
-      expect(':');
-      v.members.emplace_back(std::move(name), value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-    return v;
-  }
-
-  Json array() {
-    Json v;
-    v.kind = Json::Kind::kArray;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']'");
-    }
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') break;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("bad \\u escape");
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') {
-              cp |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              cp |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              cp |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // UTF-8 encode the BMP code point (report text is ASCII; this
-          // keeps arbitrary inputs lossless enough for diffing).
-          if (cp < 0x80) {
-            out += static_cast<char>(cp);
-          } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-          }
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    return out;
-  }
-
-  Json number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    Json v;
-    v.kind = Json::Kind::kNumber;
-    const std::string tok = s_.substr(start, pos_ - start);
-    char* end = nullptr;
-    v.number = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number '" + tok + "'");
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// Collects every numeric leaf of `v` under dotted `path` (bools as 0/1;
 /// strings and arrays skipped — arrays hold per-record detail the diff
@@ -216,7 +20,9 @@ class Parser {
 void flatten(const Json& v, const std::string& path,
              std::vector<std::pair<std::string, double>>& out) {
   switch (v.kind) {
-    case Json::Kind::kNumber: out.emplace_back(path, v.number); break;
+    case Json::Kind::kInt:
+    case Json::Kind::kUint:
+    case Json::Kind::kDouble: out.emplace_back(path, v.number()); break;
     case Json::Kind::kBool:
       out.emplace_back(path, v.boolean ? 1.0 : 0.0);
       break;
@@ -282,16 +88,6 @@ bool split_entity(const std::string& name, std::string& entity,
 }
 
 }  // namespace
-
-const Json* Json::find(const std::string& key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, child] : members) {
-    if (name == key) return &child;
-  }
-  return nullptr;
-}
-
-Json parse_json(const std::string& text) { return Parser(text).parse(); }
 
 const double* RunMetrics::find(const std::string& name) const {
   const auto it = std::lower_bound(

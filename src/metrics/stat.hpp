@@ -1,12 +1,13 @@
-// Report analysis behind the `mpiv_stat` CLI: a minimal JSON DOM for the
-// scenario reports `scenario::to_json` emits, flattening of each run's
+// Report analysis behind the `mpiv_stat` CLI over the scenario reports
+// `scenario::to_json` emits (parsed with util::parse_json): flattening of
+// each run's
 // numeric fields into "dotted.path -> value" rows, heavy-hitter ranking of
 // per-rank / per-EL-shard instruments, and a tolerance diff of two reports
 // — the A/B regression primitive (two identical-seed runs must diff to
 // zero drift; CI asserts exactly that).
 //
 // Lives in the library (not the tool) so tests/test_metrics.cpp can unit
-// test the parser, flattener and differ without spawning a process.
+// test the flattener and differ without spawning a process.
 #pragma once
 
 #include <cstdint>
@@ -14,33 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace mpiv::metrics {
-
-/// Minimal JSON value. Object members keep file order (reports are emitted
-/// deterministically, and diffs want stable iteration anyway).
-struct Json {
-  enum class Kind : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kObject,
-    kArray,
-  };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<std::pair<std::string, Json>> members;  // kObject
-  std::vector<Json> items;                            // kArray
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const Json* find(const std::string& key) const;
-};
-
-/// Parses a complete JSON document. Throws std::runtime_error with a
-/// byte-offset diagnostic on malformed input.
-Json parse_json(const std::string& text);
 
 /// One run of a report, flattened: every numeric leaf reachable through
 /// nested objects becomes "path.to.leaf -> value" (bools as 0/1; strings
@@ -57,7 +34,7 @@ struct RunMetrics {
 /// Collects every run of a report — handles both a single-set report
 /// ({"runs": [...]}) and a multi-set one ({"reports": [{"runs": ...}]}).
 /// Throws std::runtime_error when the document has no runs array.
-std::vector<RunMetrics> extract_runs(const Json& report);
+std::vector<RunMetrics> extract_runs(const util::Json& report);
 
 /// One per-rank / per-EL-shard entity ("rank3", "el0") ranked by its
 /// hottest instrument (ack_us.p99 for ranks when present, stored_ops for
@@ -96,6 +73,6 @@ struct DiffResult {
 /// Diffs two parsed reports run-by-run (matched by label) and
 /// metric-by-metric. `tolerance` is the allowed relative drift per metric
 /// (0 = exact).
-DiffResult diff_reports(const Json& a, const Json& b, double tolerance);
+DiffResult diff_reports(const util::Json& a, const util::Json& b, double tolerance);
 
 }  // namespace mpiv::metrics

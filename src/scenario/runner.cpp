@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "scenario/parallel.hpp"
 #include "scenario/registry.hpp"
+#include "util/json.hpp"
 
 namespace mpiv::scenario {
 
@@ -381,321 +381,226 @@ RunSet run(const ScenarioSpec& spec, const RunOptions& options) {
 
 namespace {
 
-void json_escape(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out << buf;
-        } else {
-          out << ch;
-        }
-    }
-  }
-  out << '"';
-}
+using util::Json;
 
-std::string json_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  // JSON has no inf/nan.
-  if (std::string(buf).find_first_of("in") != std::string::npos) return "null";
-  return buf;
-}
-
-void write_run(std::ostringstream& out, const RunResult& r,
-               const std::string& indent) {
-  if (!r.prerendered_json.empty()) {
-    // A parallel worker already rendered this run at zero indent; splice it
-    // back re-indented. json_escape leaves no raw newline inside strings,
-    // so every '\n' in the fragment is structural and the splice is
-    // byte-identical to rendering in-process.
-    out << indent;
-    for (const char ch : r.prerendered_json) {
-      out << ch;
-      if (ch == '\n') out << indent;
-    }
-    return;
-  }
-  auto key = [&out, &indent](const char* k) -> std::ostringstream& {
-    out << indent << "  ";
-    json_escape(out, k);
-    out << ": ";
-    return out;
-  };
-  out << indent << "{\n";
-  key("label");
-  json_escape(out, r.label);
-  out << ",\n";
-  key("axes") << "{";
-  for (std::size_t i = 0; i < r.axes.size(); ++i) {
-    if (i) out << ", ";
-    json_escape(out, r.axes[i].first);
-    out << ": ";
-    json_escape(out, r.axes[i].second);
-  }
-  out << "},\n";
+Json run_value(const RunResult& r) {
+  // A parallel worker already rendered this run (run_json_fragment); the
+  // parser keeps its layout, so it renders back byte for byte.
+  if (!r.prerendered_json.empty()) return util::parse_json(r.prerendered_json);
+  Json axes = Json::object();
+  for (const auto& [axis, value] : r.axes) axes.add(axis, value);
+  Json run = Json::object(/*block=*/true);
+  run.add("label", r.label).add("axes", std::move(axes));
   if (r.failed) {
     // Worker-crash containment: the point ran in a worker that died before
     // delivering a result. Everything known about it is why it failed.
-    key("skipped") << "false,\n";
-    key("outcome");
-    json_escape(out, outcome_name(r.outcome()));
-    out << ",\n";
-    key("failed") << "true,\n";
-    key("fail_reason");
-    json_escape(out, r.fail_reason);
-    out << "\n" << indent << "}";
-    return;
+    return run.add("skipped", false)
+        .add("outcome", outcome_name(r.outcome()))
+        .add("failed", true)
+        .add("fail_reason", r.fail_reason);
   }
   if (r.skipped) {
-    key("skipped") << "true,\n";
-    key("outcome");
-    json_escape(out, outcome_name(r.outcome()));
-    out << ",\n";
-    key("skip_reason");
-    json_escape(out, r.skip_reason);
-    out << "\n" << indent << "}";
-    return;
+    return run.add("skipped", true)
+        .add("outcome", outcome_name(r.outcome()))
+        .add("skip_reason", r.skip_reason);
   }
-  key("skipped") << "false,\n";
-  key("outcome");
-  json_escape(out, outcome_name(r.outcome()));
-  out << ",\n";
-  key("protocol");
-  json_escape(out, r.protocol_label);
-  out << ",\n";
-  key("completed") << (r.completed ? "true" : "false") << ",\n";
-  key("sim_time_s") << json_num(r.sim_seconds()) << ",\n";
-  key("faults_injected") << r.report.faults_injected << ",\n";
   const ftapi::RankStats t = r.report.totals();
-  key("app_msgs") << t.app_msgs_sent << ",\n";
-  key("app_bytes") << t.app_bytes_sent << ",\n";
-  key("pb_events") << t.pb_events_sent << ",\n";
-  key("pb_bytes") << t.pb_bytes_sent << ",\n";
-  key("pb_pct") << json_num(r.report.piggyback_pct()) << ",\n";
-  key("pb_peak_msg_bytes") << t.pb_peak_msg_bytes << ",\n";
-  key("pb_peak_msg_events") << t.pb_peak_msg_events << ",\n";
-  key("pb_peak_post_el_fault_bytes") << t.pb_peak_post_el_fault_bytes << ",\n";
-  key("pb_peak_post_el_fault_events") << t.pb_peak_post_el_fault_events
-                                      << ",\n";
-  key("pb_send_cpu_s") << json_num(sim::to_sec(t.pb_send_cpu)) << ",\n";
-  key("pb_recv_cpu_s") << json_num(sim::to_sec(t.pb_recv_cpu)) << ",\n";
-  key("events_executed") << r.events_executed << ",\n";
-  key("wire_bytes") << r.wire_bytes << ",\n";
-  {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(r.checksum_digest()));
-    key("checksum");
-    json_escape(out, buf);
-    out << ",\n";
-  }
-  if (r.flops > 0) {
-    key("mops") << json_num(r.mops()) << ",\n";
-  }
-  key("el") << "{\"events_stored\": " << r.report.el_stats.events_stored
-            << ", \"acks_sent\": " << r.report.el_stats.acks_sent
-            << ", \"peak_queue\": " << r.report.el_stats.peak_queue
-            << ", \"mean_ack_us\": " << json_num(t.el_ack_latency_us.mean());
+  char checksum[24];
+  std::snprintf(checksum, sizeof checksum, "0x%016llx",
+                static_cast<unsigned long long>(r.checksum_digest()));
+  run.add("skipped", false)
+      .add("outcome", outcome_name(r.outcome()))
+      .add("protocol", r.protocol_label)
+      .add("completed", r.completed)
+      .add("sim_time_s", r.sim_seconds())
+      .add("faults_injected", r.report.faults_injected)
+      .add("app_msgs", t.app_msgs_sent)
+      .add("app_bytes", t.app_bytes_sent)
+      .add("pb_events", t.pb_events_sent)
+      .add("pb_bytes", t.pb_bytes_sent)
+      .add("pb_pct", r.report.piggyback_pct())
+      .add("pb_peak_msg_bytes", t.pb_peak_msg_bytes)
+      .add("pb_peak_msg_events", t.pb_peak_msg_events)
+      .add("pb_peak_post_el_fault_bytes", t.pb_peak_post_el_fault_bytes)
+      .add("pb_peak_post_el_fault_events", t.pb_peak_post_el_fault_events)
+      .add("pb_send_cpu_s", sim::to_sec(t.pb_send_cpu))
+      .add("pb_recv_cpu_s", sim::to_sec(t.pb_recv_cpu))
+      .add("events_executed", r.events_executed)
+      .add("wire_bytes", r.wire_bytes)
+      .add("checksum", checksum);
+  if (r.flops > 0) run.add("mops", r.mops());
+  Json el = Json::object()
+                .add("events_stored", r.report.el_stats.events_stored)
+                .add("acks_sent", r.report.el_stats.acks_sent)
+                .add("peak_queue", r.report.el_stats.peak_queue)
+                .add("mean_ack_us", t.el_ack_latency_us.mean());
   if (r.report.metrics.enabled) {
     // Tail percentiles ride along only when metrics are on, keeping the
     // metrics-off report shape byte-identical to the pre-metrics goldens.
-    out << ", \"p50_ack_us\": " << json_num(t.el_ack_latency_us.p50())
-        << ", \"p99_ack_us\": " << json_num(t.el_ack_latency_us.p99());
+    el.add("p50_ack_us", t.el_ack_latency_us.p50())
+        .add("p99_ack_us", t.el_ack_latency_us.p99());
   }
-  out << "},\n";
-  key("recovery") << "{\"events\": " << t.recovery_events
-                  << ", \"collect_ms\": "
-                  << json_num(sim::to_ms(t.recovery_collect_time))
-                  << ", \"total_ms\": "
-                  << json_num(sim::to_ms(t.recovery_total_time)) << "},\n";
+  run.add("el", std::move(el));
+  run.add("recovery",
+          Json::object()
+              .add("events", t.recovery_events)
+              .add("collect_ms", sim::to_ms(t.recovery_collect_time))
+              .add("total_ms", sim::to_ms(t.recovery_total_time)));
   const fault::FaultCounts& fc = r.report.fault_counts;
-  key("faults") << "{\"rank_crashes\": " << fc.rank_crashes
-                << ", \"daemon_crashes\": " << fc.daemon_crashes
-                << ", \"el_crashes\": " << fc.el_crashes
-                << ", \"el_outages\": " << fc.el_outages
-                << ", \"el_failovers\": " << fc.el_failovers
-                << ", \"ckpt_outages\": " << fc.ckpt_outages
-                << ", \"link_faults\": " << fc.link_faults
-                << ", \"partitions\": " << fc.partitions
-                << ", \"el_suspects\": " << fc.el_suspects
-                << ", \"el_reconciles\": " << fc.el_reconciles
-                << ", \"first_el_fault_s\": "
-                << json_num(sim::to_sec(r.report.first_el_fault)) << "},\n";
+  run.add("faults", Json::object()
+                        .add("rank_crashes", fc.rank_crashes)
+                        .add("daemon_crashes", fc.daemon_crashes)
+                        .add("el_crashes", fc.el_crashes)
+                        .add("el_outages", fc.el_outages)
+                        .add("el_failovers", fc.el_failovers)
+                        .add("ckpt_outages", fc.ckpt_outages)
+                        .add("link_faults", fc.link_faults)
+                        .add("partitions", fc.partitions)
+                        .add("el_suspects", fc.el_suspects)
+                        .add("el_reconciles", fc.el_reconciles)
+                        .add("first_el_fault_s",
+                             sim::to_sec(r.report.first_el_fault)));
   // One timeline entry per recovery: the per-phase breakdown Fig. 10's
   // scalar hides. Interrupted recoveries (crash mid-recovery) report
   // complete = false with the phases that did finish.
-  key("recoveries") << "[";
-  for (std::size_t i = 0; i < r.report.recoveries.size(); ++i) {
-    const fault::RecoveryRecord& rec = r.report.recoveries[i];
-    if (i) out << ", ";
-    out << "{\"rank\": " << rec.rank
-        << ", \"coordinated\": " << (rec.coordinated ? "true" : "false")
-        << ", \"complete\": " << (rec.complete() ? "true" : "false")
-        << ", \"fault_s\": " << json_num(sim::to_sec(rec.fault_at))
-        << ", \"events\": " << rec.replay_events;
-    if (rec.restart_at != 0) {
-      out << ", \"detect_ms\": " << json_num(sim::to_ms(rec.detect_ns()));
-    }
-    if (rec.image_at != 0) {
-      out << ", \"image_ms\": " << json_num(sim::to_ms(rec.image_ns()));
-    }
-    if (rec.collect_at != 0) {
-      out << ", \"collect_ms\": " << json_num(sim::to_ms(rec.collect_ns()));
-    }
+  Json recoveries = Json::array();
+  for (const fault::RecoveryRecord& rec : r.report.recoveries) {
+    Json o = Json::object()
+                 .add("rank", rec.rank)
+                 .add("coordinated", rec.coordinated)
+                 .add("complete", rec.complete())
+                 .add("fault_s", sim::to_sec(rec.fault_at))
+                 .add("events", rec.replay_events);
+    if (rec.restart_at != 0) o.add("detect_ms", sim::to_ms(rec.detect_ns()));
+    if (rec.image_at != 0) o.add("image_ms", sim::to_ms(rec.image_ns()));
+    if (rec.collect_at != 0) o.add("collect_ms", sim::to_ms(rec.collect_ns()));
     if (rec.complete()) {
-      out << ", \"replay_ms\": " << json_num(sim::to_ms(rec.replay_ns()))
-          << ", \"total_ms\": " << json_num(sim::to_ms(rec.total_ns()));
+      o.add("replay_ms", sim::to_ms(rec.replay_ns()))
+          .add("total_ms", sim::to_ms(rec.total_ns()));
     }
-    out << "}";
+    recoveries.push(std::move(o));
   }
-  out << "]";
+  run.add("recoveries", std::move(recoveries));
   if (!r.report.daemon_outages.empty()) {
-    out << ",\n";
     // The daemon failure domain: the app survived each of these, stalled,
     // while the dispatcher respawned the daemon. An incomplete record means
     // a rank crash superseded the respawn.
-    key("daemon_outages") << "[";
-    for (std::size_t i = 0; i < r.report.daemon_outages.size(); ++i) {
-      const fault::DaemonOutageRecord& rec = r.report.daemon_outages[i];
-      if (i) out << ", ";
-      out << "{\"rank\": " << rec.rank
-          << ", \"complete\": " << (rec.complete() ? "true" : "false")
-          << ", \"interrupted\": " << (rec.interrupted ? "true" : "false")
-          << ", \"fault_s\": " << json_num(sim::to_sec(rec.fault_at));
+    Json outages = Json::array();
+    for (const fault::DaemonOutageRecord& rec : r.report.daemon_outages) {
+      Json o = Json::object()
+                   .add("rank", rec.rank)
+                   .add("complete", rec.complete())
+                   .add("interrupted", rec.interrupted)
+                   .add("fault_s", sim::to_sec(rec.fault_at));
       if (rec.complete()) {
-        out << ", \"down_ms\": " << json_num(sim::to_ms(rec.down_ns()))
-            << ", \"held_frames\": " << rec.held_frames;
+        o.add("down_ms", sim::to_ms(rec.down_ns()))
+            .add("held_frames", rec.held_frames);
       }
-      out << "}";
+      outages.push(std::move(o));
     }
-    out << "]";
+    run.add("daemon_outages", std::move(outages));
   }
   if (!r.report.repairs.empty()) {
-    out << ",\n";
     // ULFM repairs: fault -> revoke broadcast -> agreement/rebuild ->
     // survivors relaunched shrunk. An incomplete record means the run hit
     // max_sim_time inside the repair window.
-    key("repairs") << "[";
-    for (std::size_t i = 0; i < r.report.repairs.size(); ++i) {
-      const fault::RepairRecord& rec = r.report.repairs[i];
-      if (i) out << ", ";
-      out << "{\"victim\": " << rec.victim
-          << ", \"survivors\": " << rec.survivors
-          << ", \"complete\": " << (rec.complete() ? "true" : "false")
-          << ", \"fault_s\": " << json_num(sim::to_sec(rec.fault_at));
-      if (rec.revoke_at != 0) {
-        out << ", \"detect_ms\": " << json_num(sim::to_ms(rec.detect_ns()));
-      }
+    Json repairs = Json::array();
+    for (const fault::RepairRecord& rec : r.report.repairs) {
+      Json o = Json::object()
+                   .add("victim", rec.victim)
+                   .add("survivors", rec.survivors)
+                   .add("complete", rec.complete())
+                   .add("fault_s", sim::to_sec(rec.fault_at));
+      if (rec.revoke_at != 0) o.add("detect_ms", sim::to_ms(rec.detect_ns()));
       if (rec.complete()) {
-        out << ", \"repair_ms\": " << json_num(sim::to_ms(rec.repair_ns()))
-            << ", \"total_ms\": " << json_num(sim::to_ms(rec.total_ns()));
+        o.add("repair_ms", sim::to_ms(rec.repair_ns()))
+            .add("total_ms", sim::to_ms(rec.total_ns()));
       }
-      out << "}";
+      repairs.push(std::move(o));
     }
-    out << "]";
+    run.add("repairs", std::move(repairs));
   }
   if (!r.report.promotions.empty()) {
-    out << ",\n";
     // Replica promotions: the shadow took over in place — no rollback, so
     // the only cost is the switchover window holding the victim's frames.
-    key("promotions") << "[";
-    for (std::size_t i = 0; i < r.report.promotions.size(); ++i) {
-      const fault::PromotionRecord& rec = r.report.promotions[i];
-      if (i) out << ", ";
-      out << "{\"rank\": " << rec.rank
-          << ", \"complete\": " << (rec.complete() ? "true" : "false")
-          << ", \"fault_s\": " << json_num(sim::to_sec(rec.fault_at));
+    Json promotions = Json::array();
+    for (const fault::PromotionRecord& rec : r.report.promotions) {
+      Json o = Json::object()
+                   .add("rank", rec.rank)
+                   .add("complete", rec.complete())
+                   .add("fault_s", sim::to_sec(rec.fault_at));
       if (rec.complete()) {
-        out << ", \"promote_ms\": " << json_num(sim::to_ms(rec.promote_ns()))
-            << ", \"held_frames\": " << rec.held_frames;
+        o.add("promote_ms", sim::to_ms(rec.promote_ns()))
+            .add("held_frames", rec.held_frames);
       }
-      out << "}";
+      promotions.push(std::move(o));
     }
-    out << "]";
+    run.add("promotions", std::move(promotions));
   }
   if (t.replica_sync_msgs != 0 || t.replica_mirror_cpu != 0) {
-    out << ",\n";
     // The replication hybrid's steady-state price: the visible slice of the
     // 2x compute (mirror copies) plus the shadow-sync fabric traffic.
-    key("replica") << "{\"sync_msgs\": " << t.replica_sync_msgs
-                   << ", \"sync_bytes\": " << t.replica_sync_bytes
-                   << ", \"mirror_cpu_s\": "
-                   << json_num(sim::to_sec(t.replica_mirror_cpu)) << "}";
+    run.add("replica", Json::object()
+                           .add("sync_msgs", t.replica_sync_msgs)
+                           .add("sync_bytes", t.replica_sync_bytes)
+                           .add("mirror_cpu_s",
+                                sim::to_sec(t.replica_mirror_cpu)));
   }
   if (t.ulfm_revokes_seen != 0 || t.ulfm_repairs != 0) {
-    out << ",\n";
-    key("ulfm") << "{\"revokes_seen\": " << t.ulfm_revokes_seen
-                << ", \"repairs\": " << t.ulfm_repairs << "}";
+    run.add("ulfm", Json::object()
+                        .add("revokes_seen", t.ulfm_revokes_seen)
+                        .add("repairs", t.ulfm_repairs));
   }
   if (!r.report.el_reconciles.empty()) {
-    out << ",\n";
     // Split-brain merges: a suspected failover behind a service cut left
     // two shards accepting submissions; the heal folded the stale log into
     // the successor's, dropping (creator, seq) duplicates.
-    key("el_reconciles") << "[";
-    for (std::size_t i = 0; i < r.report.el_reconciles.size(); ++i) {
-      const fault::ElReconcileRecord& rec = r.report.el_reconciles[i];
-      if (i) out << ", ";
-      out << "{\"stale_shard\": " << rec.stale_shard
-          << ", \"successor\": " << rec.successor
-          << ", \"moved_ranks\": " << rec.moved_ranks
-          << ", \"complete\": " << (rec.complete() ? "true" : "false")
-          << ", \"detect_ms\": " << json_num(sim::to_ms(rec.detect_ns()));
+    Json reconciles = Json::array();
+    for (const fault::ElReconcileRecord& rec : r.report.el_reconciles) {
+      Json o = Json::object()
+                   .add("stale_shard", rec.stale_shard)
+                   .add("successor", rec.successor)
+                   .add("moved_ranks", rec.moved_ranks)
+                   .add("complete", rec.complete())
+                   .add("detect_ms", sim::to_ms(rec.detect_ns()));
       if (rec.complete()) {
-        out << ", \"split_ms\": " << json_num(sim::to_ms(rec.split_ns()))
-            << ", \"merge_ms\": " << json_num(sim::to_ms(rec.merge_ns()))
-            << ", \"merged_records\": " << rec.merged_records
-            << ", \"dup_dropped\": " << rec.dup_dropped;
+        o.add("split_ms", sim::to_ms(rec.split_ns()))
+            .add("merge_ms", sim::to_ms(rec.merge_ns()))
+            .add("merged_records", rec.merged_records)
+            .add("dup_dropped", rec.dup_dropped);
         if (rec.first_dup_rank >= 0) {
-          out << ", \"first_dup_rank\": " << rec.first_dup_rank
-              << ", \"first_dup_seq\": " << rec.first_dup_seq;
+          o.add("first_dup_rank", rec.first_dup_rank)
+              .add("first_dup_seq", rec.first_dup_seq);
         }
       }
-      out << "}";
+      reconciles.push(std::move(o));
     }
-    out << "]";
+    run.add("el_reconciles", std::move(reconciles));
   }
-  {
-    bool split_brain = false;
-    for (const ftapi::RankStats& s : r.report.rank_stats) {
-      split_brain = split_brain || s.el_dup_submissions != 0 ||
-                    s.el_reconciled_records != 0 || s.stale_acks_fenced != 0;
+  // Per-rank split-brain counters, emitted only when a run actually
+  // exercised the dual-log window so fault-free JSON keeps its shape.
+  const auto& ranks = r.report.rank_stats;
+  if (std::any_of(ranks.begin(), ranks.end(), [](const ftapi::RankStats& s) {
+        return s.el_dup_submissions != 0 || s.el_reconciled_records != 0 ||
+               s.stale_acks_fenced != 0;
+      })) {
+    Json rank_stats = Json::array();
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      rank_stats.push(Json::object()
+                          .add("rank", i)
+                          .add("el_dup_submissions", ranks[i].el_dup_submissions)
+                          .add("el_reconciled_records",
+                               ranks[i].el_reconciled_records)
+                          .add("stale_acks_fenced", ranks[i].stale_acks_fenced));
     }
-    // Per-rank split-brain counters, emitted only when a run actually
-    // exercised the dual-log window so fault-free JSON keeps its shape.
-    if (split_brain) {
-      out << ",\n";
-      key("rank_stats") << "[";
-      for (std::size_t i = 0; i < r.report.rank_stats.size(); ++i) {
-        const ftapi::RankStats& s = r.report.rank_stats[i];
-        if (i) out << ", ";
-        out << "{\"rank\": " << i
-            << ", \"el_dup_submissions\": " << s.el_dup_submissions
-            << ", \"el_reconciled_records\": " << s.el_reconciled_records
-            << ", \"stale_acks_fenced\": " << s.stale_acks_fenced << "}";
-      }
-      out << "]";
-    }
+    run.add("rank_stats", std::move(rank_stats));
   }
   if (r.has_reference) {
-    out << ",\n";
-    key("reference") << "{\"sim_time_s\": "
-                     << json_num(sim::to_sec(r.reference_time))
-                     << ", \"recovered_exact\": "
-                     << (r.recovered_exact ? "true" : "false") << "}";
+    run.add("reference", Json::object()
+                             .add("sim_time_s", sim::to_sec(r.reference_time))
+                             .add("recovered_exact", r.recovered_exact));
   }
   if (!r.trace_dump.empty()) {
-    out << ",\n";
-    key("trace") << "{\"records\": ";
     // Header + lane lines start with '#'; everything else is one record.
     std::uint64_t records = 0;
     bool line_start = true;
@@ -705,128 +610,92 @@ void write_run(std::ostringstream& out, const RunResult& r,
       line_start = ch == '\n';
       if (line_start && !comment) ++records;
     }
-    out << records;
-    if (!r.trace_path.empty()) {
-      out << ", \"path\": ";
-      json_escape(out, r.trace_path);
-    }
+    Json trace = Json::object().add("records", records);
+    if (!r.trace_path.empty()) trace.add("path", r.trace_path);
     if (!r.reference_trace_path.empty()) {
-      out << ", \"reference_path\": ";
-      json_escape(out, r.reference_trace_path);
+      trace.add("reference_path", r.reference_trace_path);
     }
-    out << "}";
+    run.add("trace", std::move(trace));
   }
   if (r.report.metrics.enabled) {
     const metrics::Snapshot& ms = r.report.metrics;
-    out << ",\n";
-    key("metrics") << "{\n";
-    out << indent << "    \"sample_interval_ns\": " << ms.sample_interval
-        << ",\n";
-    out << indent << "    \"counters\": {";
-    for (std::size_t i = 0; i < ms.counters.size(); ++i) {
-      if (i) out << ", ";
-      json_escape(out, ms.counters[i].first);
-      out << ": " << ms.counters[i].second;
+    Json counters = Json::object();
+    for (const auto& [name, v] : ms.counters) counters.add(name, v);
+    Json gauges = Json::object();
+    for (const auto& [name, v] : ms.gauges) gauges.add(name, v);
+    Json histograms = Json::object(/*block=*/true);
+    for (const metrics::HistogramSummary& h : ms.histograms) {
+      histograms.add(h.name, Json::object()
+                                 .add("count", h.count)
+                                 .add("mean", h.mean)
+                                 .add("min", h.min)
+                                 .add("max", h.max)
+                                 .add("p50", h.p50)
+                                 .add("p90", h.p90)
+                                 .add("p99", h.p99));
     }
-    out << "},\n";
-    out << indent << "    \"gauges\": {";
-    for (std::size_t i = 0; i < ms.gauges.size(); ++i) {
-      if (i) out << ", ";
-      json_escape(out, ms.gauges[i].first);
-      out << ": " << ms.gauges[i].second;
-    }
-    out << "},\n";
-    out << indent << "    \"histograms\": {";
-    for (std::size_t i = 0; i < ms.histograms.size(); ++i) {
-      const metrics::HistogramSummary& h = ms.histograms[i];
-      out << (i ? "," : "") << "\n" << indent << "      ";
-      json_escape(out, h.name);
-      out << ": {\"count\": " << h.count
-          << ", \"mean\": " << json_num(h.mean)
-          << ", \"min\": " << json_num(h.min)
-          << ", \"max\": " << json_num(h.max)
-          << ", \"p50\": " << json_num(h.p50)
-          << ", \"p90\": " << json_num(h.p90)
-          << ", \"p99\": " << json_num(h.p99) << "}";
-    }
-    if (!ms.histograms.empty()) out << "\n" << indent << "    ";
-    out << "},\n";
-    out << indent << "    \"series\": {\"columns\": [";
-    for (std::size_t i = 0; i < ms.series_columns.size(); ++i) {
-      if (i) out << ", ";
-      json_escape(out, ms.series_columns[i]);
-    }
-    out << "], \"rows\": " << ms.series_rows()
-        << ", \"dropped\": " << ms.series_dropped;
-    if (!r.metrics_csv_path.empty()) {
-      out << ", \"csv_path\": ";
-      json_escape(out, r.metrics_csv_path);
-    }
-    out << "}\n" << indent << "  }";
+    Json columns = Json::array();
+    for (const std::string& c : ms.series_columns) columns.push(c);
+    Json series = Json::object()
+                      .add("columns", std::move(columns))
+                      .add("rows", ms.series_rows())
+                      .add("dropped", ms.series_dropped);
+    if (!r.metrics_csv_path.empty()) series.add("csv_path", r.metrics_csv_path);
+    run.add("metrics", Json::object(/*block=*/true)
+                           .add("sample_interval_ns", ms.sample_interval)
+                           .add("counters", std::move(counters))
+                           .add("gauges", std::move(gauges))
+                           .add("histograms", std::move(histograms))
+                           .add("series", std::move(series)));
   }
   if (!r.pingpong.points.empty()) {
-    out << ",\n";
-    key("points") << "[";
-    for (std::size_t i = 0; i < r.pingpong.points.size(); ++i) {
-      const auto& p = r.pingpong.points[i];
-      if (i) out << ", ";
-      out << "{\"bytes\": " << p.bytes
-          << ", \"latency_us\": " << json_num(p.latency_us)
-          << ", \"bandwidth_mbps\": " << json_num(p.bandwidth_mbps) << "}";
+    Json points = Json::array();
+    for (const auto& p : r.pingpong.points) {
+      points.push(Json::object()
+                      .add("bytes", p.bytes)
+                      .add("latency_us", p.latency_us)
+                      .add("bandwidth_mbps", p.bandwidth_mbps));
     }
-    out << "]";
+    run.add("points", std::move(points));
   }
-  out << "\n" << indent << "}";
+  return run;
 }
 
-void write_set(std::ostringstream& out, const RunSet& set,
-               const std::string& indent) {
-  out << indent << "{\n";
-  out << indent << "  \"scenario\": ";
-  json_escape(out, set.scenario);
-  out << ",\n" << indent << "  \"origin\": ";
-  json_escape(out, set.origin);
-  out << ",\n" << indent << "  \"quick\": " << (set.quick ? "true" : "false");
+Json set_value(const RunSet& set) {
   const OutcomeCounts t = set.tally();
-  out << ",\n"
-      << indent << "  \"outcomes\": {\"recovered_exact\": " << t.recovered_exact
-      << ", \"completed\": " << t.completed
-      << ", \"completed_shrunk\": " << t.completed_shrunk
-      << ", \"abandoned\": " << t.abandoned << ", \"failed\": " << t.failed
-      << ", \"skipped\": " << t.skipped
-      << ", \"total\": " << t.total() << "}";
-  out << ",\n" << indent << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < set.runs.size(); ++i) {
-    write_run(out, set.runs[i], indent + "    ");
-    out << (i + 1 < set.runs.size() ? ",\n" : "\n");
-  }
-  out << indent << "  ]\n" << indent << "}";
+  Json runs = Json::array(/*block=*/true);
+  for (const RunResult& r : set.runs) runs.push(run_value(r));
+  return Json::object(/*block=*/true)
+      .add("scenario", set.scenario)
+      .add("origin", set.origin)
+      .add("quick", set.quick)
+      .add("outcomes", Json::object()
+                           .add("recovered_exact", t.recovered_exact)
+                           .add("completed", t.completed)
+                           .add("completed_shrunk", t.completed_shrunk)
+                           .add("abandoned", t.abandoned)
+                           .add("failed", t.failed)
+                           .add("skipped", t.skipped)
+                           .add("total", t.total()))
+      .add("runs", std::move(runs));
 }
 
 }  // namespace
 
 std::string run_json_fragment(const RunResult& r) {
-  std::ostringstream out;
-  write_run(out, r, "");
-  return out.str();
+  return util::write_json(run_value(r));
 }
 
 std::string to_json(const RunSet& set) {
-  std::ostringstream out;
-  write_set(out, set, "");
-  out << "\n";
-  return out.str();
+  return util::write_json(set_value(set)) + "\n";
 }
 
 std::string to_json(const std::vector<RunSet>& sets) {
-  std::ostringstream out;
-  out << "{\n  \"reports\": [\n";
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    write_set(out, sets[i], "    ");
-    out << (i + 1 < sets.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  return out.str();
+  Json reports = Json::array(/*block=*/true);
+  for (const RunSet& set : sets) reports.push(set_value(set));
+  return util::write_json(
+             Json::object(/*block=*/true).add("reports", std::move(reports))) +
+         "\n";
 }
 
 }  // namespace mpiv::scenario

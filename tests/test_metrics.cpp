@@ -277,31 +277,13 @@ TEST(Report, MetricsOnAndOffFingerprintsAreIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// stat.hpp: JSON parse, flatten, top-N, diff
-
-TEST(Stat, ParsesJsonPreservingMemberOrder) {
-  const metrics::Json doc = metrics::parse_json(
-      "{\"z\": 1.5, \"a\": [1, 2], \"s\": \"x\\u0041\", \"b\": true, "
-      "\"n\": null, \"o\": {\"k\": -3e2}}");
-  ASSERT_EQ(doc.kind, metrics::Json::Kind::kObject);
-  ASSERT_EQ(doc.members.size(), 6u);
-  EXPECT_EQ(doc.members[0].first, "z");  // file order, not sorted
-  EXPECT_EQ(doc.members[0].second.number, 1.5);
-  EXPECT_EQ(doc.members[1].second.items.size(), 2u);
-  EXPECT_EQ(doc.members[2].second.str, "xA");
-  EXPECT_TRUE(doc.members[3].second.boolean);
-  ASSERT_NE(doc.find("o"), nullptr);
-  EXPECT_EQ(doc.find("o")->find("k")->number, -300.0);
-  EXPECT_EQ(doc.find("missing"), nullptr);
-  EXPECT_THROW(metrics::parse_json("{\"a\": }"), std::runtime_error);
-  EXPECT_THROW(metrics::parse_json("[1, 2] trailing"), std::runtime_error);
-}
+// stat.hpp: flatten, top-N, diff
 
 TEST(Stat, ExtractsAndFlattensRealReports) {
   const scenario::RunResult r = run_small(/*metered=*/true);
   const std::string json =
       scenario::to_json(scenario::RunSet{"m", "t", false, {r}});
-  const metrics::Json doc = metrics::parse_json(json);
+  const util::Json doc = util::parse_json(json);
   const std::vector<metrics::RunMetrics> runs = metrics::extract_runs(doc);
   ASSERT_EQ(runs.size(), 1u);
   const metrics::RunMetrics& run = runs[0];
@@ -316,8 +298,8 @@ TEST(Stat, ExtractsAndFlattensRealReports) {
   const std::string multi = scenario::to_json(std::vector<scenario::RunSet>{
       scenario::RunSet{"m", "t", false, {r}},
       scenario::RunSet{"m2", "t", false, {r}}});
-  EXPECT_EQ(metrics::extract_runs(metrics::parse_json(multi)).size(), 2u);
-  EXPECT_THROW(metrics::extract_runs(metrics::parse_json("{}")),
+  EXPECT_EQ(metrics::extract_runs(util::parse_json(multi)).size(), 2u);
+  EXPECT_THROW(metrics::extract_runs(util::parse_json("{}")),
                std::runtime_error);
 }
 
@@ -345,7 +327,7 @@ TEST(Stat, DiffReportsZeroDriftOnIdenticalRunsAndFlagsChanges) {
   const scenario::RunResult r = run_small(/*metered=*/true);
   const std::string json =
       scenario::to_json(scenario::RunSet{"m", "t", false, {r}});
-  const metrics::Json a = metrics::parse_json(json);
+  const util::Json a = util::parse_json(json);
   // Self-diff: the determinism contract mpiv_stat --diff enforces in CI.
   const metrics::DiffResult self = metrics::diff_reports(a, a, 0.0);
   EXPECT_TRUE(self.clean());
@@ -358,7 +340,7 @@ TEST(Stat, DiffReportsZeroDriftOnIdenticalRunsAndFlagsChanges) {
   const std::size_t pos = bumped.find(needle);
   ASSERT_NE(pos, std::string::npos);
   bumped.insert(pos + needle.size(), "1");  // prepend a digit: ~10x change
-  const metrics::Json b = metrics::parse_json(bumped);
+  const util::Json b = util::parse_json(bumped);
   const metrics::DiffResult strict = metrics::diff_reports(a, b, 0.0);
   ASSERT_FALSE(strict.clean());
   EXPECT_EQ(strict.drifting[0].metric, "events_executed");
@@ -366,9 +348,9 @@ TEST(Stat, DiffReportsZeroDriftOnIdenticalRunsAndFlagsChanges) {
 
   // Runs present on only one side, and metrics present on only one side,
   // are reported rather than silently skipped.
-  const metrics::Json small_a = metrics::parse_json(
+  const util::Json small_a = util::parse_json(
       "{\"runs\": [{\"label\": \"x\", \"v\": 1, \"only_a\": 2}]}");
-  const metrics::Json small_b = metrics::parse_json(
+  const util::Json small_b = util::parse_json(
       "{\"runs\": [{\"label\": \"x\", \"v\": 1}, {\"label\": \"y\"}]}");
   const metrics::DiffResult lopsided =
       metrics::diff_reports(small_a, small_b, 0.0);

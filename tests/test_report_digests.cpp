@@ -26,6 +26,7 @@
 
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "util/json.hpp"
 
 namespace mpiv {
 namespace {
@@ -167,6 +168,15 @@ TEST(ReportDigests, EveryBundledReportMatchesItsPin) {
     EXPECT_EQ(fnv1a(scenario::to_json(set)), kPins[i].digest)
         << name << ": the report bytes moved";
     EXPECT_EQ(set.tally().degraded(), kPins[i].degraded) << name;
+  }
+}
+
+TEST(ReportDigests, EveryReportRoundTripsThroughTheCodec) {
+  // Parallel sweeps re-render each worker's run stanza through parse_json,
+  // so parsing any report and writing it back must reproduce its bytes.
+  for (const auto& [name, set] : pinned_reports()) {
+    const std::string json = scenario::to_json(set);
+    EXPECT_EQ(util::write_json(util::parse_json(json)) + "\n", json) << name;
   }
 }
 

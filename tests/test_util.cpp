@@ -1,13 +1,18 @@
 // Unit tests for util: RNG determinism & distributions, buffer round-trips,
-// sequence-window storage, slab recycling, statistics accumulators.
+// sequence-window storage, slab recycling, statistics accumulators, and
+// the JSON codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/buffer.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/seq_window.hpp"
 #include "util/slab.hpp"
@@ -390,6 +395,77 @@ TEST(Accumulator, EmptyIsZero) {
   EXPECT_EQ(a.count(), 0u);
   EXPECT_EQ(a.mean(), 0.0);
   EXPECT_EQ(a.variance(), 0.0);
+}
+
+TEST(Json, ParsesPreservingMemberOrderAndExactIntegers) {
+  const Json doc = parse_json(
+      "{\"z\": 1.5, \"a\": [1, 2], \"s\": \"x\\u0041\", \"b\": true, "
+      "\"n\": null, \"o\": {\"k\": -3e2, \"big\": 18446744073709551615, "
+      "\"neg\": -9223372036854775808}}");
+  ASSERT_EQ(doc.kind, Json::Kind::kObject);
+  ASSERT_EQ(doc.members.size(), 6u);
+  EXPECT_EQ(doc.members[0].first, "z");  // file order, not sorted
+  EXPECT_EQ(doc.members[0].second.number(), 1.5);
+  EXPECT_EQ(doc.members[1].second.items.size(), 2u);
+  EXPECT_EQ(doc.members[2].second.str, "xA");
+  EXPECT_TRUE(doc.members[3].second.boolean);
+  EXPECT_EQ(doc.members[4].second.kind, Json::Kind::kNull);
+  const Json* o = doc.find("o");
+  ASSERT_NE(o, nullptr);
+  EXPECT_EQ(o->find("k")->kind, Json::Kind::kDouble);
+  EXPECT_EQ(o->find("k")->number(), -300.0);
+  EXPECT_EQ(o->find("big")->u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(o->find("neg")->i, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(doc.find("missing"), nullptr);
+  EXPECT_THROW(parse_json("{\"a\": }"), std::runtime_error);
+  EXPECT_THROW(parse_json("[1, 2] trailing"), std::runtime_error);
+  EXPECT_THROW(parse_json("\"\\uzzzz\""), std::runtime_error);
+  EXPECT_THROW(parse_json("[1e]"), std::runtime_error);
+}
+
+TEST(Json, WriterLayoutIsTheReportLayout) {
+  Json inner = Json::object().add("n", 1).add("xs", Json::array().push(2).push(3));
+  Json hist = Json::object(/*block=*/true).add("h", Json::object().add("p", 0.5));
+  Json doc = Json::object(/*block=*/true)
+                 .add("inline", std::move(inner))
+                 .add("block", std::move(hist))
+                 .add("empty", Json::object(/*block=*/true))
+                 .add("runs", Json::array(/*block=*/true).push("a").push(true));
+  EXPECT_EQ(write_json(doc),
+            "{\n"
+            "  \"inline\": {\"n\": 1, \"xs\": [2, 3]},\n"
+            "  \"block\": {\n"
+            "    \"h\": {\"p\": 0.5}\n"
+            "  },\n"
+            "  \"empty\": {},\n"
+            "  \"runs\": [\n"
+            "    \"a\",\n"
+            "    true\n"
+            "  ]\n"
+            "}");
+}
+
+TEST(Json, ScalarsPrintExactlyOrAsTenDigitDoubles) {
+  EXPECT_EQ(write_json(std::numeric_limits<std::uint64_t>::max()),
+            "18446744073709551615");
+  EXPECT_EQ(write_json(std::int64_t{-42}), "-42");
+  EXPECT_EQ(write_json(1.0 / 3.0), "0.3333333333");
+  EXPECT_EQ(write_json(2.0), "2");
+  EXPECT_EQ(write_json(1e21), "1e+21");
+  EXPECT_EQ(write_json(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(write_json(std::nan("")), "null");
+  EXPECT_EQ(write_json("q\"\\\n\t\x01"), "\"q\\\"\\\\\\n\\t\\u0001\"");
+}
+
+TEST(Json, ParseThenWriteReproducesWriterOutput) {
+  Json doc = Json::object(/*block=*/true)
+                 .add("d", 0.1 + 0.2)
+                 .add("s", "tab\there")
+                 .add("nested", Json::array(/*block=*/true).push(
+                                    Json::object(/*block=*/true).add("k", -7)))
+                 .add("inline", Json::object().add("e", Json::array()));
+  const std::string text = write_json(doc);
+  EXPECT_EQ(write_json(parse_json(text)), text);
 }
 
 }  // namespace

@@ -35,12 +35,12 @@ void usage(std::FILE* out, const char* argv0) {
                argv0, argv0);
 }
 
-metrics::Json load(const std::string& path) {
+util::Json load(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open '" + path + "'");
   std::ostringstream body;
   body << f.rdbuf();
-  return metrics::parse_json(body.str());
+  return util::parse_json(body.str());
 }
 
 /// Summary prefixes worth echoing per run, beyond the metrics.* families
@@ -134,8 +134,8 @@ void print_top(const std::vector<metrics::RunMetrics>& runs, std::size_t n) {
 
 int diff(const std::string& path_a, const std::string& path_b,
          double tolerance) {
-  const metrics::Json a = load(path_a);
-  const metrics::Json b = load(path_b);
+  const util::Json a = load(path_a);
+  const util::Json b = load(path_b);
   const metrics::DiffResult res = metrics::diff_reports(a, b, tolerance);
   std::printf("compared %zu run(s), %zu metric(s), tolerance %g\n",
               res.runs_compared, res.metrics_compared, tolerance);
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
       usage(stderr, argv[0]);
       return 2;
     }
-    const metrics::Json doc = load(files[0]);
+    const util::Json doc = load(files[0]);
     const std::vector<metrics::RunMetrics> runs = metrics::extract_runs(doc);
     if (top_n > 0) {
       print_top(runs, static_cast<std::size_t>(top_n));
