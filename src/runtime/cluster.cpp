@@ -4,68 +4,25 @@
 #include <string>
 
 #include "fault/engine.hpp"
-#include "scenario/registry.hpp"
 
 namespace mpiv::runtime {
 
 namespace {
 
-/// Validates and normalizes a config before any member sizes anything off
-/// it (a bad nranks must hit these diagnostics, not a multi-GB allocation
-/// in Network / the stats vector).
-ClusterConfig validated(ClusterConfig cfg) {
-  MPIV_CHECK(cfg.nranks >= 1 && cfg.nranks <= 4096,
-             "nranks must be in [1, 4096] (got %d)", cfg.nranks);
-  MPIV_CHECK(cfg.el_shards >= 1, "el_shards must be >= 1 (got %d)",
-             cfg.el_shards);
-  MPIV_CHECK(cfg.el_shards <= cfg.nranks,
-             "el_shards (%d) cannot exceed nranks (%d)", cfg.el_shards,
-             cfg.nranks);
-  MPIV_CHECK(cfg.el_shards == 1 || cfg.event_logger,
-             "el_shards = %d requires event_logger = true (sharding a "
-             "disabled Event Logger is meaningless)",
-             cfg.el_shards);
-  MPIV_CHECK(cfg.el_standby >= 0 && cfg.el_standby <= 64,
-             "el_standby must be in [0, 64] (got %d)", cfg.el_standby);
-  MPIV_CHECK(cfg.el_standby == 0 || cfg.event_logger,
-             "el_standby = %d requires event_logger = true", cfg.el_standby);
-  MPIV_CHECK(cfg.protocol != ProtocolKind::kP4 ||
-                 (cfg.faults.empty() && cfg.faults_per_minute == 0.0 &&
-                  cfg.campaign.empty()),
-             "MPICH-P4 is not fault tolerant");
-  for (std::size_t i = 0; i < cfg.faults.size(); ++i) {
-    const FaultSpec& f = cfg.faults[i];
-    MPIV_CHECK(f.rank >= 0 && f.rank < cfg.nranks,
-               "fault plan names rank %d but only ranks 0..%d exist", f.rank,
-               cfg.nranks - 1);
-    MPIV_CHECK(f.at > 0, "fault for rank %d scheduled at t <= 0 (got %lld)",
-               f.rank, static_cast<long long>(f.at));
-    for (std::size_t j = 0; j < i; ++j) {
-      MPIV_CHECK(cfg.faults[j].rank != f.rank || cfg.faults[j].at != f.at,
-                 "duplicate fault: rank %d at t = %lld named twice", f.rank,
-                 static_cast<long long>(f.at));
-    }
-  }
-  // Campaign sanity through the shared rule set (fault/campaign.hpp): every
-  // injection must name a real target and an implementable trigger/action
-  // combination before anything is scheduled.
-  fault::validate_campaign(cfg.campaign, cfg.nranks,
-                           cfg.el_shards + cfg.el_standby, cfg.event_logger,
-                           [](const std::string& what) {
-                             MPIV_CHECK(false, "campaign: %s", what.c_str());
-                           });
-  if (cfg.protocol == ProtocolKind::kCoordinated &&
-      cfg.ckpt_policy != ckpt::Policy::kNone) {
-    // Coordinated checkpointing is a global wave by construction.
-    cfg.ckpt_policy = ckpt::Policy::kAllAtOnce;
-  }
+/// Rejects a bad config before any member sizes anything off it (a bad
+/// nranks must hit these diagnostics, not a multi-GB allocation in Network
+/// / the stats vector).
+ClusterConfig checked(ClusterConfig cfg) {
+  check_config(cfg, [](const std::string& what) {
+    MPIV_PANIC("invalid cluster config: %s", what.c_str());
+  });
   return cfg;
 }
 
 }  // namespace
 
 Cluster::Cluster(ClusterConfig cfg)
-    : cfg_(validated(std::move(cfg))),
+    : cfg_(checked(std::move(cfg))),
       layout_{cfg_.nranks, cfg_.el_shards + cfg_.el_standby},
       net_(eng_, layout_.total_nodes(), cfg_.cost),
       stats_(static_cast<std::size_t>(cfg_.nranks)) {
@@ -129,19 +86,21 @@ Cluster::Cluster(ClusterConfig cfg)
   hooks.service_retry = cfg_.campaign.empty() ? 0 : cfg_.campaign.service_retry;
   hooks.trace = trace_.get();
 
-  const net::ChannelKind channel = cfg_.protocol == ProtocolKind::kP4
-                                       ? net::ChannelKind::kP4
-                                       : net::ChannelKind::kV;
+  const ProtocolEntry& protocol = protocol_entry(cfg_.protocol);
   for (int r = 0; r < cfg_.nranks; ++r) {
     ranks_.push_back(std::make_unique<mpi::RankRuntime>(
-        eng_, net_, layout_, r, channel, make_protocol(),
+        eng_, net_, layout_, r, protocol.channel, protocol.make(cfg_),
         &stats_[static_cast<std::size_t>(r)], cfg_.seed, hooks));
     ranks_.back()->set_process(
         &eng_.create_process("rank" + std::to_string(r)));
   }
   ckpt_ = std::make_unique<ckpt::CheckpointServer>(net_, layout_);
+  const ckpt::Policy policy =
+      protocol.global_waves && cfg_.ckpt_policy != ckpt::Policy::kNone
+          ? ckpt::Policy::kAllAtOnce
+          : cfg_.ckpt_policy;
   sched_ = std::make_unique<ckpt::CheckpointScheduler>(
-      net_, layout_, cfg_.ckpt_policy, cfg_.ckpt_interval, cfg_.seed);
+      net_, layout_, policy, cfg_.ckpt_interval, cfg_.seed);
   arm_metrics();
 }
 
@@ -225,22 +184,12 @@ void Cluster::arm_metrics() {
 
 Cluster::~Cluster() = default;
 
-std::unique_ptr<ftapi::VProtocol> Cluster::make_protocol() const {
-  return scenario::protocol_entry(cfg_.protocol).make(cfg_);
-}
-
 std::string Cluster::protocol_label() const {
-  return scenario::protocol_entry(cfg_.protocol).label(cfg_);
+  return protocol_entry(cfg_.protocol).label(cfg_.strategy, cfg_.event_logger);
 }
 
 ClusterReport Cluster::run(mpi::AppFactory factory) {
-  RecoveryMode mode = RecoveryMode::kRestart;
-  switch (cfg_.protocol) {
-    case ProtocolKind::kCoordinated: mode = RecoveryMode::kCoordinated; break;
-    case ProtocolKind::kReplica: mode = RecoveryMode::kPromote; break;
-    case ProtocolKind::kUlfm: mode = RecoveryMode::kShrink; break;
-    default: break;
-  }
+  const RecoveryMode mode = protocol_entry(cfg_.protocol).recovery;
   dispatcher_ = std::make_unique<Dispatcher>(
       net_, layout_, [this] {
         std::vector<mpi::RankRuntime*> v;

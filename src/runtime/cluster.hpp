@@ -89,6 +89,105 @@ struct ClusterConfig {
   sim::Time max_sim_time = 4L * 3600 * sim::kSecond;
 };
 
+/// A protocol's descriptor: the traits the runtime and the scenario layer
+/// read instead of switching on ProtocolKind, plus how to instantiate its
+/// per-rank VProtocol. scenario/registry.cpp registers one per kind.
+struct ProtocolEntry {
+  ProtocolKind kind;
+  const char* name;     // registry and variant name ("replica", "causal")
+  const char* display;  // report label; a causal label names the strategy
+  const char* summary;
+  bool fault_tolerant;
+  /// Causal message logging: takes a piggyback strategy and honours
+  /// payload_at_sender.
+  bool causal;
+  /// kP4 is the direct channel, outside the daemon's fault tolerance: no
+  /// fault plan may run on it.
+  net::ChannelKind channel;
+  /// How the dispatcher answers a rank crash.
+  RecoveryMode recovery;
+  /// Checkpoints are global waves: any set policy checkpoints every rank
+  /// at once.
+  bool global_waves;
+  std::unique_ptr<ftapi::VProtocol> (*make)(const ClusterConfig&);
+
+  /// The variant as `.scn` files name it ("replica", "manetho:noel").
+  std::string variant_name(causal::StrategyKind strategy,
+                           bool event_logger) const;
+  /// The report label ("Replica hybrid", "Manetho (no EL)").
+  std::string label(causal::StrategyKind strategy, bool event_logger) const;
+};
+
+/// The registered descriptor of `kind` (panics on an unregistered kind).
+const ProtocolEntry& protocol_entry(ProtocolKind kind);
+
+/// The cross-field rules every ClusterConfig obeys, shared by the two
+/// front doors: scenario::validate reports each violation as a SpecError,
+/// the Cluster constructor panics. `fail` receives one message per
+/// violated rule (and may throw).
+template <class Fail>
+void check_config(const ClusterConfig& cfg, Fail&& fail) {
+  using std::to_string;
+  if (cfg.nranks < 1 || cfg.nranks > 4096) {
+    fail("nranks must be in [1, 4096] (got " + to_string(cfg.nranks) + ")");
+  }
+  if (cfg.el_shards < 1) {
+    fail("el_shards must be >= 1 (got " + to_string(cfg.el_shards) + ")");
+  }
+  if (cfg.el_shards > cfg.nranks) {
+    fail("el_shards (" + to_string(cfg.el_shards) + ") cannot exceed nranks (" +
+         to_string(cfg.nranks) + ")");
+  }
+  const ProtocolEntry& p = protocol_entry(cfg.protocol);
+  const auto needs_el = [&](const char* knob, int n) {
+    fail(std::string(knob) + " = " + to_string(n) +
+         " requires event_logger = true, but variant '" +
+         p.variant_name(cfg.strategy, cfg.event_logger) +
+         "' disables the event logger");
+  };
+  // One shard is no sharding, so it stays legal without an event logger.
+  if (cfg.el_shards > 1 && !cfg.event_logger) needs_el("el_shards", cfg.el_shards);
+  if (cfg.el_standby < 0 || cfg.el_standby > 64) {
+    fail("el_standby must be in [0, 64] (got " + to_string(cfg.el_standby) +
+         ")");
+  }
+  if (cfg.el_standby > 0 && !cfg.event_logger) {
+    needs_el("el_standby", cfg.el_standby);
+  }
+  if (p.channel == net::ChannelKind::kP4 &&
+      (!cfg.faults.empty() || cfg.faults_per_minute != 0.0 ||
+       !cfg.campaign.empty())) {
+    fail(std::string(p.display) +
+         " is not fault tolerant — remove the fault plan");
+  }
+  for (std::size_t i = 0; i < cfg.faults.size(); ++i) {
+    const FaultSpec& f = cfg.faults[i];
+    if (f.rank < 0 || f.rank >= cfg.nranks) {
+      fail("fault plan names rank " + to_string(f.rank) + " but only ranks 0.." +
+           to_string(cfg.nranks - 1) + " exist");
+    }
+    if (f.at <= 0) {
+      fail("fault for rank " + to_string(f.rank) + " scheduled at t <= 0 (got " +
+           to_string(f.at) + ")");
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (cfg.faults[j].rank == f.rank && cfg.faults[j].at == f.at) {
+        fail("duplicate fault: rank " + to_string(f.rank) + " at t = " +
+             to_string(f.at) + "ns named twice");
+      }
+    }
+  }
+  // Every injection must name a real target and an implementable
+  // trigger/action combination before anything is scheduled.
+  fault::validate_campaign(cfg.campaign, cfg.nranks,
+                           cfg.el_shards + cfg.el_standby, cfg.event_logger,
+                           fail);
+  if (cfg.payload_at_sender && !p.causal) {
+    fail("payload_at_sender is a causal-logging knob but variant '" +
+         p.variant_name(cfg.strategy, cfg.event_logger) + "' is not causal");
+  }
+}
+
 struct ClusterReport {
   bool completed = false;
   sim::Time completion_time = 0;
@@ -158,7 +257,6 @@ class Cluster {
   ClusterReport run(mpi::AppFactory factory);
 
  private:
-  std::unique_ptr<ftapi::VProtocol> make_protocol() const;
   void arm_metrics();
   void fold_metrics(ClusterReport& rep);
 

@@ -22,8 +22,6 @@ namespace mpiv::scenario {
 
 namespace {
 
-std::string fixed_label(const char* s) { return s; }
-
 std::vector<std::uint64_t> parse_size_list(const std::string& csv) {
   std::vector<std::uint64_t> sizes;
   std::size_t pos = 0;
@@ -104,78 +102,62 @@ bool nas_ranks_valid(const ScenarioSpec& spec, std::string* why) {
   return false;
 }
 
+template <class P>
+std::unique_ptr<ftapi::VProtocol> make_plain(const runtime::ClusterConfig&) {
+  return std::make_unique<P>();
+}
+
 }  // namespace
 
 Registry<ProtocolEntry>& protocols() {
+  using net::ChannelKind;
+  using runtime::ProtocolKind;
+  using runtime::RecoveryMode;
   static Registry<ProtocolEntry>* reg = [] {
     auto* r = new Registry<ProtocolEntry>("protocol");
-    r->add("p4",
-           {runtime::ProtocolKind::kP4,
-            "MPICH-P4 reference: direct channel, no fault tolerance",
-            /*fault_tolerant=*/false,
-            [](const runtime::ClusterConfig&) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<ftapi::Vdummy>();
-            },
-            [](const runtime::ClusterConfig&) { return fixed_label("MPICH-P4"); }});
-    r->add("vdummy",
-           {runtime::ProtocolKind::kVdummy,
-            "MPICH-V framework without fault tolerance",
-            /*fault_tolerant=*/false,
-            [](const runtime::ClusterConfig&) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<ftapi::Vdummy>();
-            },
-            [](const runtime::ClusterConfig&) { return fixed_label("MPICH-Vdummy"); }});
-    r->add("causal",
-           {runtime::ProtocolKind::kCausal,
-            "causal message logging (strategy selects the reduction)",
-            /*fault_tolerant=*/true,
-            [](const runtime::ClusterConfig& cfg) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<causal::CausalProtocol>(
-                  cfg.strategy, cfg.event_logger, cfg.payload_at_sender);
-            },
-            [](const runtime::ClusterConfig& cfg) {
-              return std::string(causal::strategy_kind_name(cfg.strategy)) +
-                     (cfg.event_logger ? " (EL)" : " (no EL)");
-            }});
-    r->add("pessimistic",
-           {runtime::ProtocolKind::kPessimistic,
-            "MPICH-V2-style pessimistic logging",
-            /*fault_tolerant=*/true,
-            [](const runtime::ClusterConfig&) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<pessimist::PessimisticProtocol>();
-            },
-            [](const runtime::ClusterConfig&) { return fixed_label("Pessimistic"); }});
-    r->add("coordinated",
-           {runtime::ProtocolKind::kCoordinated,
-            "Chandy-Lamport coordinated checkpointing",
-            /*fault_tolerant=*/true,
-            [](const runtime::ClusterConfig&) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<coord::CoordinatedProtocol>();
-            },
-            [](const runtime::ClusterConfig&) {
-              return fixed_label("Coordinated (Chandy-Lamport)");
-            }});
-    r->add("replica",
-           {runtime::ProtocolKind::kReplica,
-            "replication hybrid: hot shadow absorbs the crash, no rollback",
-            /*fault_tolerant=*/true,
-            [](const runtime::ClusterConfig& cfg) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<replica::ReplicaProtocol>(
-                  cfg.replica_sync_interval);
-            },
-            [](const runtime::ClusterConfig&) {
-              return fixed_label("Replica hybrid");
-            }});
-    r->add("ulfm",
-           {runtime::ProtocolKind::kUlfm,
-            "ULFM-style shrink-and-repair: survivors rebuild and continue",
-            /*fault_tolerant=*/true,
-            [](const runtime::ClusterConfig&) -> std::unique_ptr<ftapi::VProtocol> {
-              return std::make_unique<ulfm::UlfmProtocol>();
-            },
-            [](const runtime::ClusterConfig&) {
-              return fixed_label("ULFM shrink-and-repair");
-            }});
+    // Fields: kind, name, display, summary, fault_tolerant, causal,
+    // channel, recovery, global_waves, make.
+    for (const ProtocolEntry& e : std::initializer_list<ProtocolEntry>{
+             {ProtocolKind::kP4, "p4", "MPICH-P4",
+              "MPICH-P4 reference: direct channel, no fault tolerance", false,
+              false, ChannelKind::kP4, RecoveryMode::kRestart, false,
+              make_plain<ftapi::Vdummy>},
+             {ProtocolKind::kVdummy, "vdummy", "MPICH-Vdummy",
+              "MPICH-V framework without fault tolerance", false, false,
+              ChannelKind::kV, RecoveryMode::kRestart, false,
+              make_plain<ftapi::Vdummy>},
+             {ProtocolKind::kCausal, "causal", "causal",
+              "causal message logging (strategy selects the reduction)", true,
+              true, ChannelKind::kV, RecoveryMode::kRestart, false,
+              [](const runtime::ClusterConfig& cfg)
+                  -> std::unique_ptr<ftapi::VProtocol> {
+                return std::make_unique<causal::CausalProtocol>(
+                    cfg.strategy, cfg.event_logger, cfg.payload_at_sender);
+              }},
+             {ProtocolKind::kPessimistic, "pessimistic", "Pessimistic",
+              "MPICH-V2-style pessimistic logging", true, false,
+              ChannelKind::kV, RecoveryMode::kRestart, false,
+              make_plain<pessimist::PessimisticProtocol>},
+             {ProtocolKind::kCoordinated, "coordinated",
+              "Coordinated (Chandy-Lamport)",
+              "Chandy-Lamport coordinated checkpointing", true, false,
+              ChannelKind::kV, RecoveryMode::kCoordinated, true,
+              make_plain<coord::CoordinatedProtocol>},
+             {ProtocolKind::kReplica, "replica", "Replica hybrid",
+              "replication hybrid: hot shadow absorbs the crash, no rollback",
+              true, false, ChannelKind::kV, RecoveryMode::kPromote, false,
+              [](const runtime::ClusterConfig& cfg)
+                  -> std::unique_ptr<ftapi::VProtocol> {
+                return std::make_unique<replica::ReplicaProtocol>(
+                    cfg.replica_sync_interval);
+              }},
+             {ProtocolKind::kUlfm, "ulfm", "ULFM shrink-and-repair",
+              "ULFM-style shrink-and-repair: survivors rebuild and continue",
+              true, false, ChannelKind::kV, RecoveryMode::kShrink, false,
+              make_plain<ulfm::UlfmProtocol>},
+         }) {
+      r->add(e.name, e);
+    }
     return r;
   }();
   return *reg;
@@ -290,15 +272,6 @@ Registry<WorkloadEntry>& workload_registry() {
 // Kind-based lookups serve internal callers holding the lowered enums; a
 // miss there is a corrupted enum, not user input, so it panics like the
 // switch defaults it replaced (name-based lookups throw SpecError).
-const ProtocolEntry& protocol_entry(runtime::ProtocolKind kind) {
-  const ProtocolEntry* e = protocols().find_if(
-      [kind](const ProtocolEntry& p) { return p.kind == kind; });
-  if (e == nullptr) {
-    MPIV_PANIC("no registered protocol for kind %d", static_cast<int>(kind));
-  }
-  return *e;
-}
-
 const StrategyEntry& strategy_entry(causal::StrategyKind kind) {
   const StrategyEntry* e = strategies().find_if(
       [kind](const StrategyEntry& s) { return s.kind == kind; });
@@ -318,53 +291,75 @@ VariantSpec parse_variant(const std::string& name) {
     suffix = name.substr(colon + 1);
   }
 
+  const ProtocolEntry* p = nullptr;
   if (const StrategyEntry* s = strategies().find(head)) {
     // Causal variant: "<strategy>[:el|:noel]", EL on by default.
-    v.protocol = runtime::ProtocolKind::kCausal;
+    p = protocols().find_if([](const ProtocolEntry& e) { return e.causal; });
     v.strategy = s->kind;
-    if (suffix.empty() || suffix == "el") {
-      v.event_logger = true;
-    } else if (suffix == "noel") {
+    if (suffix == "noel") {
       v.event_logger = false;
-    } else {
+    } else if (!suffix.empty() && suffix != "el") {
       throw SpecError("bad variant suffix ':" + suffix + "' in '" + name +
                       "' (use :el or :noel)");
     }
-    v.label = std::string(s->display) + (v.event_logger ? " (EL)" : " (no EL)");
-    return v;
-  }
-
-  if (!suffix.empty()) {
+  } else if (!suffix.empty()) {
     throw SpecError("variant suffix ':" + suffix + "' is only valid for "
                     "causal strategies, not '" + head + "'");
-  }
-  const ProtocolEntry* p = protocols().find(head);
-  if (p == nullptr || p->kind == runtime::ProtocolKind::kCausal) {
-    std::string msg = "unknown variant '" + name + "' (registered: ";
-    bool first = true;
-    for (const auto& [n, e] : protocols().entries()) {
-      if (e.kind == runtime::ProtocolKind::kCausal) continue;
-      if (!first) msg += ", ";
-      msg += n;
-      first = false;
+  } else {
+    p = protocols().find(head);
+    if (p == nullptr || p->causal) {
+      std::string msg = "unknown variant '" + name + "' (registered: ";
+      bool first = true;
+      for (const auto& [n, e] : protocols().entries()) {
+        if (e.causal) continue;
+        if (!first) msg += ", ";
+        msg += n;
+        first = false;
+      }
+      for (const auto& entry : strategies().entries()) {
+        msg += ", " + entry.first + "[:el|:noel]";
+      }
+      msg += ")";
+      throw SpecError(msg);
     }
-    for (const auto& entry : strategies().entries()) {
-      msg += ", " + entry.first + "[:el|:noel]";
-    }
-    msg += ")";
-    throw SpecError(msg);
+    // Non-causal protocols ignore the strategy; EL stays on so the default
+    // lowering matches a hand-built ClusterConfig.
   }
   v.protocol = p->kind;
-  // Non-causal protocols ignore the strategy; EL stays on so the default
-  // lowering matches a hand-built ClusterConfig.
-  v.event_logger = true;
-  runtime::ClusterConfig tmp;
-  tmp.protocol = p->kind;
-  v.label = p->label(tmp);
+  v.label = p->label(v.strategy, v.event_logger);
   return v;
 }
 
 }  // namespace mpiv::scenario
+
+namespace mpiv::runtime {
+
+const ProtocolEntry& protocol_entry(ProtocolKind kind) {
+  const ProtocolEntry* e = scenario::protocols().find_if(
+      [kind](const ProtocolEntry& p) { return p.kind == kind; });
+  if (e == nullptr) {
+    MPIV_PANIC("no registered protocol for kind %d", static_cast<int>(kind));
+  }
+  return *e;
+}
+
+std::string ProtocolEntry::variant_name(causal::StrategyKind strategy,
+                                        bool event_logger) const {
+  if (!causal) return name;
+  for (const auto& [n, s] : scenario::strategies().entries()) {
+    if (s.kind == strategy) return n + (event_logger ? ":el" : ":noel");
+  }
+  return "?";
+}
+
+std::string ProtocolEntry::label(causal::StrategyKind strategy,
+                                 bool event_logger) const {
+  if (!causal) return display;
+  return std::string(causal::strategy_kind_name(strategy)) +
+         (event_logger ? " (EL)" : " (no EL)");
+}
+
+}  // namespace mpiv::runtime
 
 namespace mpiv::causal {
 

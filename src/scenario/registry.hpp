@@ -75,15 +75,8 @@ class Registry {
   std::vector<std::pair<std::string, Entry>> entries_;
 };
 
-/// Protocol registry payload: how to instantiate the per-rank VProtocol
-/// for a lowered config, and how to label it in reports.
-struct ProtocolEntry {
-  runtime::ProtocolKind kind;
-  const char* summary;
-  bool fault_tolerant;
-  std::unique_ptr<ftapi::VProtocol> (*make)(const runtime::ClusterConfig&);
-  std::string (*label)(const runtime::ClusterConfig&);
-};
+/// Protocol registry payload: the runtime's protocol descriptor.
+using runtime::ProtocolEntry;
 
 /// Strategy registry payload: the causal piggyback-reduction strategies.
 struct StrategyEntry {
@@ -118,9 +111,7 @@ Registry<ProtocolEntry>& protocols();
 Registry<StrategyEntry>& strategies();
 Registry<WorkloadEntry>& workload_registry();
 
-/// Entry lookup by lowered enum (used by runtime::Cluster, which holds the
-/// compact ClusterConfig rather than names).
-const ProtocolEntry& protocol_entry(runtime::ProtocolKind kind);
+/// Entry lookup by lowered enum (protocols: runtime::protocol_entry).
 const StrategyEntry& strategy_entry(causal::StrategyKind kind);
 
 }  // namespace mpiv::scenario

@@ -330,34 +330,12 @@ void add_rate_stream(S& s, const std::string& key, const std::string& value,
 
 // --- variant helpers -------------------------------------------------------
 
-std::string protocol_name(runtime::ProtocolKind kind) {
-  for (const auto& entry : protocols().entries()) {
-    if (entry.second.kind == kind) return entry.first;
-  }
-  return "?";
-}
-
-std::string strategy_name(causal::StrategyKind kind) {
-  for (const auto& entry : strategies().entries()) {
-    if (entry.second.kind == kind) return entry.first;
-  }
-  return "?";
-}
-
 /// Recomputes the canonical name + label after a piecemeal edit
 /// (protocol / strategy / event_logger keys).
 void refresh_variant(VariantSpec& v) {
-  if (v.protocol == runtime::ProtocolKind::kCausal) {
-    const StrategyEntry& s = strategy_entry(v.strategy);
-    v.name = strategy_name(v.strategy) + (v.event_logger ? ":el" : ":noel");
-    v.label = std::string(s.display) + (v.event_logger ? " (EL)" : " (no EL)");
-  } else {
-    const ProtocolEntry& p = protocol_entry(v.protocol);
-    v.name = protocol_name(v.protocol);
-    runtime::ClusterConfig tmp;
-    tmp.protocol = v.protocol;
-    v.label = p.label(tmp);
-  }
+  const runtime::ProtocolEntry& p = runtime::protocol_entry(v.protocol);
+  v.name = p.variant_name(v.strategy, v.event_logger);
+  v.label = p.label(v.strategy, v.event_logger);
 }
 
 // --- the key table ---------------------------------------------------------
