@@ -30,8 +30,8 @@ struct FaultSpec {
   int rank = 0;
 };
 
-/// How the dispatcher answers a rank crash (lowered from the protocol
-/// family — scenario::lower / Cluster::run pick it from ProtocolKind).
+/// How the dispatcher answers a rank crash (a protocol descriptor trait,
+/// ProtocolEntry::recovery).
 enum class RecoveryMode : std::uint8_t {
   kRestart,      // message logging: restart the victim, replay its log
   kCoordinated,  // global rollback to the last complete snapshot

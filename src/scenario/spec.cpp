@@ -15,6 +15,7 @@
 #include <variant>
 
 #include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 
 namespace mpiv::scenario {
 
@@ -426,18 +427,18 @@ constexpr KeyRow kKeys[] = {
      }},
     {.doc = {"nranks", "scenario", "<int 1..4096>", "8",
              "compute ranks (MPI process + communication daemon each)"},
-     .field = MEMBER(nranks), .lead = true, .lo = 1, .hi = 4096},
+     .field = MEMBER(nranks), .lead = true},
     {.doc = {"el_shards", "scenario", "<int >= 1>", "2",
              "Event Logger shards (at most nranks; > 1 needs the EL)"},
      .field = MEMBER(el_shards),
-     .shown = [](const S& s) { return s.el_shards_set; }, .lo = 1,
+     .shown = [](const S& s) { return s.el_shards_set; },
      .apply = [](S& s, const std::string& k, const std::string& v) {
        s.el_shards = parse_int(k, v);
        s.el_shards_set = true;
      }},
     {.doc = {"el_standby", "scenario", "<int 0..64>", "1",
              "cold standby EL shard nodes (failover targets)"},
-     .field = MEMBER(el_standby), .lo = 0, .hi = 64},
+     .field = MEMBER(el_standby)},
     {.doc = {"seed", "scenario", "<u64>", "7",
              "master seed: workload RNG, checkpoint scheduler, fault streams"},
      .field = MEMBER(seed), .lead = true},
@@ -1097,6 +1098,9 @@ void validate(const ScenarioSpec& spec) {
   auto fail = [&spec](const std::string& what) {
     throw SpecError("scenario '" + spec.name + "': " + what);
   };
+  // The rules every cluster config obeys, on the config this spec lowers
+  // to; the rest are the scenario's own.
+  runtime::check_config(lower(spec), fail);
   // Per-field bounds, straight from the key table.
   for (const KeyRow& row : kKeys) {
     if (row.lo == -kInf && row.hi == kInf) continue;
@@ -1117,54 +1121,15 @@ void validate(const ScenarioSpec& spec) {
       }
     });
   }
-  // Cross-field rules.
-  if (spec.el_shards > spec.nranks) {
-    fail("el_shards (" + std::to_string(spec.el_shards) +
-         ") cannot exceed nranks (" + std::to_string(spec.nranks) + ")");
-  }
-  if (spec.el_shards_set && spec.el_shards > 1 && !spec.variant.event_logger) {
-    // Mirrors the Cluster-level check: one shard means no sharding, so an
-    // explicit el_shards = 1 stays legal without an event logger.
-    fail("el_shards = " + std::to_string(spec.el_shards) + " but variant '" +
-         spec.variant.name +
-         "' disables the event logger — sharding needs event_logger = true");
-  }
-  if (spec.el_standby > 0 && !spec.variant.event_logger) {
-    fail("el_standby = " + std::to_string(spec.el_standby) + " but variant '" +
-         spec.variant.name + "' disables the event logger");
-  }
-  if (spec.variant.protocol == runtime::ProtocolKind::kP4 &&
-      spec.faults.any()) {
-    fail("MPICH-P4 is not fault tolerant — remove the fault plan");
-  }
-  for (std::size_t i = 0; i < spec.faults.faults.size(); ++i) {
-    const runtime::FaultSpec& f = spec.faults.faults[i];
-    if (f.rank < 0 || f.rank >= spec.nranks) {
-      fail("fault plan names rank " + std::to_string(f.rank) +
-           " but only ranks 0.." + std::to_string(spec.nranks - 1) + " exist");
-    }
-    if (f.at <= 0) fail("fault time must be > 0");
-    for (std::size_t j = 0; j < i; ++j) {
-      if (spec.faults.faults[j].rank == f.rank &&
-          spec.faults.faults[j].at == f.at) {
-        fail("duplicate fault: rank " + std::to_string(f.rank) + " at t = " +
-             std::to_string(f.at) + "ns named twice");
-      }
-    }
-  }
+  // The midrun crash joins the fault plan only after its reference pass.
   if (spec.faults.midrun_rank >= spec.nranks) {
     fail("midrun fault names rank " + std::to_string(spec.faults.midrun_rank) +
          " but only ranks 0.." + std::to_string(spec.nranks - 1) + " exist");
   }
-  // Campaign sanity through the shared rule set (fault/campaign.hpp) —
-  // scenario files must fail with a reportable SpecError, not an abort.
-  fault::validate_campaign(spec.faults.campaign, spec.nranks,
-                           spec.el_shards + spec.el_standby,
-                           spec.variant.event_logger, fail);
-  if (spec.payload_at_sender &&
-      spec.variant.protocol != runtime::ProtocolKind::kCausal) {
-    fail("payload_at_sender is a causal-logging knob but variant '" +
-         spec.variant.name + "' is not causal");
+  const runtime::ProtocolEntry& p = runtime::protocol_entry(spec.variant.protocol);
+  if (spec.faults.midrun_rank >= 0 && p.channel == net::ChannelKind::kP4) {
+    fail(std::string(p.display) +
+         " is not fault tolerant — remove the midrun fault");
   }
   const WorkloadEntry& wl = workload_registry().at(spec.workload.name);
   for (const auto& [param, value] : spec.workload.params) {
