@@ -1,6 +1,5 @@
 // Fork-based worker pool for sweep execution (internal to the scenario
-// layer; the public entry point is run() with RunOptions::jobs or the
-// spec's runner.parallelism).
+// layer; the public entry point is run() with RunOptions::jobs).
 #pragma once
 
 #include <vector>

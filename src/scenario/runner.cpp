@@ -358,13 +358,11 @@ RunSet run(const ScenarioSpec& spec, const RunOptions& options) {
   set.origin = "<builder>";
   set.quick = options.quick;
   const std::vector<RunPoint> points = expand(resolved);
-  const int jobs =
-      options.jobs > 0 ? options.jobs : resolved.runner_parallelism;
-  if (jobs > 1 && points.size() > 1) {
+  if (options.jobs > 1 && points.size() > 1) {
     // Fan the grid across forked workers; results come back in sweep order
     // carrying prerendered JSON stanzas, so the report is byte-identical
     // to the serial loop below.
-    set.runs = detail::run_points_parallel(points, jobs, options);
+    set.runs = detail::run_points_parallel(points, options.jobs, options);
     return set;
   }
   for (const RunPoint& p : points) {

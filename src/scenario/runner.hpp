@@ -165,9 +165,9 @@ struct RunOptions {
   /// fires in sweep order; parallel mode fires in completion order (the
   /// report itself is reassembled in sweep order either way).
   std::function<void(const RunPoint&, const RunResult&)> on_result;
-  /// Worker count: 0 = take the spec's runner.parallelism, 1 = the serial
-  /// in-process path, > 1 = fan points across that many forked workers.
-  int jobs = 0;
+  /// Worker count: 1 = the serial in-process path, > 1 = fan points across
+  /// that many forked workers.
+  int jobs = 1;
   /// Test hook, parallel mode only: runs inside the worker right before a
   /// point executes (used to induce deterministic worker crashes).
   std::function<void(const RunPoint&)> before_point;

@@ -463,9 +463,6 @@ constexpr KeyRow kKeys[] = {
     {.doc = {"ulfm.repair_cost", "scenario", "<duration>", "7ms",
              "ULFM agreement + communicator-rebuild window"},
      .field = MEMBER(ulfm_repair_cost), .lo = 0},
-    {.doc = {"runner.parallelism", "scenario", "<int 1..1024>", "4",
-             "forked workers for the sweep (same report bytes)"},
-     .field = MEMBER(runner_parallelism), .lo = 1, .hi = 1024},
     {.doc = {"payload_at_sender", "scenario", "<bool>", "true",
              "causal only: keep logged payloads in sender memory"},
      .field = MEMBER(payload_at_sender)},

@@ -126,13 +126,6 @@ struct ScenarioSpec {
   /// Directory for per-run time-series CSV files ("" = JSON summary only).
   std::string metrics_dir;
 
-  /// Sweep-point fan-out (`runner.parallelism`): how many forked workers
-  /// run() may spread the expanded grid across. 1 = in-process serial
-  /// execution; mpiv_run --jobs overrides it. The report is byte-identical
-  /// either way — workers ship back prerendered results reassembled in
-  /// sweep order.
-  int runner_parallelism = 1;
-
   WorkloadSpec workload;
 
   /// Cartesian sweep axes in declaration order: each key is any scalar
@@ -417,11 +410,6 @@ class ScenarioBuilder {
   /// faulty run — the chaos-soak outcome classifier).
   ScenarioBuilder& compare_reference(bool on = true) {
     spec_.compare_reference = on;
-    return *this;
-  }
-  /// Fan the expanded sweep across N forked workers (1 = serial).
-  ScenarioBuilder& runner_parallelism(int jobs) {
-    spec_.runner_parallelism = jobs;
     return *this;
   }
   /// Per-rank trace lanes (merged stream in the report / trace_dir files).

@@ -315,36 +315,6 @@ TEST(ScenarioFile, FamilyKeysRoundTripAndStayOutOfDefaultText) {
             std::string::npos);
 }
 
-TEST(ScenarioFile, RunnerParallelismRoundTripsAndIsBounded) {
-  const ScenarioSpec spec = scenario::parse_scenario_text(
-      "variant = vcausal:el\n"
-      "runner.parallelism = 4\n");
-  EXPECT_EQ(spec.runner_parallelism, 4);
-
-  const std::string text = scenario::to_scenario_text(spec);
-  EXPECT_NE(text.find("runner.parallelism = 4"), std::string::npos) << text;
-  EXPECT_EQ(scenario::parse_scenario_text(text).runner_parallelism, 4);
-
-  // The default (serial) stays out of emitted text.
-  EXPECT_EQ(scenario::to_scenario_text(ScenarioBuilder("plain").build())
-                .find("runner.parallelism"),
-            std::string::npos);
-
-  // validate() bounds the worker count on both sides.
-  for (const char* bad : {"runner.parallelism = 0\n",
-                          "runner.parallelism = -2\n",
-                          "runner.parallelism = 4096\n"}) {
-    EXPECT_NE(error_of([bad] {
-                scenario::validate(scenario::parse_scenario_text(bad));
-              }).find("runner.parallelism"),
-              std::string::npos)
-        << bad;
-  }
-  EXPECT_EQ(ScenarioBuilder("b").runner_parallelism(8).build()
-                .runner_parallelism,
-            8);
-}
-
 TEST(ScenarioFile, FuzzedTextParsesOrRaisesSpecErrorNeverCrashes) {
   // Seeded mutation fuzz over the parser: every mutant must either parse
   // into a spec whose serialization is a fixed point of the round trip, or
@@ -359,7 +329,6 @@ TEST(ScenarioFile, FuzzedTextParsesOrRaisesSpecErrorNeverCrashes) {
         .seed(7)
         .checkpoint(ckpt::Policy::kRoundRobin, 30 * sim::kMillisecond)
         .compare_reference()
-        .runner_parallelism(4)
         .sweep("nranks", {"4", "8"})
         .sweep("seed", {"1", "2", "3"});
     bases.push_back(scenario::to_scenario_text(b.build()));
@@ -558,7 +527,7 @@ TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
 
     EXPECT_NE(listing.find(std::string(" ") + k.key + " "), std::string::npos);
   }
-  EXPECT_EQ(rows, 59u);  // 58 keys plus the workload.* family
+  EXPECT_EQ(rows, 58u);  // 57 keys plus the workload.* family
 
   ScenarioSpec spec;
   EXPECT_THROW(scenario::apply_key(spec, "faults.no_such_key", "1"), SpecError);

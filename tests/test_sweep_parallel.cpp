@@ -49,16 +49,6 @@ TEST(SweepParallel, FamilyRaceByteIdentical) {
   EXPECT_EQ(run_json("family_race.scn", 1), run_json("family_race.scn", 4));
 }
 
-TEST(SweepParallel, SpecParallelismKeyDrivesThePool) {
-  // runner.parallelism in the spec is the no-flag default for run().
-  scenario::ScenarioSpec spec = load("fault_campaign.scn");
-  spec.runner_parallelism = 3;
-  scenario::RunOptions opt;
-  opt.quick = true;
-  const std::string via_spec = scenario::to_json(scenario::run(spec, opt));
-  EXPECT_EQ(via_spec, run_json("fault_campaign.scn", 1));
-}
-
 // ---------------------------------------------------------------------------
 // --jobs 1 is the exact serial path: results are fully populated in
 // process, with no worker transport artifacts.

@@ -30,8 +30,8 @@ void usage(std::FILE* out, const char* argv0) {
                "usage: %s [options] <scenario.scn> [more.scn ...]\n"
                "  --quick          apply the scenario's [quick] overrides\n"
                "  --jobs N         fan sweep points across N forked workers\n"
-               "                   (default: the scenario's runner.parallelism;\n"
-               "                   the report is byte-identical to --jobs 1)\n"
+               "                   (default 1; the report is byte-identical\n"
+               "                   to --jobs 1)\n"
                "  --out FILE       write the JSON report to FILE (default: stdout)\n"
                "  --set key=value  override a scenario key (repeatable)\n"
                "  --seed N         override the seed (replaces a seed sweep axis)\n"
@@ -102,7 +102,7 @@ void print_matrix(const scenario::ScenarioSpec& spec) {
 int main(int argc, char** argv) {
   bool quick = false;
   bool print_only = false;
-  int jobs = 0;  // 0 = take runner.parallelism from each scenario
+  int jobs = 1;
   const char* out_path = nullptr;
   std::vector<std::string> overrides;
   std::vector<std::string> files;
