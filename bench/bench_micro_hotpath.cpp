@@ -3,11 +3,10 @@
 // Times the inner loops every protocol variant executes per message —
 // determinant storage (EventStore), antecedence-graph reachability,
 // sender-log churn, engine event scheduling — plus one end-to-end cluster
-// run, and emits a machine-readable JSON report (wall clock, throughput,
-// peak RSS). Run it on two trees to compare a hot-path change; end-to-end
-// host time is bench/e2e's job.
+// run, and prints wall clock, throughput and peak RSS. Run it on two trees
+// to compare a hot-path change; end-to-end host time is bench/e2e's job.
 //
-// Usage: bench_micro_hotpath [--quick] [--json PATH]
+// Usage: bench_micro_hotpath [--quick]
 #include <sys/resource.h>
 
 #include <chrono>
@@ -297,10 +296,8 @@ std::uint64_t peak_rss_kb() {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
   }
   const std::uint64_t scale = quick ? 1 : 4;
 
@@ -326,25 +323,5 @@ int main(int argc, char** argv) {
               total_ms, static_cast<unsigned long long>(rss),
               static_cast<unsigned long long>(g_sink));
 
-  if (json_path) {
-    FILE* f = std::fopen(json_path, "w");
-    MPIV_CHECK(f != nullptr, "cannot write %s", json_path);
-    std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"peak_rss_kb\": %llu,\n",
-                 quick ? "quick" : "full",
-                 static_cast<unsigned long long>(rss));
-    std::fprintf(f, "  \"total_wall_ms\": %.1f,\n  \"benches\": [\n", total_ms);
-    for (std::size_t i = 0; i < g_results.size(); ++i) {
-      const BenchResult& r = g_results[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"wall_ms\": %.1f, \"items\": %llu, "
-                   "\"items_per_sec\": %.0f}%s\n",
-                   r.name.c_str(), r.wall_ms,
-                   static_cast<unsigned long long>(r.items), r.items_per_sec(),
-                   i + 1 < g_results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  }
   return 0;
 }
