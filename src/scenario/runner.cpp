@@ -382,9 +382,6 @@ namespace {
 using util::Json;
 
 Json run_value(const RunResult& r) {
-  // A parallel worker already rendered this run (run_json_fragment); the
-  // parser keeps its layout, so it renders back byte for byte.
-  if (!r.prerendered_json.empty()) return util::parse_json(r.prerendered_json);
   Json axes = Json::object();
   for (const auto& [axis, value] : r.axes) axes.add(axis, value);
   Json run = Json::object(/*block=*/true);
@@ -661,8 +658,9 @@ Json run_value(const RunResult& r) {
 
 Json set_value(const RunSet& set) {
   const OutcomeCounts t = set.tally();
+  // Each run renders on its own, so only one run's tree is alive at a time.
   Json runs = Json::array(/*block=*/true);
-  for (const RunResult& r : set.runs) runs.push(run_value(r));
+  for (const RunResult& r : set.runs) runs.push(Json::raw(run_json_fragment(r)));
   return Json::object(/*block=*/true)
       .add("scenario", set.scenario)
       .add("origin", set.origin)
@@ -681,6 +679,8 @@ Json set_value(const RunSet& set) {
 }  // namespace
 
 std::string run_json_fragment(const RunResult& r) {
+  // A parallel worker already rendered this run.
+  if (!r.prerendered_json.empty()) return r.prerendered_json;
   return util::write_json(run_value(r));
 }
 

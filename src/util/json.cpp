@@ -53,6 +53,14 @@ void write(std::string& out, const Json& v, std::string& indent) {
       return;
     }
     case Json::Kind::kString: escape(out, v.str); return;
+    case Json::Kind::kRaw:
+      // escape() never leaves a newline inside a string, so every '\n' in
+      // rendered text is layout.
+      for (const char ch : v.str) {
+        out += ch;
+        if (ch == '\n') out += indent;
+      }
+      return;
     case Json::Kind::kArray:
     case Json::Kind::kObject: break;
   }
@@ -103,15 +111,11 @@ class Parser {
                              std::to_string(pos_));
   }
 
-  /// Skips whitespace; true when it held a newline (block layout).
-  bool skip_ws() {
-    bool newline = false;
+  void skip_ws() {
     while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
                                 s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      newline = newline || s_[pos_] == '\n';
       ++pos_;
     }
-    return newline;
   }
 
   char peek() {
@@ -151,7 +155,7 @@ class Parser {
   Json container(char open, char close) {
     const bool obj = open == '{';
     expect(open);
-    Json v = obj ? Json::object(skip_ws()) : Json::array(skip_ws());
+    Json v = obj ? Json::object() : Json::array();
     if (peek() == close) {
       ++pos_;
       return v;

@@ -6,9 +6,9 @@
 // pin it byte for byte): a *block* container prints one entry per line at
 // two more spaces of indent than its parent line; any other container
 // prints inline, entries joined by ", ". Integers print exactly, doubles
-// as %.10g, and inf/nan as null. The parser marks a container as block
-// when a newline follows its opening bracket, so write_json(parse_json(t))
-// reproduces any text write_json produced.
+// as %.10g, and inf/nan as null. A raw value splices text write_json
+// already rendered, re-indented to where it lands, so a large document
+// can be rendered one part at a time.
 #pragma once
 
 #include <concepts>
@@ -30,6 +30,7 @@ struct Json {
     kString,
     kArray,
     kObject,
+    kRaw,  // write_json output held as text (str)
   };
   Kind kind = Kind::kNull;
   bool block = false;  // containers: one entry per line
@@ -60,22 +61,29 @@ struct Json {
 
   static Json object(bool block = false) { return container(Kind::kObject, block); }
   static Json array(bool block = false) { return container(Kind::kArray, block); }
+  static Json raw(std::string rendered) {
+    Json v(std::move(rendered));
+    v.kind = Kind::kRaw;
+    return v;
+  }
 
-  /// Appends an object member / array item; both return *this to chain.
-  Json& add(std::string key, Json v) {
+  /// Appends an object member / array item; both return *this to chain,
+  /// and a chain on a temporary stays movable.
+  Json& add(std::string key, Json v) & {
     members.emplace_back(std::move(key), std::move(v));
     return *this;
   }
-  Json& push(Json v) {
+  Json&& add(std::string key, Json v) && {
+    return std::move(add(std::move(key), std::move(v)));
+  }
+  Json& push(Json v) & {
     items.push_back(std::move(v));
     return *this;
   }
+  Json&& push(Json v) && { return std::move(push(std::move(v))); }
 
   /// Object member lookup; nullptr when absent or not an object.
   const Json* find(std::string_view key) const;
-  bool is_number() const {
-    return kind == Kind::kInt || kind == Kind::kUint || kind == Kind::kDouble;
-  }
   /// Any numeric kind as a double (0 otherwise).
   double number() const;
 

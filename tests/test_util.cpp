@@ -457,15 +457,21 @@ TEST(Json, ScalarsPrintExactlyOrAsTenDigitDoubles) {
   EXPECT_EQ(write_json("q\"\\\n\t\x01"), "\"q\\\"\\\\\\n\\t\\u0001\"");
 }
 
-TEST(Json, ParseThenWriteReproducesWriterOutput) {
-  Json doc = Json::object(/*block=*/true)
-                 .add("d", 0.1 + 0.2)
-                 .add("s", "tab\there")
-                 .add("nested", Json::array(/*block=*/true).push(
-                                    Json::object(/*block=*/true).add("k", -7)))
-                 .add("inline", Json::object().add("e", Json::array()));
-  const std::string text = write_json(doc);
-  EXPECT_EQ(write_json(parse_json(text)), text);
+TEST(Json, RawSpliceMatchesTheTreeItRendered) {
+  // The report renders each run on its own and splices it as raw text; the
+  // bytes must equal rendering the whole tree at once.
+  const auto run = [] {
+    return Json::object(/*block=*/true)
+        .add("s", "line\nbreak")
+        .add("m", Json::object(/*block=*/true).add("k", -7).add("e", Json::array()));
+  };
+  Json tree = Json::object(/*block=*/true).add(
+      "runs", Json::array(/*block=*/true).push(run()).push(run()));
+  Json spliced = Json::object(/*block=*/true).add(
+      "runs", Json::array(/*block=*/true)
+                  .push(Json::raw(write_json(run())))
+                  .push(Json::raw(write_json(run()))));
+  EXPECT_EQ(write_json(spliced), write_json(tree));
 }
 
 }  // namespace
