@@ -95,6 +95,8 @@ class Histogram {
   /// capped at kBuckets - 1.
   static int bucket_of(double x) {
     if (!(x >= 1.0)) return 0;  // negatives and NaN clamp low
+    // Past 2^63 the top bucket; the cast below would be undefined at 2^64.
+    if (x >= 0x1p63) return kBuckets - 1;
     const auto u = static_cast<std::uint64_t>(x);
     const int w = std::bit_width(u);
     return w < kBuckets ? w : kBuckets - 1;
