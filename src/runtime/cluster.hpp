@@ -146,7 +146,9 @@ void check_config(const ClusterConfig& cfg, Fail&& fail) {
          "' disables the event logger");
   };
   // One shard is no sharding, so it stays legal without an event logger.
-  if (cfg.el_shards > 1 && !cfg.event_logger) needs_el("el_shards", cfg.el_shards);
+  if (cfg.el_shards > 1 && !cfg.event_logger) {
+    needs_el("el_shards", cfg.el_shards);
+  }
   if (cfg.el_standby < 0 || cfg.el_standby > 64) {
     fail("el_standby must be in [0, 64] (got " + to_string(cfg.el_standby) +
          ")");
@@ -163,12 +165,12 @@ void check_config(const ClusterConfig& cfg, Fail&& fail) {
   for (std::size_t i = 0; i < cfg.faults.size(); ++i) {
     const FaultSpec& f = cfg.faults[i];
     if (f.rank < 0 || f.rank >= cfg.nranks) {
-      fail("fault plan names rank " + to_string(f.rank) + " but only ranks 0.." +
-           to_string(cfg.nranks - 1) + " exist");
+      fail("fault plan names rank " + to_string(f.rank) +
+           " but only ranks 0.." + to_string(cfg.nranks - 1) + " exist");
     }
     if (f.at <= 0) {
-      fail("fault for rank " + to_string(f.rank) + " scheduled at t <= 0 (got " +
-           to_string(f.at) + ")");
+      fail("fault for rank " + to_string(f.rank) +
+           " scheduled at t <= 0 (got " + to_string(f.at) + ")");
     }
     for (std::size_t j = 0; j < i; ++j) {
       if (cfg.faults[j].rank == f.rank && cfg.faults[j].at == f.at) {

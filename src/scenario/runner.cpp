@@ -581,12 +581,12 @@ Json run_value(const RunResult& r) {
       })) {
     Json rank_stats = Json::array();
     for (std::size_t i = 0; i < ranks.size(); ++i) {
+      const ftapi::RankStats& s = ranks[i];
       rank_stats.push(Json::object()
                           .add("rank", i)
-                          .add("el_dup_submissions", ranks[i].el_dup_submissions)
-                          .add("el_reconciled_records",
-                               ranks[i].el_reconciled_records)
-                          .add("stale_acks_fenced", ranks[i].stale_acks_fenced));
+                          .add("el_dup_submissions", s.el_dup_submissions)
+                          .add("el_reconciled_records", s.el_reconciled_records)
+                          .add("stale_acks_fenced", s.stale_acks_fenced));
     }
     run.add("rank_stats", std::move(rank_stats));
   }
@@ -660,7 +660,9 @@ Json set_value(const RunSet& set) {
   const OutcomeCounts t = set.tally();
   // Each run renders on its own, so only one run's tree is alive at a time.
   Json runs = Json::array(/*block=*/true);
-  for (const RunResult& r : set.runs) runs.push(Json::raw(run_json_fragment(r)));
+  for (const RunResult& r : set.runs) {
+    runs.push(Json::raw(run_json_fragment(r)));
+  }
   return Json::object(/*block=*/true)
       .add("scenario", set.scenario)
       .add("origin", set.origin)

@@ -1123,7 +1123,8 @@ void validate(const ScenarioSpec& spec) {
     fail("midrun fault names rank " + std::to_string(spec.faults.midrun_rank) +
          " but only ranks 0.." + std::to_string(spec.nranks - 1) + " exist");
   }
-  const runtime::ProtocolEntry& p = runtime::protocol_entry(spec.variant.protocol);
+  const runtime::ProtocolEntry& p =
+      runtime::protocol_entry(spec.variant.protocol);
   if (spec.faults.midrun_rank >= 0 && p.channel == net::ChannelKind::kP4) {
     fail(std::string(p.display) +
          " is not fault tolerant — remove the midrun fault");

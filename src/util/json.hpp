@@ -59,8 +59,12 @@ struct Json {
   Json(std::string s) : kind(Kind::kString), str(std::move(s)) {}
   Json(const char* s) : Json(std::string(s)) {}
 
-  static Json object(bool block = false) { return container(Kind::kObject, block); }
-  static Json array(bool block = false) { return container(Kind::kArray, block); }
+  static Json object(bool block = false) {
+    return container(Kind::kObject, block);
+  }
+  static Json array(bool block = false) {
+    return container(Kind::kArray, block);
+  }
   static Json raw(std::string rendered) {
     Json v(std::move(rendered));
     v.kind = Kind::kRaw;

@@ -153,8 +153,9 @@ TEST(ReportDigests, EveryBundledReportMatchesItsPin) {
   if (blessing()) {
     std::printf("constexpr Pin kPins[] = {\n");
     for (const auto& [name, set] : reports) {
+      const std::uint64_t digest = fnv1a(scenario::to_json(set));
       std::printf("    {\"%s\", 0x%016llxULL, %s},\n", name.c_str(),
-                  static_cast<unsigned long long>(fnv1a(scenario::to_json(set))),
+                  static_cast<unsigned long long>(digest),
                   set.tally().degraded() ? "true" : "false");
     }
     std::printf("};\n");
@@ -164,7 +165,7 @@ TEST(ReportDigests, EveryBundledReportMatchesItsPin) {
       << "the scenario set changed: re-bless the table";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const auto& [name, set] = reports[i];
-    ASSERT_EQ(name, kPins[i].name) << "table order is sorted files, then extras";
+    ASSERT_EQ(name, kPins[i].name) << "table order: sorted files, then extras";
     EXPECT_EQ(fnv1a(scenario::to_json(set)), kPins[i].digest)
         << name << ": the report bytes moved";
     EXPECT_EQ(set.tally().degraded(), kPins[i].degraded) << name;

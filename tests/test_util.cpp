@@ -424,8 +424,10 @@ TEST(Json, ParsesPreservingMemberOrderAndExactIntegers) {
 }
 
 TEST(Json, WriterLayoutIsTheReportLayout) {
-  Json inner = Json::object().add("n", 1).add("xs", Json::array().push(2).push(3));
-  Json hist = Json::object(/*block=*/true).add("h", Json::object().add("p", 0.5));
+  Json inner =
+      Json::object().add("n", 1).add("xs", Json::array().push(2).push(3));
+  Json hist =
+      Json::object(/*block=*/true).add("h", Json::object().add("p", 0.5));
   Json doc = Json::object(/*block=*/true)
                  .add("inline", std::move(inner))
                  .add("block", std::move(hist))
@@ -463,7 +465,9 @@ TEST(Json, RawSpliceMatchesTheTreeItRendered) {
   const auto run = [] {
     return Json::object(/*block=*/true)
         .add("s", "line\nbreak")
-        .add("m", Json::object(/*block=*/true).add("k", -7).add("e", Json::array()));
+        .add("m", Json::object(/*block=*/true)
+                      .add("k", -7)
+                      .add("e", Json::array()));
   };
   Json tree = Json::object(/*block=*/true).add(
       "runs", Json::array(/*block=*/true).push(run()).push(run()));
