@@ -385,27 +385,25 @@ Json run_value(const RunResult& r) {
   Json axes = Json::object();
   for (const auto& [axis, value] : r.axes) axes.add(axis, value);
   Json run = Json::object(/*block=*/true);
-  run.add("label", r.label).add("axes", std::move(axes));
+  run.add("label", r.label)
+      .add("axes", std::move(axes))
+      .add("skipped", r.skipped)
+      .add("outcome", outcome_name(r.outcome()));
   if (r.failed) {
     // Worker-crash containment: the point ran in a worker that died before
     // delivering a result. Everything known about it is why it failed.
-    return run.add("skipped", false)
-        .add("outcome", outcome_name(r.outcome()))
-        .add("failed", true)
-        .add("fail_reason", r.fail_reason);
+    run.add("failed", true).add("fail_reason", r.fail_reason);
+    return run;
   }
   if (r.skipped) {
-    return run.add("skipped", true)
-        .add("outcome", outcome_name(r.outcome()))
-        .add("skip_reason", r.skip_reason);
+    run.add("skip_reason", r.skip_reason);
+    return run;
   }
   const ftapi::RankStats t = r.report.totals();
   char checksum[24];
   std::snprintf(checksum, sizeof checksum, "0x%016llx",
                 static_cast<unsigned long long>(r.checksum_digest()));
-  run.add("skipped", false)
-      .add("outcome", outcome_name(r.outcome()))
-      .add("protocol", r.protocol_label)
+  run.add("protocol", r.protocol_label)
       .add("completed", r.completed)
       .add("sim_time_s", r.sim_seconds())
       .add("faults_injected", r.report.faults_injected)
