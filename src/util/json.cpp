@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
@@ -56,9 +57,13 @@ void write(std::string& out, const Json& v, std::string& indent) {
     case Json::Kind::kRaw:
       // escape() never leaves a newline inside a string, so every '\n' in
       // rendered text is layout.
-      for (const char ch : v.str) {
-        out += ch;
-        if (ch == '\n') out += indent;
+      for (std::size_t at = 0; at < v.str.size();) {
+        const std::size_t nl = std::min(v.str.find('\n', at), v.str.size());
+        out.append(v.str, at, nl - at);
+        if (nl == v.str.size()) break;
+        out += '\n';
+        out += indent;
+        at = nl + 1;
       }
       return;
     case Json::Kind::kArray:
@@ -153,11 +158,15 @@ class Parser {
   }
 
   Json container(char open, char close) {
+    // Bounded recursion: a hostile file must not exhaust the stack.
+    if (depth_ == kMaxDepth) fail("nesting deeper than 256 levels");
+    ++depth_;
     const bool obj = open == '{';
     expect(open);
     Json v = obj ? Json::object() : Json::array();
     if (peek() == close) {
       ++pos_;
+      --depth_;
       return v;
     }
     while (true) {
@@ -174,6 +183,7 @@ class Parser {
       if (c == close) break;
       if (c != ',') fail(std::string("expected ',' or '") + close + "'");
     }
+    --depth_;
     return v;
   }
 
@@ -257,8 +267,10 @@ class Parser {
     return Json(d);
   }
 
+  static constexpr int kMaxDepth = 256;
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -421,6 +421,7 @@ TEST(Json, ParsesPreservingMemberOrderAndExactIntegers) {
   EXPECT_THROW(parse_json("[1, 2] trailing"), std::runtime_error);
   EXPECT_THROW(parse_json("\"\\uzzzz\""), std::runtime_error);
   EXPECT_THROW(parse_json("[1e]"), std::runtime_error);
+  EXPECT_THROW(parse_json(std::string(100000, '[')), std::runtime_error);
 }
 
 TEST(Json, WriterLayoutIsTheReportLayout) {
