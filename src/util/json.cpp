@@ -1,6 +1,5 @@
 #include "util/json.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
@@ -57,13 +56,9 @@ void write(std::string& out, const Json& v, std::string& indent) {
     case Json::Kind::kRaw:
       // escape() never leaves a newline inside a string, so every '\n' in
       // rendered text is layout.
-      for (std::size_t at = 0; at < v.str.size();) {
-        const std::size_t nl = std::min(v.str.find('\n', at), v.str.size());
-        out.append(v.str, at, nl - at);
-        if (nl == v.str.size()) break;
-        out += '\n';
-        out += indent;
-        at = nl + 1;
+      for (const char ch : v.str) {
+        out += ch;
+        if (ch == '\n') out += indent;
       }
       return;
     case Json::Kind::kArray:
