@@ -7,6 +7,10 @@
 #     docs/SCENARIOS.md as `key`.
 #  2. Every relative markdown link in README.md and docs/*.md must point at
 #     a file that exists.
+#  3. Every binary README.md, PAPER.md or docs/*.md names — a `bench_*`,
+#     `test_*` or `mpiv_*` name, or any `./build/<name>` — must have a
+#     source under bench/, tests/, tools/ or examples/. A name ending in
+#     `_` (`bench_micro_*`) names a family and needs one matching source.
 #
 # No build needed: CI's docs-check job runs this straight off the checkout.
 set -euo pipefail
@@ -58,8 +62,27 @@ for md in README.md docs/*.md; do
   done < <(grep -oE '\]\([^)]+\)' "$md" | sed 's/^](//; s/)$//')
 done
 
+# --- 3. named binaries have sources ----------------------------------------
+DOCS=(README.md PAPER.md docs/*.md)
+sources=$(find bench tests tools examples -name '*.cpp' -exec basename {} .cpp \;)
+names=$({
+  grep -ohE '\b(bench|test|mpiv)_[a-z0-9_]*' "${DOCS[@]}"
+  grep -ohE '\./build/[A-Za-z0-9_]+' "${DOCS[@]}" | sed 's|^\./build/||'
+} | sort -u)
+while IFS= read -r name; do
+  if [[ $name == *_ ]]; then
+    grep -q "^$name" <<< "$sources" && continue
+  else
+    grep -qx "$name" <<< "$sources" && continue
+  fi
+  echo "STALE: $name has no source under bench/, tests/, tools/ or examples/" \
+    "(named in $(grep -lwF "$name" "${DOCS[@]}" | tr '\n' ' '))" >&2
+  fail=1
+done <<< "$names"
+
 if [[ $fail -ne 0 ]]; then
   echo "docs check FAILED" >&2
   exit 1
 fi
-echo "docs check OK ($(echo "$keys" | wc -l) table keys, links resolve)"
+echo "docs check OK ($(echo "$keys" | wc -l) table keys, links resolve," \
+  "$(echo "$names" | wc -l) binary names have sources)"

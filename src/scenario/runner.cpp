@@ -418,6 +418,7 @@ Json run_value(const RunResult& r) {
       .add("pb_peak_post_el_fault_events", t.pb_peak_post_el_fault_events)
       .add("pb_send_cpu_s", sim::to_sec(t.pb_send_cpu))
       .add("pb_recv_cpu_s", sim::to_sec(t.pb_recv_cpu))
+      .add("sender_log_peak_bytes", t.sender_log_peak_bytes)
       .add("events_executed", r.events_executed)
       .add("wire_bytes", r.wire_bytes)
       .add("checksum", checksum);
