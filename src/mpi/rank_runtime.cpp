@@ -186,6 +186,26 @@ void RankRuntime::notify_dispatcher(CtlSub sub) {
   daemon_->submit_ctl(std::move(m));
 }
 
+sim::Task<bool> RankRuntime::await_ckpt_server(sim::OneShot& reply) {
+  // A request is lost only when the server node is down at send time or
+  // crashes before answering (its epoch moves). Partitions, drop windows
+  // and daemon outages hold frames and deliver them later, so a live but
+  // slow server just gets another retry period: resending a whole image
+  // into its queue would only slow it down further.
+  const net::NodeId node = layout_.ckpt_node();
+  const bool down_at_send = !net_.node_up(node);
+  const std::uint64_t epoch = net_.node_epoch(node);
+  for (;;) {
+    const sim::Time deadline = eng_.now() + hooks_.service_retry;
+    eng_.at(deadline, [&reply] { reply.poke(); });
+    while (!reply.ready() && eng_.now() < deadline) {
+      co_await reply.wait_once();
+    }
+    if (reply.ready()) co_return false;
+    if (down_at_send || net_.node_epoch(node) != epoch) co_return true;
+  }
+}
+
 sim::Task<std::optional<util::Buffer>> RankRuntime::fetch_image(
     std::uint64_t image_version) {
   awaiting_fetch_ = true;
@@ -202,14 +222,9 @@ sim::Task<std::optional<util::Buffer>> RankRuntime::fetch_image(
       co_await fetch_done_.wait();
       break;
     }
-    // Retransmit loop: the checkpoint server may be mid-outage; the request
-    // is idempotent and the response guard drops late duplicates.
-    const sim::Time deadline = eng_.now() + hooks_.service_retry;
-    eng_.at(deadline, [this] { fetch_done_.poke(); });
-    while (!fetch_done_.ready() && eng_.now() < deadline) {
-      co_await fetch_done_.wait_once();
-    }
-    if (fetch_done_.ready()) break;
+    // The request is idempotent and the response guard drops late
+    // duplicates, so a resend after a server crash is safe.
+    if (!co_await await_ckpt_server(fetch_done_)) break;
   }
   awaiting_fetch_ = false;
   fetch_done_.reset();
@@ -439,15 +454,10 @@ sim::Task<void> RankRuntime::store_checkpoint(const util::Buffer& app_state,
       co_await store_ack_.wait();
       break;
     }
-    // Retransmit loop for checkpoint-server outages. The store transaction
-    // is idempotent (same version overwrites the same image), and the ack
-    // guard in on_daemon_up drops acks for any other version.
-    const sim::Time deadline = eng_.now() + hooks_.service_retry;
-    eng_.at(deadline, [this] { store_ack_.poke(); });
-    while (!store_ack_.ready() && eng_.now() < deadline) {
-      co_await store_ack_.wait_once();
-    }
-    if (store_ack_.ready()) break;
+    // The store transaction is idempotent (same version overwrites the same
+    // image), and the ack guard in on_daemon_up drops acks for any other
+    // version.
+    if (!co_await await_ckpt_server(store_ack_)) break;
   }
   store_ack_.reset();
   awaiting_store_ack_ = false;

@@ -51,8 +51,9 @@ struct RankHooks {
   /// Time of the first EL fault (engine-owned, 0 until one happens): gates
   /// the post-fault piggyback-regrowth peaks in RankStats.
   const sim::Time* el_fault_at = nullptr;
-  /// > 0: retransmit unacked checkpoint-server requests at this interval
-  /// (survives checkpoint-server outages; also handed to the EL client).
+  /// > 0: check unanswered checkpoint-server requests at this interval and
+  /// resend the ones a server crash or outage lost (also handed to the EL
+  /// client).
   sim::Time service_retry = 0;
   /// Cluster trace sink (null = tracing disabled); the runtime records into
   /// its own rank lane and shares that lane with the protocol + daemon.
@@ -210,6 +211,10 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   sim::Task<void> app_main(AppFactory factory);
   sim::Task<void> recovery_main(AppFactory factory, std::uint64_t image_version);
   sim::Task<std::optional<util::Buffer>> fetch_image(std::uint64_t image_version);
+  /// Waits for a checkpoint-server reply on the service_retry cadence.
+  /// True when the request must be resent (the server was down when it was
+  /// sent, or crashed since); false once `reply` is set.
+  sim::Task<bool> await_ckpt_server(sim::OneShot& reply);
   void notify_dispatcher(CtlSub sub);
 
   void on_daemon_up(net::Message&& m);

@@ -70,7 +70,7 @@ constexpr Pin kPins[] = {
     {"fig9.scn", 0xb470124a44117aecULL, false},
     {"quickstart.scn", 0x8c3fa83321d8f536ULL, false},
     {"scale_probe.scn", 0x7fbd22b905ed8585ULL, false},
-    {"split_brain.scn", 0x8c43f6f49b6cc50cULL, false},
+    {"split_brain.scn", 0x3ef0ea5890bfeae9ULL, false},
     {"+observed_quickstart", 0x3fb0cfc9e218eda7ULL, false},
     {"+skipped_point", 0x87a09d71fcb9e27aULL, false},
     {"+failed_point", 0x46bea1c08dae8463ULL, true},

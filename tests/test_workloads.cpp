@@ -117,6 +117,22 @@ TEST_P(NasKernelTest, SurvivesCrashWithIdenticalResults) {
   EXPECT_EQ(out.report.faults_injected, 1u);
   EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums)
       << workloads::nas_kernel_name(k);
+
+  // The same crash as a campaign injection arms the checkpoint clients'
+  // retransmits. They must resend only into a server that went down: on
+  // BT, resending whole images into the busy but live server every retry
+  // period swamped it and the run never finished.
+  cfg.faults.clear();
+  fault::Injection crash;
+  crash.at = ref.report.completion_time / 5;
+  crash.index = 1;
+  cfg.campaign.injections.push_back(crash);
+  cfg.max_sim_time = 2 * ref.report.completion_time;
+  out = run_nas(cfg, n);
+  ASSERT_TRUE(out.report.completed) << workloads::nas_kernel_name(k);
+  EXPECT_EQ(out.report.faults_injected, 1u);
+  EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums)
+      << workloads::nas_kernel_name(k);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, NasKernelTest,
