@@ -19,12 +19,12 @@ using namespace mpiv;
 namespace {
 
 double run_once(const char* variant, ckpt::Policy policy, sim::Time interval,
-                int nranks, double scale, double faults_per_minute) {
+                int nranks, double scale, double rank_rate) {
   const scenario::RunResult r = scenario::run_spec(
       scenario::ScenarioBuilder("fault_campaign")
           .variant(variant)
           .nranks(nranks)
-          .fault_rate(faults_per_minute)
+          .fault_rate(rank_rate)
           .checkpoint(policy, interval)
           .max_sim_time(3600LL * sim::kSecond)
           .nas(workloads::NasKernel::kBT, workloads::NasClass::kA, scale)

@@ -79,6 +79,25 @@ struct Injection {
   }
 };
 
+/// A crash of compute rank `rank` at time `at`.
+inline Injection rank_crash_at(sim::Time at, int rank) {
+  Injection inj;
+  inj.at = at;
+  inj.index = rank;
+  return inj;
+}
+
+/// A seeded Poisson crash stream over random live ranks (kRank: the
+/// paper's fault model) or over their daemons (kDaemon).
+inline Injection crash_stream(Target target, double rate_per_minute) {
+  Injection inj;
+  inj.target = target;
+  inj.index = -1;
+  inj.trigger = Trigger::kRate;
+  inj.rate_per_minute = rate_per_minute;
+  return inj;
+}
+
 /// Sentinel inside Injection::services_a/b: the checkpoint server.
 inline constexpr int kCkptService = -1;
 
@@ -173,7 +192,9 @@ void validate_campaign(const Campaign& campaign, int nranks, int total_shards,
     fail("faults.detection_delay must be positive (-1 inherits the "
          "cluster detection delay)");
   }
-  for (const Injection& inj : campaign.injections) {
+  const std::vector<Injection>& all = campaign.injections;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const Injection& inj = all[i];
     switch (inj.trigger) {
       case Trigger::kAt:
         if (inj.at <= 0) fail("campaign injection scheduled at t <= 0");
@@ -206,6 +227,15 @@ void validate_campaign(const Campaign& campaign, int nranks, int total_shards,
         }
         if (inj.action != Action::kCrash) {
           fail("rank faults are crashes (use link faults for degradation)");
+        }
+        for (std::size_t j = 0; inj.trigger == Trigger::kAt && j < i; ++j) {
+          const Injection& prev = all[j];
+          if (prev.target == Target::kRank && prev.trigger == Trigger::kAt &&
+              prev.index == inj.index && prev.at == inj.at) {
+            fail("duplicate fault: rank " + std::to_string(inj.index) +
+                 " at t = " + std::to_string(inj.at) + "ns named twice");
+            break;
+          }
         }
         break;
       case Target::kDaemon:

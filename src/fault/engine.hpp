@@ -2,8 +2,9 @@
 // a running cluster.
 //
 // The engine is the single place failures enter the simulation:
-//  - timed and Poisson rank crashes go through the dispatcher's serialized
-//    fault path (exactly the plumbing the pre-engine Cluster had inline),
+//  - timed and Poisson rank crashes (the paper's mid-run crash and Fig. 1's
+//    fault rate included) go through the dispatcher's serialized fault
+//    path,
 //  - Event Logger shard crashes/outages drive the elog failover machinery
 //    (service down -> detection -> successor mounts the persistent log ->
 //    directory re-home -> re-homed ranks re-persist their unacked suffix),
@@ -67,35 +68,13 @@ class FaultEngine final : public ftapi::FaultObserver {
 
   FaultEngine(Campaign campaign, std::uint64_t seed, Bindings b);
 
-  /// Schedules the timed and stochastic injections plus a legacy
-  /// deterministic fault plan and Poisson rate (the pre-engine
-  /// ClusterConfig surface). Call once, before the run starts.
-  void arm(const std::vector<std::pair<sim::Time, int>>& legacy_faults,
-           double legacy_rate_per_minute);
+  /// Schedules the timed and stochastic injections in campaign order.
+  /// Call once, before the run starts.
+  void arm();
 
   // --- execution-event triggers (ftapi::FaultObserver) ---------------------
   void on_rank_checkpoint(int rank, std::uint64_t completed) override;
   void on_el_stored(int shard, std::uint64_t stored) override;
-
-  // --- direct injection (benches/tests may drive the engine manually) -----
-  void crash_el_shard(int shard);
-  void el_outage(int shard, sim::Time duration);
-  void ckpt_outage(sim::Time duration);
-  void link_fault(int rank, Action action, sim::Time magnitude,
-                  sim::Time duration);
-  /// Kills rank `rank`'s communication daemon; the dispatcher respawns it
-  /// `downtime` later (0 = the campaign's daemon_restart_delay). No-op on a
-  /// daemon already down.
-  void crash_daemon(int rank, sim::Time downtime = 0);
-  /// Opens a partition window between the two groups. Each side may name
-  /// service endpoints (EL shards by id, kCkptService for the checkpoint
-  /// server) alongside its ranks; cutting a serving EL shard from clients
-  /// arms the suspicion -> split-brain -> heal-time reconcile machinery.
-  void partition(const std::vector<int>& group_a,
-                 const std::vector<int>& group_b, sim::Time duration,
-                 sim::Time heal_backoff,
-                 const std::vector<int>& services_a = {},
-                 const std::vector<int>& services_b = {});
 
   const Campaign& campaign() const { return campaign_; }
   const FaultCounts& counts() const { return counts_; }
@@ -106,11 +85,29 @@ class FaultEngine final : public ftapi::FaultObserver {
   const sim::Time* first_el_fault_ptr() const { return &first_el_fault_; }
 
  private:
+  // --- one injection's action (execute() dispatches) -----------------------
+  void crash_el_shard(int shard);
+  void el_outage(int shard, sim::Time duration);
+  void ckpt_outage(sim::Time duration);
+  void link_fault(int rank, Action action, sim::Time magnitude,
+                  sim::Time duration);
+  /// Kills rank `rank`'s communication daemon; the dispatcher respawns it
+  /// `downtime` later (0 = the campaign's daemon_restart_delay). No-op on a
+  /// daemon already down.
+  void crash_daemon(int rank, sim::Time downtime);
+  /// Opens a partition window between the two groups. Each side may name
+  /// service endpoints (EL shards by id, kCkptService for the checkpoint
+  /// server) alongside its ranks; cutting a serving EL shard from clients
+  /// arms the suspicion -> split-brain -> heal-time reconcile machinery.
+  void partition(const std::vector<int>& group_a,
+                 const std::vector<int>& group_b, sim::Time duration,
+                 sim::Time heal_backoff, const std::vector<int>& services_a,
+                 const std::vector<int>& services_b);
+
   void fire(std::size_t idx);
   void execute(const Injection& inj);
   void trigger_async(std::size_t idx);
   void arm_poisson(std::size_t idx);
-  void arm_legacy_poisson();
   void fail_over(int dead_shard);
   void announce_failover(const std::vector<int>& ranks, int dead_shard,
                          int successor);
@@ -136,7 +133,6 @@ class FaultEngine final : public ftapi::FaultObserver {
   std::vector<std::uint32_t> daemon_gen_;
   FaultCounts counts_;
   sim::Time first_el_fault_ = 0;
-  double legacy_poisson_mean_ns_ = 0;
 };
 
 }  // namespace mpiv::fault

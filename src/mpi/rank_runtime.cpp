@@ -62,8 +62,8 @@ void RankRuntime::launch(AppFactory factory) {
 
 void RankRuntime::crash() {
   MPIV_CHECK(proc_ != nullptr, "rank %d has no process", rank_);
-  // Recorded here (not in the fault engine) so every crash path — campaign
-  // injections and the legacy Poisson plan alike — lands on the victim lane.
+  // Recorded here (not in the fault engine) so every crash path — timed,
+  // Poisson and event-triggered injections alike — lands on the victim lane.
   trace::emit(tlane_, eng_.now(), trace::Kind::kFault, trace::kRankCrash,
               rank_, rsn_, ckpts_completed_);
   net_.crash_node(layout_.rank_node(rank_));
@@ -533,14 +533,12 @@ void RankRuntime::on_daemon_up(net::Message&& m) {
       on_app_frame(std::move(m));
       return;
     case net::MsgKind::kCkptStoreAck:
-      // Retransmitted stores produce duplicate acks; only the ack for the
-      // transaction we are awaiting counts.
-      if (m.arg == ckpt_version_ && (hooks_.service_retry <= 0 || awaiting_store_ack_)) {
-        store_ack_.set();
-      }
+      // Retransmitted stores and rollbacks leave duplicate or stale acks;
+      // only the ack for the transaction we are awaiting counts.
+      if (m.arg == ckpt_version_ && awaiting_store_ack_) store_ack_.set();
       return;
     case net::MsgKind::kCkptFetchResp:
-      if (hooks_.service_retry > 0 && !awaiting_fetch_) return;  // late duplicate
+      if (!awaiting_fetch_) return;  // late duplicate
       fetch_resp_ = std::move(m);
       fetch_done_.set();
       return;

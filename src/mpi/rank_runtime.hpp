@@ -287,8 +287,9 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   std::uint64_t logical_state_bytes_ = 1 << 20;
   std::uint64_t ckpt_version_ = 0;
   std::uint64_t ckpts_completed_ = 0;  // committed stores (trigger counter)
-  // Retransmit-loop guards: a late duplicate ack/response (the server was
-  // merely slow, not down) must not satisfy a future transaction.
+  // Reply guards: a late duplicate ack/response (a resend after a server
+  // crash, or the reply to a transaction a crash abandoned) must not
+  // satisfy a future transaction.
   bool awaiting_store_ack_ = false;
   bool awaiting_fetch_ = false;
 

@@ -80,9 +80,9 @@ Cluster::Cluster(ClusterConfig cfg)
   hooks.observer = fault_engine_.get();
   hooks.timeline = &timeline_;
   hooks.el_fault_at = fault_engine_->first_el_fault_ptr();
-  // Retransmit timers fire only under a campaign: fault-free runs stay
-  // event-for-event identical to the pre-engine runtime (the determinism
-  // goldens pin this).
+  // Retransmit timers fire only under a campaign: fault-free runs schedule
+  // no retry events (the determinism goldens pin this). Every faulty run
+  // has a campaign, since every fault is an injection.
   hooks.service_retry = cfg_.campaign.empty() ? 0 : cfg_.campaign.service_retry;
   hooks.trace = trace_.get();
 
@@ -197,10 +197,7 @@ ClusterReport Cluster::run(mpi::AppFactory factory) {
         return v;
       }(),
       factory, mode, cfg_.detection_delay, &timeline_, cfg_.ulfm_repair_cost);
-  std::vector<std::pair<sim::Time, int>> legacy;
-  legacy.reserve(cfg_.faults.size());
-  for (const FaultSpec& f : cfg_.faults) legacy.emplace_back(f.at, f.rank);
-  fault_engine_->arm(legacy, cfg_.faults_per_minute);
+  fault_engine_->arm();
   sched_->start();
   dispatcher_->launch_all();
 

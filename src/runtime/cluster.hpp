@@ -58,11 +58,9 @@ struct ClusterConfig {
   ckpt::Policy ckpt_policy = ckpt::Policy::kNone;
   sim::Time ckpt_interval = 0;
 
-  std::vector<FaultSpec> faults;
-  double faults_per_minute = 0.0;
-  /// Declarative chaos campaign (EL shard crashes, checkpoint-server
-  /// outages, link perturbations, event-triggered rank kills) executed by
-  /// the fault engine alongside the legacy plan above.
+  /// Every fault of the run (rank and daemon crashes, EL shard crashes,
+  /// checkpoint-server outages, link perturbations, partitions), executed
+  /// by the fault engine.
   fault::Campaign campaign;
   sim::Time detection_delay = 250 * sim::kMillisecond;
 
@@ -156,28 +154,9 @@ void check_config(const ClusterConfig& cfg, Fail&& fail) {
   if (cfg.el_standby > 0 && !cfg.event_logger) {
     needs_el("el_standby", cfg.el_standby);
   }
-  if (p.channel == net::ChannelKind::kP4 &&
-      (!cfg.faults.empty() || cfg.faults_per_minute != 0.0 ||
-       !cfg.campaign.empty())) {
+  if (p.channel == net::ChannelKind::kP4 && !cfg.campaign.empty()) {
     fail(std::string(p.display) +
          " is not fault tolerant — remove the fault plan");
-  }
-  for (std::size_t i = 0; i < cfg.faults.size(); ++i) {
-    const FaultSpec& f = cfg.faults[i];
-    if (f.rank < 0 || f.rank >= cfg.nranks) {
-      fail("fault plan names rank " + to_string(f.rank) +
-           " but only ranks 0.." + to_string(cfg.nranks - 1) + " exist");
-    }
-    if (f.at <= 0) {
-      fail("fault for rank " + to_string(f.rank) +
-           " scheduled at t <= 0 (got " + to_string(f.at) + ")");
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (cfg.faults[j].rank == f.rank && cfg.faults[j].at == f.at) {
-        fail("duplicate fault: rank " + to_string(f.rank) + " at t = " +
-             to_string(f.at) + "ns named twice");
-      }
-    }
   }
   // Every injection must name a real target and an implementable
   // trigger/action combination before anything is scheduled.
@@ -244,7 +223,6 @@ class Cluster {
   elog::EventLogger& event_logger(int shard = 0) { return *els_[static_cast<std::size_t>(shard)]; }
   ckpt::CheckpointServer& checkpoint_server() { return *ckpt_; }
   const elog::ElDirectory& el_directory() const { return el_dir_; }
-  fault::FaultEngine& fault_engine() { return *fault_engine_; }
   const fault::RecoveryTimeline& timeline() const { return timeline_; }
   const ClusterConfig& config() const { return cfg_; }
   /// Null when tracing is disabled.

@@ -25,11 +25,6 @@
 
 namespace mpiv::runtime {
 
-struct FaultSpec {
-  sim::Time at = 0;
-  int rank = 0;
-};
-
 /// How the dispatcher answers a rank crash (a protocol descriptor trait,
 /// ProtocolEntry::recovery).
 enum class RecoveryMode : std::uint8_t {

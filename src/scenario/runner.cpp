@@ -206,8 +206,6 @@ runtime::ClusterConfig lower(const ScenarioSpec& spec) {
   cfg.seed = spec.seed;
   cfg.ckpt_policy = spec.ckpt_policy;
   cfg.ckpt_interval = spec.ckpt_interval;
-  cfg.faults = spec.faults.faults;
-  cfg.faults_per_minute = spec.faults.faults_per_minute;
   cfg.campaign = spec.faults.campaign;
   cfg.detection_delay = spec.detection_delay;
   cfg.replica_sync_interval = spec.replica_sync_interval;
@@ -282,8 +280,6 @@ RunResult run_point(const RunPoint& point) {
     // be classified as recovered_exact too.
     ScenarioSpec ref = spec;
     ref.compare_reference = false;
-    ref.faults.faults.clear();
-    ref.faults.faults_per_minute = 0.0;
     ref.faults.midrun_rank = -1;
     auto& inj = ref.faults.campaign.injections;
     inj.erase(std::remove_if(inj.begin(), inj.end(),
@@ -295,8 +291,7 @@ RunResult run_point(const RunPoint& point) {
     // sweep corner like rank_rate = 0), the reference IS the measured run
     // — the simulator is deterministic, so don't pay for it twice.
     const bool ref_is_measured =
-        spec.faults.midrun_rank < 0 && spec.faults.faults.empty() &&
-        spec.faults.faults_per_minute == 0.0 &&
+        spec.faults.midrun_rank < 0 &&
         inj.size() == spec.faults.campaign.injections.size();
     const ClusterRun ref_run = run_cluster(ref);
     r.has_reference = true;
@@ -313,10 +308,14 @@ RunResult run_point(const RunPoint& point) {
       return r;
     }
     if (spec.faults.midrun_rank >= 0) {
-      spec.faults.faults.push_back(runtime::FaultSpec{
-          static_cast<sim::Time>(static_cast<double>(r.reference_time) *
-                                 spec.faults.midrun_frac),
-          spec.faults.midrun_rank});
+      // At the front, so it fires before any other crash at the same time.
+      auto& measured = spec.faults.campaign.injections;
+      measured.insert(
+          measured.begin(),
+          fault::rank_crash_at(
+              static_cast<sim::Time>(static_cast<double>(r.reference_time) *
+                                     spec.faults.midrun_frac),
+              spec.faults.midrun_rank));
       spec.faults.midrun_rank = -1;
     }
   }

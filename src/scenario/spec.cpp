@@ -321,12 +321,7 @@ void add_rate_stream(S& s, const std::string& key, const std::string& value,
   const double rate = parse_rate(key, value);
   if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
   if (rate == 0) return;
-  fault::Injection inj;
-  inj.target = target;
-  inj.index = -1;
-  inj.trigger = fault::Trigger::kRate;
-  inj.rate_per_minute = rate;
-  s.faults.campaign.injections.push_back(inj);
+  s.faults.campaign.injections.push_back(fault::crash_stream(target, rate));
 }
 
 // --- variant helpers -------------------------------------------------------
@@ -466,27 +461,6 @@ constexpr KeyRow kKeys[] = {
     {.doc = {"payload_at_sender", "scenario", "<bool>", "true",
              "causal only: keep logged payloads in sender memory"},
      .field = MEMBER(payload_at_sender)},
-    {.doc = {"faults_per_minute", "scenario", "<per-minute>", "0.5",
-             "legacy Poisson crash process over random ranks"},
-     .field = MEMBER(faults.faults_per_minute), .lo = 0,
-     .apply = [](S& s, const std::string& k, const std::string& v) {
-       s.faults.faults_per_minute = parse_rate(k, v);
-     }},
-    {.doc = {"fault", "scenario", "<time>:<rank>", "120ms:1",
-             "deterministic crash; repeat the key for more"},
-     .shown = [](const S& s) { return !s.faults.faults.empty(); },
-     .apply = [](S& s, const std::string& k, const std::string& v) {
-       const std::size_t colon = v.rfind(':');
-       if (colon == std::string::npos) bad_value(k, v, "'<time>:<rank>'");
-       s.faults.faults.push_back(
-           runtime::FaultSpec{parse_time(k, v.substr(0, colon)),
-                              parse_int(k, v.substr(colon + 1))});
-     },
-     .print = [](const S& s, std::string& out) {
-       for (const runtime::FaultSpec& f : s.faults.faults) {
-         out += "fault = " + ns(f.at) + ":" + std::to_string(f.rank) + "\n";
-       }
-     }},
     {.doc = {"midrun_fault_rank", "scenario", "<rank>", "3",
              "crash this rank mid-run, after a fault-free reference pass"},
      .field = MEMBER(faults.midrun_rank), .shown = midrun_set},

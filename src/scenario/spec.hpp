@@ -56,24 +56,19 @@ struct WorkloadSpec {
   std::string get_str(const std::string& key, const std::string& fallback) const;
 };
 
-/// When and whom to crash. `midrun_rank >= 0` is the paper's "middle of
-/// correct execution" protocol: the runner first executes a fault-free
-/// reference, then reruns with a crash of that rank at
-/// `midrun_frac * reference completion time`. `campaign` is the fault
-/// engine's declarative chaos surface (EL-shard crashes, server outages,
-/// link perturbations, event-triggered kills — the `[faults]` section of
-/// scenario files).
+/// When and whom to crash. Every fault is a `campaign` injection (rank and
+/// daemon crashes, EL-shard crashes, server outages, link perturbations,
+/// partitions — the `[faults]` section of scenario files). `midrun_rank >=
+/// 0` is the paper's "middle of correct execution" protocol: the runner
+/// first executes a fault-free reference, then reruns with a crash of that
+/// rank at `midrun_frac * reference completion time`, put at the front of
+/// the campaign.
 struct FaultPlan {
-  std::vector<runtime::FaultSpec> faults;
-  double faults_per_minute = 0.0;
   int midrun_rank = -1;
   double midrun_frac = 0.5;
   fault::Campaign campaign;
 
-  bool any() const {
-    return !faults.empty() || faults_per_minute > 0 || midrun_rank >= 0 ||
-           !campaign.empty();
-  }
+  bool any() const { return midrun_rank >= 0 || !campaign.empty(); }
 };
 
 /// The full declarative experiment description. Field defaults mirror
@@ -217,14 +212,6 @@ class ScenarioBuilder {
     spec_.ckpt_interval = interval;
     return *this;
   }
-  ScenarioBuilder& fault_at(sim::Time at, int rank) {
-    spec_.faults.faults.push_back(runtime::FaultSpec{at, rank});
-    return *this;
-  }
-  ScenarioBuilder& fault_rate(double per_minute) {
-    spec_.faults.faults_per_minute = per_minute;
-    return *this;
-  }
   ScenarioBuilder& midrun_fault(int rank, double frac = 0.5) {
     spec_.faults.midrun_rank = rank;
     spec_.faults.midrun_frac = frac;
@@ -237,6 +224,16 @@ class ScenarioBuilder {
   ScenarioBuilder& inject(const fault::Injection& inj) {
     spec_.faults.campaign.injections.push_back(inj);
     return *this;
+  }
+  /// Crashes rank `rank` at `at`.
+  ScenarioBuilder& fault_at(sim::Time at, int rank) {
+    return inject(fault::rank_crash_at(at, rank));
+  }
+  /// Seeded Poisson rank-crash process over random live ranks. Rate 0 =
+  /// stream off, mirroring the `faults.rank_rate` scenario key.
+  ScenarioBuilder& fault_rate(double per_minute) {
+    if (per_minute <= 0) return *this;
+    return inject(fault::crash_stream(fault::Target::kRank, per_minute));
   }
   /// Kills rank `rank`'s communication daemon at `at`; the dispatcher
   /// respawns it `downtime` later (0 = the campaign's daemon_restart_delay).
@@ -255,12 +252,7 @@ class ScenarioBuilder {
   /// fault-free sweep corner is expressible from C++ too).
   ScenarioBuilder& daemon_rate(double per_minute) {
     if (per_minute <= 0) return *this;
-    fault::Injection inj;
-    inj.target = fault::Target::kDaemon;
-    inj.index = -1;
-    inj.trigger = fault::Trigger::kRate;
-    inj.rate_per_minute = per_minute;
-    return inject(inj);
+    return inject(fault::crash_stream(fault::Target::kDaemon, per_minute));
   }
   /// Detection + respawn + reconnect delay for daemon crashes.
   ScenarioBuilder& daemon_restart_delay(sim::Time t) {

@@ -386,13 +386,13 @@ TEST(FaultValidation, SweptServicePartitionStripsOnlyItsOwnKind) {
 TEST(FaultValidation, LegacyClusterRejectsBadPlansToo) {
   runtime::ClusterConfig dup;
   dup.protocol = runtime::ProtocolKind::kCausal;
-  dup.faults.push_back(runtime::FaultSpec{1000, 1});
-  dup.faults.push_back(runtime::FaultSpec{1000, 1});
+  dup.campaign.injections.push_back(fault::rank_crash_at(1000, 1));
+  dup.campaign.injections.push_back(fault::rank_crash_at(1000, 1));
   EXPECT_DEATH(runtime::Cluster{dup}, "duplicate fault");
 
   runtime::ClusterConfig zero;
   zero.protocol = runtime::ProtocolKind::kCausal;
-  zero.faults.push_back(runtime::FaultSpec{0, 1});
+  zero.campaign.injections.push_back(fault::rank_crash_at(0, 1));
   EXPECT_DEATH(runtime::Cluster{zero}, "t <= 0");
 }
 
@@ -463,8 +463,8 @@ TEST(FaultTriggers, CheckpointTriggerKillsTheRank) {
 }
 
 TEST(FaultTriggers, PlannedAndMidrunCrashesAreCounted) {
-  // A `fault =` line and a midrun crash reach the engine as the legacy
-  // plan; they count as rank crashes exactly like a campaign timed crash.
+  // A builder fault_at() and a midrun crash reach the engine as campaign
+  // timed crashes and count as rank crashes.
   const scenario::RunResult planned = scenario::run_spec(
       ring_base("planned").fault_at(20 * sim::kMillisecond, 2).build());
   ASSERT_TRUE(planned.completed);

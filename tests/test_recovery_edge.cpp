@@ -14,7 +14,6 @@ namespace {
 using runtime::Cluster;
 using runtime::ClusterConfig;
 using runtime::ClusterReport;
-using runtime::FaultSpec;
 using runtime::ProtocolKind;
 using workloads::ChecksumResult;
 
@@ -28,6 +27,11 @@ RunOutput run_ring(ClusterConfig cfg, int laps = 50) {
   Cluster cluster(cfg);
   ClusterReport rep = cluster.run(workloads::make_ring_app(laps, 2048, result));
   return {rep, *result};
+}
+
+/// Crashes `rank` at `at`: a timed campaign injection.
+void crash_at(ClusterConfig& cfg, sim::Time at, int rank) {
+  cfg.campaign.injections.push_back(fault::rank_crash_at(at, rank));
 }
 
 ClusterConfig causal_cfg(int nranks = 5) {
@@ -49,8 +53,7 @@ TEST(RecoveryEdge, CrashSweepAcrossRunAndRanks) {
   for (int rank = 0; rank < cfg.nranks; rank += 2) {
     for (int pct : {10, 35, 60, 85}) {
       ClusterConfig c2 = cfg;
-      c2.faults.push_back(
-          FaultSpec{ref.report.completion_time * pct / 100, rank});
+      crash_at(c2, ref.report.completion_time * pct / 100, rank);
       RunOutput out = run_ring(c2);
       ASSERT_TRUE(out.report.completed) << "rank " << rank << " at " << pct << "%";
       EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums)
@@ -71,8 +74,7 @@ TEST(RecoveryEdge, CrashLikelyDuringCheckpointKeepsOldImageUsable) {
     ClusterConfig c2 = cfg;
     // Just after every k-th scheduler tick, when rank (k-1)%4 may be
     // mid-store (the store itself takes ~5+ ms).
-    c2.faults.push_back(FaultSpec{
-        20 * sim::kMillisecond * k + 6 * sim::kMillisecond, (k - 1) % 4});
+    crash_at(c2, 20 * sim::kMillisecond * k + 6 * sim::kMillisecond, (k - 1) % 4);
     RunOutput out = run_ring(c2);
     ASSERT_TRUE(out.report.completed) << "tick " << k;
     EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums) << "tick " << k;
@@ -85,7 +87,7 @@ TEST(RecoveryEdge, RepeatedCrashesOfSameRank) {
   ASSERT_TRUE(ref.report.completed);
   ClusterConfig c2 = cfg;
   for (int k = 1; k <= 4; ++k) {
-    c2.faults.push_back(FaultSpec{ref.report.completion_time * k / 5, 2});
+    crash_at(c2, ref.report.completion_time * k / 5, 2);
   }
   RunOutput out = run_ring(c2, 80);
   ASSERT_TRUE(out.report.completed);
@@ -100,9 +102,8 @@ TEST(RecoveryEdge, NearSimultaneousFaultsAreSerialized) {
   const RunOutput ref = run_ring(cfg, 60);
   ASSERT_TRUE(ref.report.completed);
   ClusterConfig c2 = cfg;
-  c2.faults.push_back(FaultSpec{ref.report.completion_time / 2, 1});
-  c2.faults.push_back(
-      FaultSpec{ref.report.completion_time / 2 + sim::kMillisecond, 3});
+  crash_at(c2, ref.report.completion_time / 2, 1);
+  crash_at(c2, ref.report.completion_time / 2 + sim::kMillisecond, 3);
   RunOutput out = run_ring(c2, 60);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.faults_injected, 2u);
@@ -123,7 +124,7 @@ TEST(RecoveryEdge, PessimisticReplaysWildcardOrders) {
   };
   const RunOutput ref = run_it();
   ASSERT_TRUE(ref.report.completed);
-  cfg.faults.push_back(FaultSpec{ref.report.completion_time * 3 / 4, 2});
+  crash_at(cfg, ref.report.completion_time * 3 / 4, 2);
   RunOutput out = run_it();
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums);
@@ -138,8 +139,8 @@ TEST(RecoveryEdge, CoordinatedSurvivesRepeatedRollbacks) {
   const RunOutput ref = run_ring(cfg, 70);
   ASSERT_TRUE(ref.report.completed);
   ClusterConfig c2 = cfg;
-  c2.faults.push_back(FaultSpec{ref.report.completion_time / 3, 0});
-  c2.faults.push_back(FaultSpec{ref.report.completion_time * 2 / 3, 2});
+  crash_at(c2, ref.report.completion_time / 3, 0);
+  crash_at(c2, ref.report.completion_time * 2 / 3, 2);
   RunOutput out = run_ring(c2, 70);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.faults_injected, 2u);
@@ -181,7 +182,7 @@ TEST(RecoveryEdge, StarvedEventLoggerStillRecoversCorrectly) {
   const RunOutput ref = run_ring(cfg);
   ASSERT_TRUE(ref.report.completed);
   ClusterConfig c2 = cfg;
-  c2.faults.push_back(FaultSpec{ref.report.completion_time / 2, 1});
+  crash_at(c2, ref.report.completion_time / 2, 1);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums);
@@ -220,7 +221,7 @@ TEST(RecoveryEdge, ElShardLossThenRankCrashRecoversExactly) {
   ClusterConfig c2 = cfg;
   crash_el(c2, ref.report.completion_time / 4, 0);
   c2.campaign.el_failover_delay = 10 * sim::kMillisecond;
-  c2.faults.push_back(FaultSpec{ref.report.completion_time / 2, 2});
+  crash_at(c2, ref.report.completion_time / 2, 2);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.el_crashes, 1u);
@@ -242,13 +243,13 @@ TEST(RecoveryEdge, RankCrashDuringElOutageWindowStillRecovers) {
   ASSERT_TRUE(ref.report.completed);
 
   ClusterConfig c2 = cfg;
-  const sim::Time crash_at = ref.report.completion_time / 2;
-  crash_el(c2, crash_at - sim::kMillisecond, 0);
+  const sim::Time t = ref.report.completion_time / 2;
+  crash_el(c2, t - sim::kMillisecond, 0);
   // Failover completes only after the rank's recovery already started
   // (detection takes 250 ms, the first fetch fires into the dead shard).
   c2.campaign.el_failover_delay = 300 * sim::kMillisecond;
   c2.campaign.service_retry = 60 * sim::kMillisecond;
-  c2.faults.push_back(FaultSpec{crash_at, 0});
+  crash_at(c2, t, 0);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.el_failovers, 1u);
@@ -266,7 +267,7 @@ TEST(RecoveryEdge, ElShardLossFailsOverToStandby) {
   crash_el(c2, ref.report.completion_time / 4, 1);
   c2.campaign.el_failover = fault::ElFailover::kStandby;
   c2.campaign.el_failover_delay = 10 * sim::kMillisecond;
-  c2.faults.push_back(FaultSpec{ref.report.completion_time / 2, 1});
+  crash_at(c2, ref.report.completion_time / 2, 1);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.el_failovers, 1u);
@@ -296,7 +297,7 @@ TEST(RecoveryEdge, ShardCrashDuringPeerOutageWaitsForTheOutageToEnd) {
   }
   crash_el(c2, t / 5 + sim::kMillisecond, 0);  // inside shard 1's outage
   c2.campaign.el_failover_delay = 5 * sim::kMillisecond;
-  c2.faults.push_back(FaultSpec{t / 5 + 60 * sim::kMillisecond, 2});
+  crash_at(c2, t / 5 + 60 * sim::kMillisecond, 2);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   // The failover eventually landed (no abandonment) and recovery is exact.
@@ -346,7 +347,7 @@ TEST(RecoveryEdge, DaemonCrashDuringElFailoverStillRecovers) {
     dmn.duration = 30 * sim::kMillisecond;
     c2.campaign.injections.push_back(dmn);
   }
-  c2.faults.push_back(runtime::FaultSpec{t / 2, 2});
+  crash_at(c2, t / 2, 2);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.el_failovers, 1u);
@@ -375,7 +376,7 @@ TEST(RecoveryEdge, RankCrashWhileItsDaemonIsDownSupersedesTheOutage) {
     dmn.duration = 40 * sim::kMillisecond;  // outage spans the rank crash
     c2.campaign.injections.push_back(dmn);
   }
-  c2.faults.push_back(runtime::FaultSpec{t / 2, 3});
+  crash_at(c2, t / 2, 3);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.daemon_crashes, 1u);
@@ -407,7 +408,7 @@ TEST(RecoveryEdge, DaemonFaultAfterSupersedingRankCrashStillFires) {
     c2.campaign.injections.push_back(dmn);
   };
   daemon_at(t / 2 - 2 * sim::kMillisecond, 60 * sim::kMillisecond);
-  c2.faults.push_back(runtime::FaultSpec{t / 2, 3});  // supersedes outage 1
+  crash_at(c2, t / 2, 3);  // supersedes outage 1
   daemon_at(t / 2 + 10 * sim::kMillisecond, 20 * sim::kMillisecond);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
@@ -442,7 +443,7 @@ TEST(RecoveryEdge, PartitionAcrossARecoveryHealsInOrder) {
     part.group_b = {4, 5};
     c2.campaign.injections.push_back(part);
   }
-  c2.faults.push_back(runtime::FaultSpec{t / 2, 1});
+  crash_at(c2, t / 2, 1);
   RunOutput out = run_ring(c2);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.partitions, 1u);
@@ -487,7 +488,7 @@ TEST(RecoveryEdge, SplitBrainReconcilesToOneLogAndReplaysExactly) {
   cut_services(c2, t / 4, {0}, {2, 4}, 60 * sim::kMillisecond);
   c2.campaign.detection_delay = 10 * sim::kMillisecond;
   c2.campaign.service_retry = 10 * sim::kMillisecond;
-  c2.faults.push_back(FaultSpec{t / 4 + 100 * sim::kMillisecond, 2});
+  crash_at(c2, t / 4 + 100 * sim::kMillisecond, 2);
   RunOutput out = run_ring(c2, 80);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.partitions, 1u);
@@ -546,7 +547,7 @@ TEST(RecoveryEdge, RehomeWhileSuccessorPartitionedRetriesIntoTheHeal) {
   crash_el(c2, t / 4, 0);
   c2.campaign.el_failover_delay = 5 * sim::kMillisecond;
   c2.campaign.service_retry = 10 * sim::kMillisecond;
-  c2.faults.push_back(FaultSpec{t / 4 + 80 * sim::kMillisecond, 2});
+  crash_at(c2, t / 4 + 80 * sim::kMillisecond, 2);
   RunOutput out = run_ring(c2, 80);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.fault_counts.el_crashes, 1u);
@@ -590,8 +591,8 @@ TEST(RecoveryEdge, FaultStormSurvivesOverlappingInjections) {
     cs.duration = 50 * sim::kMillisecond;
     c2.campaign.injections.push_back(cs);
   }
-  c2.faults.push_back(FaultSpec{t / 2, 3});
-  c2.faults.push_back(FaultSpec{t / 2 + 2 * sim::kMillisecond, 0});
+  crash_at(c2, t / 2, 3);
+  crash_at(c2, t / 2 + 2 * sim::kMillisecond, 0);
   RunOutput out = run_ring(c2, 70);
   ASSERT_TRUE(out.report.completed);
   EXPECT_EQ(out.report.faults_injected, 2u);

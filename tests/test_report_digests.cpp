@@ -51,17 +51,17 @@ struct Pin {
 
 // BEGIN DIGEST TABLE
 constexpr Pin kPins[] = {
-    {"ablation_ckpt_sched.scn", 0x19f7c902ca20133cULL, false},
+    {"ablation_ckpt_sched.scn", 0x0b708cda8e479216ULL, false},
     {"ablation_el_latency.scn", 0x5f8170468239803eULL, false},
     {"ablation_multi_el.scn", 0x0f238fd1ddc3d412ULL, false},
     {"ablation_wire_format.scn", 0x0248b25dc5bdb518ULL, false},
     {"chaos_soak.scn", 0x27079f62c799fd92ULL, true},
     {"family_race.scn", 0xdf9408b86ba4a5e9ULL, false},
     {"fault_campaign.scn", 0xce2c6e0e091a9edcULL, false},
-    {"fig10.scn", 0x60d1f12cdf4e17b2ULL, false},
-    {"fig10_saturated_el.scn", 0x4b841d635311fd24ULL, false},
-    {"fig1_coordinated.scn", 0xd0b5cd28d4638ebcULL, false},
-    {"fig1_logging.scn", 0xbd04c094b1c695c6ULL, false},
+    {"fig10.scn", 0xa589a3f7897df89cULL, false},
+    {"fig10_saturated_el.scn", 0x8cfc55f6e20f234fULL, false},
+    {"fig1_coordinated.scn", 0xfe6a680bc9afe4c4ULL, false},
+    {"fig1_logging.scn", 0x1a90f5bedd0a6a34ULL, false},
     {"fig6a.scn", 0x8c971007998034aaULL, false},
     {"fig6b.scn", 0x263ab19bbfd12231ULL, false},
     {"fig7.scn", 0xc6f34cb63e6a98e0ULL, false},
@@ -345,14 +345,14 @@ double cpu_share_pct(const Json& run) {
          (num(run, "sim_time_s") * std::stod(axis(run, "nranks")));
 }
 
-/// (faults_per_minute, sim_time_s over the fault-free point's) in sweep
+/// (faults.rank_rate, sim_time_s over the fault-free point's) in sweep
 /// order, for the runs of `file` matching `where`.
 std::vector<std::pair<double, double>> slowdowns(const std::string& file,
                                                  const Where& where) {
   std::vector<std::pair<double, double>> curve;
   for (const Json* r : select(file, where)) {
     EXPECT_EQ(text(*r, "outcome"), "completed") << text(*r, "label");
-    curve.emplace_back(std::stod(axis(*r, "faults_per_minute")),
+    curve.emplace_back(std::stod(axis(*r, "faults.rank_rate")),
                        num(*r, "sim_time_s"));
   }
   if (curve.empty() || curve.front().first != 0.0) {

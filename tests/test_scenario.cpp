@@ -234,10 +234,12 @@ TEST(ScenarioFile, ParseRoundTripPreservesTheSpec) {
   EXPECT_EQ(reparsed.cost.el_service, spec.cost.el_service);
   EXPECT_EQ(reparsed.ckpt_policy, spec.ckpt_policy);
   EXPECT_EQ(reparsed.ckpt_interval, spec.ckpt_interval);
-  ASSERT_EQ(reparsed.faults.faults.size(), 1u);
-  EXPECT_EQ(reparsed.faults.faults[0].at, spec.faults.faults[0].at);
-  EXPECT_EQ(reparsed.faults.faults[0].rank, spec.faults.faults[0].rank);
-  EXPECT_DOUBLE_EQ(reparsed.faults.faults_per_minute, 0.5);
+  const std::vector<fault::Injection>& inj =
+      reparsed.faults.campaign.injections;
+  ASSERT_EQ(inj.size(), 2u);
+  EXPECT_EQ(inj[0].at, spec.faults.campaign.injections[0].at);
+  EXPECT_EQ(inj[0].index, spec.faults.campaign.injections[0].index);
+  EXPECT_DOUBLE_EQ(inj[1].rate_per_minute, 0.5);
   EXPECT_EQ(reparsed.workload.name, "nas");
   EXPECT_EQ(reparsed.workload.params, spec.workload.params);
   ASSERT_EQ(reparsed.sweep.size(), 1u);
@@ -440,7 +442,7 @@ TEST(ScenarioFile, NumbersThatDoNotFitTheirFieldAreRejected) {
            Case{"nranks = 4294967300\n", "'nranks'"},
            Case{"[trace]\ncapacity = 4294967312\n", "'trace.capacity'"},
            Case{"[faults]\nrank_rate = nan\n", "'faults.rank_rate'"},
-           Case{"faults_per_minute = inf\n", "'faults_per_minute'"},
+           Case{"[faults]\nrank_rate = inf\n", "'faults.rank_rate'"},
            Case{"[faults]\nrank_rate = 1e300\n", "'faults.rank_rate'"},
            Case{"max_sim_time = 1e300s\n", "'max_sim_time'"},
            Case{"[faults]\ndaemon_rate = 7e10\n", "'faults.daemon_rate'"},
@@ -527,7 +529,7 @@ TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
 
     EXPECT_NE(listing.find(std::string(" ") + k.key + " "), std::string::npos);
   }
-  EXPECT_EQ(rows, 58u);  // 57 keys plus the workload.* family
+  EXPECT_EQ(rows, 56u);  // 55 keys plus the workload.* family
 
   ScenarioSpec spec;
   EXPECT_THROW(scenario::apply_key(spec, "faults.no_such_key", "1"), SpecError);
@@ -652,8 +654,8 @@ TEST(Lowering, MapsEveryFieldOntoClusterConfig) {
   EXPECT_EQ(cfg.seed, 99u);
   EXPECT_EQ(cfg.ckpt_policy, ckpt::Policy::kRoundRobin);
   EXPECT_EQ(cfg.ckpt_interval, 50 * sim::kMillisecond);
-  ASSERT_EQ(cfg.faults.size(), 1u);
-  EXPECT_EQ(cfg.faults[0].rank, 5);
+  ASSERT_EQ(cfg.campaign.injections.size(), 1u);
+  EXPECT_EQ(cfg.campaign.injections[0].index, 5);
   EXPECT_EQ(cfg.detection_delay, 100 * sim::kMillisecond);
   EXPECT_EQ(cfg.max_sim_time, 30 * sim::kSecond);
 }
@@ -675,7 +677,7 @@ TEST(ClusterDeath, RejectsFaultOnMissingRank) {
   runtime::ClusterConfig cfg;
   cfg.nranks = 4;
   cfg.protocol = runtime::ProtocolKind::kCausal;
-  cfg.faults.push_back(runtime::FaultSpec{1000, 7});
+  cfg.campaign.injections.push_back(fault::rank_crash_at(1000, 7));
   EXPECT_DEATH(runtime::Cluster{cfg}, "names rank 7");
 }
 

@@ -11,7 +11,6 @@ namespace {
 using runtime::Cluster;
 using runtime::ClusterConfig;
 using runtime::ClusterReport;
-using runtime::FaultSpec;
 using runtime::ProtocolKind;
 using workloads::ChecksumResult;
 using workloads::NasClass;
@@ -111,24 +110,14 @@ TEST_P(NasKernelTest, SurvivesCrashWithIdenticalResults) {
   const NasRun ref = run_nas(cfg, n);
   ASSERT_TRUE(ref.report.completed);
 
-  cfg.faults.push_back(FaultSpec{ref.report.completion_time / 5, 1});
-  NasRun out = run_nas(cfg, n);
-  ASSERT_TRUE(out.report.completed) << workloads::nas_kernel_name(k);
-  EXPECT_EQ(out.report.faults_injected, 1u);
-  EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums)
-      << workloads::nas_kernel_name(k);
-
-  // The same crash as a campaign injection arms the checkpoint clients'
-  // retransmits. They must resend only into a server that went down: on
-  // BT, resending whole images into the busy but live server every retry
-  // period swamped it and the run never finished.
-  cfg.faults.clear();
-  fault::Injection crash;
-  crash.at = ref.report.completion_time / 5;
-  crash.index = 1;
-  cfg.campaign.injections.push_back(crash);
+  // The crash arms the checkpoint clients' retransmits. They must resend
+  // only into a server that went down: resending whole images into the
+  // busy but live server every retry period swamped it, and no kernel
+  // finished within twice the fault-free time.
+  cfg.campaign.injections.push_back(
+      fault::rank_crash_at(ref.report.completion_time / 5, 1));
   cfg.max_sim_time = 2 * ref.report.completion_time;
-  out = run_nas(cfg, n);
+  NasRun out = run_nas(cfg, n);
   ASSERT_TRUE(out.report.completed) << workloads::nas_kernel_name(k);
   EXPECT_EQ(out.report.faults_injected, 1u);
   EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums)
