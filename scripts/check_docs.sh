@@ -4,7 +4,10 @@
 #  1. Every key in the scenario key table (src/scenario/spec.cpp, between
 #     the BEGIN/END KEY TABLE markers — the same table the parser, the
 #     scenario-text printer and `mpiv_run --list` read) must appear in
-#     docs/SCENARIOS.md as `key`.
+#     docs/SCENARIOS.md as `key`, and every row of that file's key tables
+#     (header cell `key`) must name a key of the table, so a deleted key
+#     does not linger in the docs. `workload.<param>` rows stand for the
+#     `workload.*` row.
 #  2. Every relative markdown link in README.md and docs/*.md must point at
 #     a file that exists.
 #  3. Every binary README.md, PAPER.md or docs/*.md names — a `bench_*`,
@@ -43,6 +46,19 @@ while IFS= read -r key; do
     fail=1
   fi
 done <<< "$keys"
+
+documented=$(awk '
+  /^\| *key *\|/ { in_table = 1; next }
+  in_table && /^\|[- |]+\|$/ { next }
+  in_table && /^\|/ { split($0, cell, "|"); print cell[2]; next }
+  { in_table = 0 }' "$DOC" | sed -E 's/^ *`([^`]*)` *$/\1/')
+while IFS= read -r key; do
+  [[ $key == workload.* ]] && key='workload.*'
+  if ! grep -qxF "$key" <<< "$keys"; then
+    echo "STALE: $key documented in $DOC but not in the key table" >&2
+    fail=1
+  fi
+done <<< "$documented"
 
 # --- 2. relative markdown links resolve ------------------------------------
 for md in README.md docs/*.md; do

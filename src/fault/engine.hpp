@@ -76,7 +76,6 @@ class FaultEngine final : public ftapi::FaultObserver {
   void on_rank_checkpoint(int rank, std::uint64_t completed) override;
   void on_el_stored(int shard, std::uint64_t stored) override;
 
-  const Campaign& campaign() const { return campaign_; }
   const FaultCounts& counts() const { return counts_; }
   /// Time of the first EL shard loss (0 = none): the piggyback-regrowth
   /// reference point. The pointer form is stable for the lifetime of the

@@ -51,7 +51,7 @@ struct Pin {
 
 // BEGIN DIGEST TABLE
 constexpr Pin kPins[] = {
-    {"ablation_ckpt_sched.scn", 0x0b708cda8e479216ULL, false},
+    {"ablation_ckpt_sched.scn", 0x057f8be1cefbd44aULL, false},
     {"ablation_el_latency.scn", 0x5f8170468239803eULL, false},
     {"ablation_multi_el.scn", 0x0f238fd1ddc3d412ULL, false},
     {"ablation_wire_format.scn", 0x0248b25dc5bdb518ULL, false},

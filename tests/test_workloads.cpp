@@ -110,10 +110,9 @@ TEST_P(NasKernelTest, SurvivesCrashWithIdenticalResults) {
   const NasRun ref = run_nas(cfg, n);
   ASSERT_TRUE(ref.report.completed);
 
-  // The crash arms the checkpoint clients' retransmits. They must resend
-  // only into a server that went down: resending whole images into the
-  // busy but live server every retry period swamped it, and no kernel
-  // finished within twice the fault-free time.
+  // The crash arms the checkpoint clients' retransmits. Resending whole
+  // images into the busy but live server every retry period would swamp
+  // it, so the run must finish within twice the fault-free time.
   cfg.campaign.injections.push_back(
       fault::rank_crash_at(ref.report.completion_time / 5, 1));
   cfg.max_sim_time = 2 * ref.report.completion_time;
