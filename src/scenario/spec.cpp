@@ -77,16 +77,6 @@ double parse_f64(const std::string& key, const std::string& value) {
   bad_value(key, value, "a finite number");
 }
 
-/// A per-minute Poisson rate. A mean interval under 1 ns would never
-/// advance simulated time, so faster streams are rejected.
-double parse_rate(const std::string& key, const std::string& value) {
-  const double rate = parse_f64(key, value);
-  if (rate > static_cast<double>(sim::kMinute)) {
-    bad_value(key, value, "at most 6e10 per minute (a mean interval >= 1ns)");
-  }
-  return rate;
-}
-
 bool parse_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "on" || value == "1" || value == "yes") {
     return true;
@@ -315,10 +305,15 @@ std::string format_partition(const fault::Injection& i) {
 }
 
 /// Appends a Poisson crash stream over random live targets; rate 0 = stream
-/// off, so a sweep axis can include the fault-free corner.
+/// off, so a sweep axis can include the fault-free corner. A mean interval
+/// under 1 ns would never advance simulated time, so faster streams are
+/// rejected.
 void add_rate_stream(S& s, const std::string& key, const std::string& value,
                      fault::Target target) {
-  const double rate = parse_rate(key, value);
+  const double rate = parse_f64(key, value);
+  if (rate > static_cast<double>(sim::kMinute)) {
+    bad_value(key, value, "at most 6e10 per minute (a mean interval >= 1ns)");
+  }
   if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
   if (rate == 0) return;
   s.faults.campaign.injections.push_back(fault::crash_stream(target, rate));
