@@ -53,6 +53,7 @@ documented=$(awk '
   in_table && /^\|/ { split($0, cell, "|"); print cell[2]; next }
   { in_table = 0 }' "$DOC" | sed -E 's/^ *`([^`]*)` *$/\1/')
 while IFS= read -r key; do
+  [[ -z "$key" ]] && continue
   [[ $key == workload.* ]] && key='workload.*'
   if ! grep -qxF "$key" <<< "$keys"; then
     echo "STALE: $key documented in $DOC but not in the key table" >&2
