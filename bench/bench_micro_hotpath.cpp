@@ -276,10 +276,13 @@ std::uint64_t bench_queue_binary_heap(std::uint64_t events) {
 std::uint64_t bench_cluster(int iterations) {
   const mpiv::scenario::RunResult r = mpiv::scenario::run_spec(
       mpiv::scenario::ScenarioBuilder("hotpath_e2e")
-          .variant("logon:el")
-          .nranks(8)
-          .seed(11)
-          .random_any(iterations, 11, 1024)
+          .set("variant", "logon:el")
+          .set("nranks", "8")
+          .set("seed", "11")
+          .set("workload", "random_any")
+          .set("workload.iters", std::to_string(iterations))
+          .set("workload.seed", "11")
+          .set("workload.bytes", "1024")
           .build());
   MPIV_CHECK(r.completed, "cluster bench did not complete");
   g_sink += r.checksums[0];

@@ -19,13 +19,17 @@ int main() {
   std::printf("MPIV-EL quickstart: 8-rank ring, Vcausal + Event Logger\n");
   std::printf("======================================================\n\n");
 
+  // The settings of scenarios/quickstart.scn, line for line.
   const scenario::ScenarioSpec spec =
       scenario::ScenarioBuilder("quickstart")
-          .variant("vcausal:el")
-          .nranks(8)
-          .checkpoint(ckpt::Policy::kRoundRobin, 75 * sim::kMillisecond)
-          .midrun_fault(/*rank=*/3)
-          .ring(/*laps=*/60, /*token_bytes=*/4096)
+          .set("nranks", "8")
+          .set("variant", "vcausal:el")
+          .set("ckpt_policy", "round-robin")
+          .set("ckpt_interval", "75ms")
+          .set("midrun_fault_rank", "3")
+          .set("workload", "ring")
+          .set("workload.laps", "60")
+          .set("workload.bytes", "4096")
           .build();
   const scenario::RunResult r = scenario::run_spec(spec);
 

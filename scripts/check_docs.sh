@@ -11,9 +11,12 @@
 #  2. Every relative markdown link in README.md and docs/*.md must point at
 #     a file that exists.
 #  3. Every binary README.md, PAPER.md or docs/*.md names — a `bench_*`,
-#     `test_*` or `mpiv_*` name, or any `./build/<name>` — must have a
-#     source under bench/, tests/, tools/ or examples/. A name ending in
-#     `_` (`bench_micro_*`) names a family and needs one matching source.
+#     `test_*` or `mpiv_*` name — and every `./build/<name>` command in
+#     those files, bench/e2e/README.md or the verify skill notes must have
+#     a source under bench/, tests/, tools/ or examples/, so a command for
+#     a deleted binary cannot linger. A name ending in `_` (`bench_micro_*`)
+#     names a family and needs one matching source. CHANGES.md and
+#     ROADMAP.md are history and may name deleted binaries.
 #
 # No build needed: CI's docs-check job runs this straight off the checkout.
 set -euo pipefail
@@ -81,10 +84,13 @@ done
 
 # --- 3. named binaries have sources ----------------------------------------
 DOCS=(README.md PAPER.md docs/*.md)
+RUN_DOCS=("${DOCS[@]}" bench/e2e/README.md)
+SKILL=.claude/skills/verify/SKILL.md
+[[ -f $SKILL ]] && RUN_DOCS+=("$SKILL")
 sources=$(find bench tests tools examples -name '*.cpp' -exec basename {} .cpp \;)
 names=$({
   grep -ohE '\b(bench|test|mpiv)_[a-z0-9_]*' "${DOCS[@]}"
-  grep -ohE '\./build/[A-Za-z0-9_]+' "${DOCS[@]}" | sed 's|^\./build/||'
+  grep -ohE '\./build/[A-Za-z0-9_]+' "${RUN_DOCS[@]}" | sed 's|^\./build/||'
 } | sort -u)
 while IFS= read -r name; do
   if [[ $name == *_ ]]; then
@@ -93,7 +99,7 @@ while IFS= read -r name; do
     grep -qx "$name" <<< "$sources" && continue
   fi
   echo "STALE: $name has no source under bench/, tests/, tools/ or examples/" \
-    "(named in $(grep -lwF "$name" "${DOCS[@]}" | tr '\n' ' '))" >&2
+    "(named in $(grep -lwF "$name" "${RUN_DOCS[@]}" | tr '\n' ' '))" >&2
   fail=1
 done <<< "$names"
 

@@ -17,6 +17,7 @@
 #include "ulfm/ulfm_protocol.hpp"
 #include "util/check.hpp"
 #include "workloads/apps.hpp"
+#include "workloads/nas.hpp"
 
 namespace mpiv::scenario {
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "scenario/spec.hpp"
+#include "workloads/apps.hpp"
 
 namespace mpiv::scenario {
 

@@ -319,16 +319,6 @@ void add_rate_stream(S& s, const std::string& key, const std::string& value,
   s.faults.campaign.injections.push_back(fault::crash_stream(target, rate));
 }
 
-// --- variant helpers -------------------------------------------------------
-
-/// Recomputes the canonical name + label after a piecemeal edit
-/// (protocol / strategy / event_logger keys).
-void refresh_variant(VariantSpec& v) {
-  const runtime::ProtocolEntry& p = runtime::protocol_entry(v.protocol);
-  v.name = p.variant_name(v.strategy, v.event_logger);
-  v.label = p.label(v.strategy, v.event_logger);
-}
-
 // --- the key table ---------------------------------------------------------
 
 /// A scalar row's binding to its ScenarioSpec member. The member's type
@@ -396,24 +386,6 @@ constexpr KeyRow kKeys[] = {
      .field = MEMBER(variant.name), .lead = true,
      .apply = [](S& s, const std::string&, const std::string& v) {
        s.variant = parse_variant(v);
-     }},
-    {.doc = {"protocol", "scenario", "<protocol>", "coordinated",
-             "piecemeal: set just the protocol"},
-     .apply = [](S& s, const std::string&, const std::string& v) {
-       s.variant.protocol = protocols().at(v).kind;
-       refresh_variant(s.variant);
-     }},
-    {.doc = {"strategy", "scenario", "<strategy>", "logon",
-             "piecemeal: set just the causal strategy"},
-     .apply = [](S& s, const std::string&, const std::string& v) {
-       s.variant.strategy = strategies().at(v).kind;
-       refresh_variant(s.variant);
-     }},
-    {.doc = {"event_logger", "scenario", "<bool>", "false",
-             "piecemeal: enable or disable the Event Logger"},
-     .apply = [](S& s, const std::string& k, const std::string& v) {
-       s.variant.event_logger = parse_bool(k, v);
-       refresh_variant(s.variant);
      }},
     {.doc = {"nranks", "scenario", "<int 1..4096>", "8",
              "compute ranks (MPI process + communication daemon each)"},
@@ -756,7 +728,7 @@ constexpr KeyRow kKeys[] = {
      .field = MEMBER(faults.campaign.daemon_restart_delay)},
     {.doc = {"faults.service_retry", "faults", "<duration>", "500ms",
              "client retransmit interval for unacked EL/ckpt requests"},
-     .field = MEMBER(faults.campaign.service_retry)},
+     .field = MEMBER(faults.campaign.service_retry), .lo = 0, .open = true},
     {.doc = {"faults.seed_salt", "faults", "<u64>", "77",
              "salt mixed into the campaign's stochastic streams"},
      .field = MEMBER(faults.campaign.seed_salt)},
@@ -1112,65 +1084,6 @@ void validate(const ScenarioSpec& spec) {
       fail(msg + ")");
     }
   }
-}
-
-ScenarioBuilder& ScenarioBuilder::wparam(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return wparam(key, std::string(buf));
-}
-
-ScenarioBuilder& ScenarioBuilder::ring(int laps, std::uint64_t token_bytes) {
-  return workload("ring")
-      .wparam("laps", laps)
-      .wparam("bytes", token_bytes);
-}
-
-ScenarioBuilder& ScenarioBuilder::random_any(int iterations,
-                                             std::uint64_t wseed,
-                                             std::uint64_t bytes) {
-  return workload("random_any")
-      .wparam("iters", iterations)
-      .wparam("seed", wseed)
-      .wparam("bytes", bytes);
-}
-
-ScenarioBuilder& ScenarioBuilder::random_then_ring(int rand_iters,
-                                                   int ring_laps,
-                                                   std::uint64_t wseed,
-                                                   std::uint64_t bytes) {
-  return workload("random_then_ring")
-      .wparam("rand_iters", rand_iters)
-      .wparam("ring_laps", ring_laps)
-      .wparam("seed", wseed)
-      .wparam("bytes", bytes);
-}
-
-ScenarioBuilder& ScenarioBuilder::pingpong(
-    const std::vector<std::uint64_t>& sizes, int reps) {
-  std::string csv;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (i) csv += ",";
-    csv += std::to_string(sizes[i]);
-  }
-  return workload("pingpong").wparam("sizes", csv).wparam("reps", reps);
-}
-
-ScenarioBuilder& ScenarioBuilder::nas(workloads::NasKernel kernel,
-                                      workloads::NasClass klass, double scale) {
-  const char* kname = "cg";
-  switch (kernel) {
-    case workloads::NasKernel::kBT: kname = "bt"; break;
-    case workloads::NasKernel::kCG: kname = "cg"; break;
-    case workloads::NasKernel::kLU: kname = "lu"; break;
-    case workloads::NasKernel::kFT: kname = "ft"; break;
-    case workloads::NasKernel::kMG: kname = "mg"; break;
-    case workloads::NasKernel::kSP: kname = "sp"; break;
-  }
-  return workload("nas")
-      .wparam("kernel", std::string(kname))
-      .wparam("class", std::string(1, workloads::nas_class_letter(klass)))
-      .wparam("scale", scale);
 }
 
 }  // namespace mpiv::scenario

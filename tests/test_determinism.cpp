@@ -29,18 +29,22 @@ struct Fingerprint {
 Fingerprint run_variant(const char* variant, bool ckpt, bool traced = false,
                         bool metered = false) {
   scenario::ScenarioBuilder b("determinism");
-  b.variant(variant).nranks(4).seed(7);
-  if (traced) b.trace();
-  if (metered) b.metrics().metrics_sample_interval(100 * sim::kMicrosecond);
+  b.set("variant", variant).set("seed", "7");
+  if (traced) b.set("trace.enabled", "true");
+  if (metered) {
+    b.set("metrics.enabled", "true").set("metrics.sample_interval", "100us");
+  }
   if (ckpt) {
     // Round-robin checkpoints exercise the GC paths: sender-log pruning,
     // Event Logger pruning, and stable-clock advances on the stores.
-    b.checkpoint(ckpt::Policy::kRoundRobin, 5 * sim::kMillisecond);
-    b.random_any(/*iterations=*/24, /*wseed=*/7, /*bytes=*/2048);
+    b.set("ckpt_policy", "round-robin").set("ckpt_interval", "5ms");
+    b.set("workload", "random_any").set("workload.iters", "24");
   } else {
-    b.random_then_ring(/*rand_iters=*/6, /*ring_laps=*/4, /*wseed=*/7,
-                       /*bytes=*/2048);
+    b.set("workload", "random_then_ring")
+        .set("workload.rand_iters", "6")
+        .set("workload.ring_laps", "4");
   }
+  b.set("workload.seed", "7").set("workload.bytes", "2048");
   const scenario::RunResult r = scenario::run_spec(b.build());
   EXPECT_TRUE(r.completed);
   Fingerprint fp;

@@ -24,13 +24,17 @@ using scenario::SpecError;
 /// checkpoints feeding the GC paths.
 ScenarioBuilder base(const char* name, int nranks = 6, int shards = 1) {
   ScenarioBuilder b(name);
-  b.variant("vcausal:el")
-      .nranks(nranks)
-      .seed(9)
-      .checkpoint(ckpt::Policy::kRoundRobin, 25 * sim::kMillisecond)
-      .random_then_ring(/*rand_iters=*/10, /*ring_laps=*/10, /*wseed=*/5,
-                        /*bytes=*/2048);
-  if (shards > 1) b.el_shards(shards);
+  b.set("variant", "vcausal:el")
+      .set("nranks", std::to_string(nranks))
+      .set("seed", "9")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "25ms")
+      .set("workload", "random_then_ring")
+      .set("workload.rand_iters", "10")
+      .set("workload.ring_laps", "10")
+      .set("workload.seed", "5")
+      .set("workload.bytes", "2048");
+  if (shards > 1) b.set("el_shards", std::to_string(shards));
   return b;
 }
 
@@ -41,17 +45,23 @@ ScenarioBuilder base(const char* name, int nranks = 6, int shards = 1) {
 ScenarioBuilder ring_base(const char* name, int nranks = 6, int shards = 1,
                           int laps = 50) {
   ScenarioBuilder b(name);
-  b.variant("vcausal:el")
-      .nranks(nranks)
-      .seed(9)
-      .checkpoint(ckpt::Policy::kRoundRobin, 25 * sim::kMillisecond)
-      .ring(laps, 2048);
-  if (shards > 1) b.el_shards(shards);
+  b.set("variant", "vcausal:el")
+      .set("nranks", std::to_string(nranks))
+      .set("seed", "9")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "25ms")
+      .set("workload", "ring")
+      .set("workload.laps", std::to_string(laps))
+      .set("workload.bytes", "2048");
+  if (shards > 1) b.set("el_shards", std::to_string(shards));
   return b;
 }
 
+/// Renders a simulated time as a scenario duration ("12345ns").
+std::string ns(sim::Time t) { return std::to_string(t) + "ns"; }
+
 // ---------------------------------------------------------------------------
-// Campaign model: scenario-file syntax, round-trip, builder conveniences.
+// Campaign model: scenario-file syntax and round-trip.
 // ---------------------------------------------------------------------------
 
 TEST(FaultCampaign, FaultsSectionParses) {
@@ -197,27 +207,30 @@ TEST(FaultCampaign, ServicePartitionKeysParse) {
 }
 
 TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
+  // Every fault key, each with its non-default fields set.
   const ScenarioSpec spec =
       base("roundtrip", 8, 2)
-          .el_standby(1)
-          .crash_el_at(60 * sim::kMillisecond, 0)
-          .crash_el_on_stored(1, 500)
-          .crash_rank_on_ckpt(3, 2)
-          .el_outage(5 * sim::kMillisecond, 1, 9 * sim::kMillisecond)
-          .ckpt_outage(11 * sim::kMillisecond, 13 * sim::kMillisecond)
-          .link_latency(2 * sim::kMillisecond, 4, 500 * sim::kMicrosecond,
-                        6 * sim::kMillisecond)
-          .link_drop(3 * sim::kMillisecond, 5, 4 * sim::kMillisecond)
-          .crash_daemon_at(8 * sim::kMillisecond, 6)
-          .crash_daemon_at(9 * sim::kMillisecond, 7, 3 * sim::kMillisecond)
-          .daemon_rate(0.25)
-          .daemon_restart_delay(21 * sim::kMillisecond)
-          .partition(4 * sim::kMillisecond, {0, 1, 2}, {5, 6},
-                     7 * sim::kMillisecond)
-          .partition_services(6 * sim::kMillisecond, {}, {2, 4}, {0},
-                              {fault::kCkptService}, 9 * sim::kMillisecond)
-          .fault_detection_delay(11 * sim::kMillisecond)
-          .el_failover(fault::ElFailover::kStandby, 17 * sim::kMillisecond)
+          .set("el_standby", "1")
+          .set("faults.crash_el", "60ms:0")
+          .set("faults.crash_el", "stored@500:1")
+          .set("faults.crash_rank", "ckpt@2:3")
+          .set("faults.crash_rank", "7ms:1")
+          .set("faults.rank_rate", "0.5")
+          .set("faults.el_outage", "5ms:1:9ms")
+          .set("faults.ckpt_outage", "11ms:13ms")
+          .set("faults.link_latency", "2ms:4:500us:6ms")
+          .set("faults.link_drop", "3ms:5:4ms")
+          .set("faults.crash_daemon", "8ms:6")
+          .set("faults.crash_daemon", "9ms:7:3ms")
+          .set("faults.daemon_rate", "0.25")
+          .set("faults.daemon_restart_delay", "21ms")
+          .set("faults.partition", "4ms:0-2|5+6:7ms")
+          .set("faults.partition_services", "6ms:el0|2+4+ckpt:9ms")
+          .set("faults.detection_delay", "11ms")
+          .set("faults.el_failover", "standby")
+          .set("faults.el_failover_delay", "17ms")
+          .set("faults.service_retry", "300ms")
+          .set("faults.seed_salt", "77")
           .build();
   const ScenarioSpec back =
       scenario::parse_scenario_text(scenario::to_scenario_text(spec));
@@ -231,6 +244,7 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
     EXPECT_EQ(a.injections[i].trigger, b.injections[i].trigger);
     EXPECT_EQ(a.injections[i].at, b.injections[i].at);
     EXPECT_EQ(a.injections[i].nth, b.injections[i].nth);
+    EXPECT_EQ(a.injections[i].rate_per_minute, b.injections[i].rate_per_minute);
     EXPECT_EQ(a.injections[i].action, b.injections[i].action);
     EXPECT_EQ(a.injections[i].duration, b.injections[i].duration);
     EXPECT_EQ(a.injections[i].magnitude, b.injections[i].magnitude);
@@ -243,6 +257,8 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
   EXPECT_EQ(a.el_failover_delay, b.el_failover_delay);
   EXPECT_EQ(a.detection_delay, b.detection_delay);
   EXPECT_EQ(a.daemon_restart_delay, b.daemon_restart_delay);
+  EXPECT_EQ(a.service_retry, b.service_retry);
+  EXPECT_EQ(a.seed_salt, b.seed_salt);
   EXPECT_EQ(spec.el_standby, back.el_standby);
 }
 
@@ -252,24 +268,32 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
 
 TEST(FaultValidation, RejectsDuplicateFaults) {
   ScenarioBuilder b = base("dup");
-  b.fault_at(100 * sim::kMillisecond, 2).fault_at(100 * sim::kMillisecond, 2);
+  b.set("faults.crash_rank", "100ms:2").set("faults.crash_rank", "100ms:2");
   EXPECT_THROW(b.build(), SpecError);
   // Same rank at a different time stays legal (repeated-crash tests rely
   // on it).
   ScenarioBuilder ok = base("dup_ok");
-  ok.fault_at(100 * sim::kMillisecond, 2).fault_at(200 * sim::kMillisecond, 2);
+  ok.set("faults.crash_rank", "100ms:2").set("faults.crash_rank", "200ms:2");
   EXPECT_NO_THROW(ok.build());
 }
 
 TEST(FaultValidation, RejectsNonPositiveFaultTime) {
   ScenarioBuilder b = base("t0");
-  b.fault_at(0, 1);
+  b.set("faults.crash_rank", "0ms:1");
   EXPECT_THROW(b.build(), SpecError);
 }
 
 TEST(FaultValidation, RejectsMidrunFracOutsideUnitInterval) {
-  EXPECT_THROW(base("frac_hi").midrun_fault(1, 1.5).build(), SpecError);
-  EXPECT_THROW(base("frac_lo").midrun_fault(1, 0.0).build(), SpecError);
+  EXPECT_THROW(base("frac_hi")
+                   .set("midrun_fault_rank", "1")
+                   .set("midrun_fault_frac", "1.5")
+                   .build(),
+               SpecError);
+  EXPECT_THROW(base("frac_lo")
+                   .set("midrun_fault_rank", "1")
+                   .set("midrun_fault_frac", "0")
+                   .build(),
+               SpecError);
   // A bad frac is rejected even without a midrun rank: it is a config typo
   // either way.
   EXPECT_THROW(base("frac_set").set("midrun_fault_frac", "2.0").build(),
@@ -279,80 +303,63 @@ TEST(FaultValidation, RejectsMidrunFracOutsideUnitInterval) {
 TEST(FaultValidation, RejectsCampaignAgainstMissingTargets) {
   // EL crash without an event logger.
   EXPECT_THROW(ScenarioBuilder("noel")
-                   .variant("vcausal:noel")
-                   .nranks(4)
-                   .ring(10, 1024)
-                   .crash_el_at(sim::kMillisecond, 0)
+                   .set("variant", "vcausal:noel")
+                   .set("workload.laps", "10")
+                   .set("faults.crash_el", "1ms:0")
                    .build(),
                SpecError);
   // Shard index out of range.
-  EXPECT_THROW(base("shard_oob", 6, 2).crash_el_at(sim::kMillisecond, 2).build(),
+  EXPECT_THROW(base("shard_oob", 6, 2).set("faults.crash_el", "1ms:2").build(),
                SpecError);
   // Permanent crash of the only shard: no failover target.
-  EXPECT_THROW(base("no_target").crash_el_at(sim::kMillisecond, 0).build(),
+  EXPECT_THROW(base("no_target").set("faults.crash_el", "1ms:0").build(),
                SpecError);
   // ...but a transient outage of the only shard is fine.
   EXPECT_NO_THROW(
-      base("outage_ok").el_outage(sim::kMillisecond, 0, sim::kMillisecond).build());
+      base("outage_ok").set("faults.el_outage", "1ms:0:1ms").build());
   // Link fault naming a non-rank.
-  EXPECT_THROW(base("link_oob")
-                   .link_latency(sim::kMillisecond, 6, sim::kMicrosecond,
-                                 sim::kMillisecond)
-                   .build(),
-               SpecError);
+  EXPECT_THROW(
+      base("link_oob").set("faults.link_latency", "1ms:6:1us:1ms").build(),
+      SpecError);
   // Daemon fault naming a non-rank.
-  EXPECT_THROW(base("daemon_oob").crash_daemon_at(sim::kMillisecond, 6).build(),
+  EXPECT_THROW(base("daemon_oob").set("faults.crash_daemon", "1ms:6").build(),
                SpecError);
   // Partition with a rank on both sides / out of range / an empty group.
   EXPECT_THROW(
-      base("part_overlap")
-          .partition(sim::kMillisecond, {0, 1}, {1, 2}, sim::kMillisecond)
-          .build(),
+      base("part_overlap").set("faults.partition", "1ms:0+1|1+2:1ms").build(),
       SpecError);
-  EXPECT_THROW(
-      base("part_oob")
-          .partition(sim::kMillisecond, {0}, {9}, sim::kMillisecond)
-          .build(),
-      SpecError);
-  EXPECT_THROW(base("part_empty")
-                   .partition(sim::kMillisecond, {}, {1}, sim::kMillisecond)
-                   .build(),
+  EXPECT_THROW(base("part_oob").set("faults.partition", "1ms:0|9:1ms").build(),
+               SpecError);
+  EXPECT_THROW(base("part_empty").set("faults.partition", "1ms:|1:1ms").build(),
                SpecError);
 }
 
 TEST(FaultValidation, ServicePartitionTargetsAreValidated) {
   // Shard id out of range.
   EXPECT_THROW(base("svc_oob", 6, 2)
-                   .partition_services(sim::kMillisecond, {}, {2, 4}, {2}, {},
-                                       5 * sim::kMillisecond)
+                   .set("faults.partition_services", "1ms:el2|2+4:5ms")
                    .build(),
                SpecError);
   // The same shard on both sides of the cut.
   EXPECT_THROW(base("svc_overlap", 6, 2)
-                   .partition_services(sim::kMillisecond, {1}, {2}, {0}, {0},
-                                       5 * sim::kMillisecond)
+                   .set("faults.partition_services", "1ms:1+el0|2+el0:5ms")
                    .build(),
                SpecError);
   // A shard reference without an event logger.
   EXPECT_THROW(ScenarioBuilder("svc_noel")
-                   .variant("vcausal:noel")
-                   .nranks(4)
-                   .ring(10, 1024)
-                   .partition_services(sim::kMillisecond, {}, {1, 2}, {0}, {},
-                                       5 * sim::kMillisecond)
+                   .set("variant", "vcausal:noel")
+                   .set("workload.laps", "10")
+                   .set("faults.partition_services", "1ms:el0|1+2:5ms")
                    .build(),
                SpecError);
   // A services-only side is legal (the checkpoint server cut away from two
   // ranks), including standby shard ids above el_shards.
   EXPECT_NO_THROW(base("svc_ckpt")
-                      .partition_services(sim::kMillisecond, {}, {1, 2},
-                                          {fault::kCkptService}, {},
-                                          5 * sim::kMillisecond)
+                      .set("faults.partition_services", "1ms:ckpt|1+2:5ms")
                       .build());
   EXPECT_NO_THROW(base("svc_standby", 6, 2)
-                      .el_standby(1)
-                      .partition_services(sim::kMillisecond, {}, {2, 4}, {2},
-                                          {}, 5 * sim::kMillisecond)
+                      .set("el_standby", "1")
+                      .set("faults.partition_services", "1ms:el2|2+4:5ms")
                       .build());
 }
 
@@ -361,9 +368,8 @@ TEST(FaultValidation, SweptServicePartitionStripsOnlyItsOwnKind) {
   // sweep axis on one must not strip the other: the rank-only cut survives
   // a swept service cut, and vice versa.
   ScenarioBuilder b = base("svc_sweep", 6, 2);
-  b.partition(4 * sim::kMillisecond, {0, 1}, {3, 5}, 7 * sim::kMillisecond)
-      .partition_services(6 * sim::kMillisecond, {}, {2, 4}, {0}, {},
-                          9 * sim::kMillisecond)
+  b.set("faults.partition", "4ms:0+1|3+5:7ms")
+      .set("faults.partition_services", "6ms:el0|2+4:9ms")
       .sweep("faults.partition_services",
              {"10ms:el0|2+4:20ms", "30ms:el1|1+3:40ms"});
   const std::vector<scenario::RunPoint> points = scenario::expand(b.build());
@@ -414,8 +420,8 @@ TEST(FaultValidation, SweptInjectionKeyReplacesTheBaseLine) {
   // injection keys override under sweeps like every scalar axis. Unrelated
   // injections (the outage) survive.
   ScenarioBuilder b = base("sweep_replace", 6, 2);
-  b.crash_el_at(5 * sim::kMillisecond, 0)
-      .el_outage(40 * sim::kMillisecond, 1, sim::kMillisecond)
+  b.set("faults.crash_el", "5ms:0")
+      .set("faults.el_outage", "40ms:1:1ms")
       .sweep("faults.crash_el", {"2ms:0", "8ms:1"});
   const std::vector<scenario::RunPoint> points = scenario::expand(b.build());
   ASSERT_EQ(points.size(), 2u);
@@ -441,14 +447,13 @@ TEST(FaultTriggers, CheckpointTriggerKillsTheRank) {
   // A short cadence so the victim commits a checkpoint well before the run
   // ends; the ring workload keeps checksums timing-invariant.
   auto make = [](const char* name) {
-    return ring_base(name, 6, 1, /*laps=*/80)
-        .checkpoint(ckpt::Policy::kRoundRobin, 8 * sim::kMillisecond);
+    return ring_base(name, 6, 1, /*laps=*/80).set("ckpt_interval", "8ms");
   };
   const scenario::RunResult ref = scenario::run_spec(make("ckpt_ref").build());
   ASSERT_TRUE(ref.completed);
 
-  const scenario::RunResult r =
-      scenario::run_spec(make("ckpt_trig").crash_rank_on_ckpt(1, 1).build());
+  const scenario::RunResult r = scenario::run_spec(
+      make("ckpt_trig").set("faults.crash_rank", "ckpt@1:1").build());
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.report.faults_injected, 1u);
   EXPECT_EQ(r.report.fault_counts.rank_crashes, 1u);
@@ -463,16 +468,17 @@ TEST(FaultTriggers, CheckpointTriggerKillsTheRank) {
 }
 
 TEST(FaultTriggers, PlannedAndMidrunCrashesAreCounted) {
-  // A builder fault_at() and a midrun crash reach the engine as campaign
-  // timed crashes and count as rank crashes.
+  // A planned crash and a midrun crash reach the engine as campaign timed
+  // crashes and count as rank crashes.
   const scenario::RunResult planned = scenario::run_spec(
-      ring_base("planned").fault_at(20 * sim::kMillisecond, 2).build());
+      ring_base("planned").set("faults.crash_rank", "20ms:2").build());
   ASSERT_TRUE(planned.completed);
   EXPECT_EQ(planned.report.faults_injected, 1u);
   EXPECT_EQ(planned.report.fault_counts.rank_crashes, 1u);
 
   const scenario::RunResult midrun =
-      scenario::run_spec(ring_base("midrun").midrun_fault(3).build());
+      scenario::run_spec(
+      ring_base("midrun").set("midrun_fault_rank", "3").build());
   ASSERT_TRUE(midrun.completed);
   EXPECT_TRUE(midrun.recovered_exact);
   EXPECT_EQ(midrun.report.faults_injected, 1u);
@@ -485,7 +491,9 @@ TEST(FaultTriggers, StoredCountTriggerCrashesTheShard) {
   ASSERT_TRUE(ref.completed);
 
   const scenario::RunResult r = scenario::run_spec(
-      ring_base("stored_trig", 6, 2).crash_el_on_stored(0, 40).build());
+      ring_base("stored_trig", 6, 2)
+          .set("faults.crash_el", "stored@40:0")
+          .build());
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.report.fault_counts.el_crashes, 1u);
   EXPECT_EQ(r.report.fault_counts.el_failovers, 1u);
@@ -503,7 +511,9 @@ TEST(RecoveryTimeline, PhasesAreExhaustiveAndOrdered) {
   const sim::Time crash_at = ref.report.completion_time / 2;
 
   const scenario::RunResult r =
-      scenario::run_spec(base("tl").fault_at(crash_at, 2).build());
+      scenario::run_spec(base("tl")
+                             .set("faults.crash_rank", ns(crash_at) + ":2")
+                             .build());
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.report.recoveries.size(), 1u);
   const fault::RecoveryRecord& rec = r.report.recoveries[0];
@@ -526,21 +536,20 @@ TEST(RecoveryTimeline, PhasesAreExhaustiveAndOrdered) {
 }
 
 TEST(RecoveryTimeline, CoordinatedRollbackRecordsEveryRank) {
-  scenario::ScenarioBuilder b("coord_tl");
-  b.variant("coordinated")
-      .nranks(4)
-      .seed(3)
-      .checkpoint(ckpt::Policy::kAllAtOnce, 40 * sim::kMillisecond)
-      .ring(40, 2048);
-  const scenario::RunResult ref = scenario::run_spec(b.build());
+  auto make = [](const char* name) {
+    ScenarioBuilder b(name);
+    b.set("variant", "coordinated")
+        .set("seed", "3")
+        .set("ckpt_policy", "all-at-once")
+        .set("ckpt_interval", "40ms")
+        .set("workload.laps", "40")
+        .set("workload.bytes", "2048");
+    return b;
+  };
+  const scenario::RunResult ref = scenario::run_spec(make("coord_tl").build());
   ASSERT_TRUE(ref.completed);
-  scenario::ScenarioBuilder bf("coord_tl_fault");
-  bf.variant("coordinated")
-      .nranks(4)
-      .seed(3)
-      .checkpoint(ckpt::Policy::kAllAtOnce, 40 * sim::kMillisecond)
-      .ring(40, 2048)
-      .fault_at(ref.report.completion_time / 2, 1);
+  ScenarioBuilder bf = make("coord_tl_fault");
+  bf.set("faults.crash_rank", ns(ref.report.completion_time / 2) + ":1");
   const scenario::RunResult r = scenario::run_spec(bf.build());
   ASSERT_TRUE(r.completed);
   // One fault, but every rank rolled back: four records, all coordinated.
@@ -563,8 +572,8 @@ TEST(LinkFaults, LatencySpikeSlowsTheRunButKeepsResults) {
   ASSERT_TRUE(ref.completed);
   const scenario::RunResult r = scenario::run_spec(
       ring_base("lat")
-          .link_latency(5 * sim::kMillisecond, 2, sim::kMillisecond,
-                        ref.report.completion_time)
+          .set("faults.link_latency",
+               "5ms:2:1ms:" + ns(ref.report.completion_time))
           .build());
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.report.fault_counts.link_faults, 1u);
@@ -577,9 +586,7 @@ TEST(LinkFaults, DropWindowDelaysButLosesNothing) {
       scenario::run_spec(ring_base("drop_ref").build());
   ASSERT_TRUE(ref.completed);
   const scenario::RunResult r = scenario::run_spec(
-      ring_base("drop")
-          .link_drop(10 * sim::kMillisecond, 3, 15 * sim::kMillisecond)
-          .build());
+      ring_base("drop").set("faults.link_drop", "10ms:3:15ms").build());
   ASSERT_TRUE(r.completed);
   EXPECT_GE(r.report.completion_time, ref.report.completion_time);
   EXPECT_EQ(r.checksums, ref.checksums);
@@ -593,9 +600,10 @@ TEST(ServiceOutages, CheckpointServerOutageIsRiddenOut) {
   ASSERT_TRUE(ref.completed);
   const scenario::RunResult r = scenario::run_spec(
       ring_base("cs")
-          .ckpt_outage(20 * sim::kMillisecond, 60 * sim::kMillisecond)
+          .set("faults.ckpt_outage", "20ms:60ms")
           .set("faults.service_retry", "40ms")
-          .fault_at(ref.report.completion_time * 9 / 10, 1)
+          .set("faults.crash_rank",
+               ns(ref.report.completion_time * 9 / 10) + ":1")
           .build());
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.report.fault_counts.ckpt_outages, 1u);
@@ -608,9 +616,7 @@ TEST(ServiceOutages, ElOutageFreezesThenResumesStability) {
       scenario::run_spec(ring_base("elo_ref").build());
   ASSERT_TRUE(ref.completed);
   const scenario::RunResult r = scenario::run_spec(
-      ring_base("elo")
-          .el_outage(10 * sim::kMillisecond, 0, 30 * sim::kMillisecond)
-          .build());
+      ring_base("elo").set("faults.el_outage", "10ms:0:30ms").build());
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.report.fault_counts.el_outages, 1u);
   EXPECT_EQ(r.checksums, ref.checksums);
@@ -627,10 +633,7 @@ TEST(DaemonFaults, DaemonCrashStallsTheRankButLosesNothing) {
       scenario::run_spec(ring_base("dmn_ref").build());
   ASSERT_TRUE(ref.completed);
   const scenario::RunResult r = scenario::run_spec(
-      ring_base("dmn")
-          .crash_daemon_at(10 * sim::kMillisecond, 2,
-                           30 * sim::kMillisecond)
-          .build());
+      ring_base("dmn").set("faults.crash_daemon", "10ms:2:30ms").build());
   ASSERT_TRUE(r.completed);
   // The rank never died — only its daemon: no recovery, no replay, results
   // identical, and the stall shows up as pure slowdown.
@@ -666,7 +669,8 @@ TEST(DaemonFaults, OutageRecordClosesWhenTheRunOutlastsIt) {
   const sim::Time downtime = 30 * sim::kMillisecond;
   const scenario::RunResult r = scenario::run_spec(
       ring_base("drain_close")
-          .crash_daemon_at(t - 20 * sim::kMicrosecond, 1, downtime)
+          .set("faults.crash_daemon",
+               ns(t - 20 * sim::kMicrosecond) + ":1:" + ns(downtime))
           .build());
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.report.daemon_outages.size(), 1u);
@@ -687,8 +691,8 @@ TEST(DaemonFaults, OutageRecordClosesWhenTheRunOutlastsIt) {
 TEST(DaemonFaults, DefaultRestartDelayApplies) {
   const scenario::RunResult r = scenario::run_spec(
       ring_base("dmn_delay")
-          .crash_daemon_at(10 * sim::kMillisecond, 1)
-          .daemon_restart_delay(12 * sim::kMillisecond)
+          .set("faults.crash_daemon", "10ms:1")
+          .set("faults.daemon_restart_delay", "12ms")
           .build());
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.report.daemon_outages.size(), 1u);
@@ -703,10 +707,7 @@ TEST(Partitions, PartitionDelaysButPreservesResults) {
       scenario::run_spec(ring_base("part_ref").build());
   ASSERT_TRUE(ref.completed);
   const scenario::RunResult r = scenario::run_spec(
-      ring_base("part")
-          .partition(10 * sim::kMillisecond, {0, 1, 2}, {3, 4, 5},
-                     25 * sim::kMillisecond)
-          .build());
+      ring_base("part").set("faults.partition", "10ms:0-2|3-5:25ms").build());
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.report.fault_counts.partitions, 1u);
   EXPECT_EQ(r.checksums, ref.checksums);
@@ -719,8 +720,7 @@ TEST(Partitions, HealReleasesAfterWindowPlusBackoff) {
   const sim::Time window = 200 * sim::kMillisecond;
   const scenario::RunResult r = scenario::run_spec(
       ring_base("part_heal")
-          .partition(5 * sim::kMillisecond, {0}, {1, 2, 3, 4, 5}, window,
-                     4 * sim::kMillisecond)
+          .set("faults.partition", "5ms:0|1-5:" + ns(window) + ":4ms")
           .build());
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.report.completion_time, 5 * sim::kMillisecond + window);
@@ -738,8 +738,8 @@ TEST(ChaosSoak, MiniSoakTallySumsToSweepSize) {
   // need to be in the hundreds to matter; the tight max_sim_time turns a
   // crash spiral into a cheap "abandoned" instead of a 4-hour simulation.
   ScenarioBuilder b = ring_base("mini_soak", 6, 1, /*laps=*/120);
-  b.compare_reference()
-      .max_sim_time(4 * sim::kSecond)
+  b.set("compare_reference", "true")
+      .set("max_sim_time", "4s")
       .set("faults.service_retry", "100ms")
       .sweep("faults.rank_rate", {"120", "360"})
       .sweep("faults.daemon_rate", {"0", "120"})
@@ -769,8 +769,8 @@ TEST(ChaosSoak, RankFaultFreePointRunsOnceAndCountsAsExact) {
   // environment faults (here a daemon crash) still injected.
   const scenario::RunResult r = scenario::run_spec(
       ring_base("soak_corner")
-          .compare_reference()
-          .crash_daemon_at(10 * sim::kMillisecond, 1)
+          .set("compare_reference", "true")
+          .set("faults.crash_daemon", "10ms:1")
           .build());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.has_reference);
@@ -798,11 +798,15 @@ TEST(ServiceOutages, PiggybacksRegrowWhileTheElIsDown) {
   // replay guarantees are covered by the other outage tests.)
   auto make = [](const char* name) {
     ScenarioBuilder b(name);
-    b.variant("vcausal:el")
-        .nranks(6)
-        .seed(9)
-        .checkpoint(ckpt::Policy::kRoundRobin, 25 * sim::kMillisecond)
-        .random_any(/*iterations=*/30, /*wseed=*/5, /*bytes=*/2048);
+    b.set("variant", "vcausal:el")
+        .set("nranks", "6")
+        .set("seed", "9")
+        .set("ckpt_policy", "round-robin")
+        .set("ckpt_interval", "25ms")
+        .set("workload", "random_any")
+        .set("workload.iters", "30")
+        .set("workload.seed", "5")
+        .set("workload.bytes", "2048");
     return b;
   };
   const scenario::RunResult healthy = scenario::run_spec(make("regrow_ref").build());
@@ -811,7 +815,8 @@ TEST(ServiceOutages, PiggybacksRegrowWhileTheElIsDown) {
   // unstable suffix — the no-EL regime entered dynamically.
   const scenario::RunResult outage = scenario::run_spec(
       make("regrow")
-          .el_outage(5 * sim::kMillisecond, 0, healthy.report.completion_time)
+          .set("faults.el_outage",
+               "5ms:0:" + ns(healthy.report.completion_time))
           .build());
   ASSERT_TRUE(outage.completed);
   EXPECT_GT(outage.report.totals().pb_peak_msg_events,

@@ -18,13 +18,21 @@ RunResult run_ring(const scenario::ScenarioSpec& spec) {
   return scenario::run_spec(spec);
 }
 
-ScenarioBuilder base_scenario(const char* variant, int nranks = 4) {
+ScenarioBuilder base_scenario(const char* variant) {
   ScenarioBuilder b("integration");
-  b.variant(variant)
-      .nranks(nranks)
-      .checkpoint(ckpt::Policy::kRoundRobin, 50 * sim::kMillisecond)
-      .ring(/*laps=*/40, /*token_bytes=*/4096);
+  b.set("variant", variant)
+      .set("nranks", "4")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "50ms")
+      .set("workload", "ring")
+      .set("workload.laps", "40")
+      .set("workload.bytes", "4096");
   return b;
+}
+
+/// A `faults.crash_rank` value: crash `rank` at simulated time `at`.
+std::string crash_at(sim::Time at, int rank) {
+  return std::to_string(at) + "ns:" + std::to_string(rank);
 }
 
 TEST(FaultFree, VdummyRingCompletes) {
@@ -64,7 +72,7 @@ TEST_P(FaultRecovery, RingSurvivesMidRunCrash) {
   const RunResult ref = run_ring(b.build());
   ASSERT_TRUE(ref.completed);
 
-  b.fault_at(ref.report.completion_time / 2, 1);
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time / 2, 1));
   const RunResult out = run_ring(b.build());
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.report.faults_injected, 1u);
@@ -79,14 +87,17 @@ TEST_P(FaultRecovery, WildcardReplayReproducesDeliveryOrder) {
   // fault-free run iff every nondeterministic delivery order was replayed
   // exactly.
   ScenarioBuilder b("integration");
-  b.variant(GetParam())
-      .nranks(6)
-      .random_then_ring(/*rand_iters=*/12, /*ring_laps=*/30, /*wseed=*/42,
-                        /*bytes=*/2048);
+  b.set("variant", GetParam())
+      .set("nranks", "6")
+      .set("workload", "random_then_ring")
+      .set("workload.rand_iters", "12")
+      .set("workload.ring_laps", "30")
+      .set("workload.seed", "42")
+      .set("workload.bytes", "2048");
   const RunResult ref = scenario::run_spec(b.build());
   ASSERT_TRUE(ref.completed);
 
-  b.fault_at(ref.report.completion_time * 3 / 4, 2);
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time * 3 / 4, 2));
   const RunResult out = scenario::run_spec(b.build());
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.report.faults_injected, 1u);
@@ -97,11 +108,15 @@ TEST_P(FaultRecovery, WildcardFaultRunIsDeterministic) {
   // A faulted wildcard run may legitimately diverge from the fault-free
   // order *after* the crash, but it must itself be reproducible.
   ScenarioBuilder b("integration");
-  b.variant(GetParam())
-      .nranks(6)
-      .checkpoint(ckpt::Policy::kRoundRobin, 50 * sim::kMillisecond)
-      .random_any(/*iterations=*/30, /*wseed=*/42, /*bytes=*/2048)
-      .fault_at(120 * sim::kMillisecond, 2);
+  b.set("variant", GetParam())
+      .set("nranks", "6")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "50ms")
+      .set("workload", "random_any")
+      .set("workload.iters", "30")
+      .set("workload.seed", "42")
+      .set("workload.bytes", "2048")
+      .set("faults.crash_rank", "120ms:2");
   const RunResult a = scenario::run_spec(b.build());
   const RunResult b_run = scenario::run_spec(b.build());
   ASSERT_TRUE(a.completed);
@@ -126,7 +141,7 @@ TEST(FaultRecovery, PessimisticSurvivesCrash) {
   ScenarioBuilder b = base_scenario("pessimistic");
   const RunResult ref = run_ring(b.build());
   ASSERT_TRUE(ref.completed);
-  b.fault_at(ref.report.completion_time / 2, 0);
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time / 2, 0));
   const RunResult out = run_ring(b.build());
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.checksums, ref.checksums);
@@ -134,10 +149,10 @@ TEST(FaultRecovery, PessimisticSurvivesCrash) {
 
 TEST(FaultRecovery, CoordinatedRollsEveryoneBack) {
   ScenarioBuilder b = base_scenario("coordinated");
-  b.checkpoint(ckpt::Policy::kAllAtOnce, 80 * sim::kMillisecond);
+  b.set("ckpt_policy", "all-at-once").set("ckpt_interval", "80ms");
   const RunResult ref = run_ring(b.build());
   ASSERT_TRUE(ref.completed);
-  b.fault_at(ref.report.completion_time / 2, 3);
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time / 2, 3));
   const RunResult out = run_ring(b.build());
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.checksums, ref.checksums);
@@ -146,10 +161,10 @@ TEST(FaultRecovery, CoordinatedRollsEveryoneBack) {
 
 TEST(FaultRecovery, CrashBeforeFirstCheckpointRestartsFromScratch) {
   ScenarioBuilder b = base_scenario("vcausal:el");
-  b.checkpoint(ckpt::Policy::kNone, 0);  // no checkpoints at all
+  b.set("ckpt_policy", "none").set("ckpt_interval", "0");  // no checkpoints
   const RunResult ref = run_ring(b.build());
   ASSERT_TRUE(ref.completed);
-  b.fault_at(ref.report.completion_time / 2, 1);
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time / 2, 1));
   const RunResult out = run_ring(b.build());
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.checksums, ref.checksums);
@@ -157,11 +172,11 @@ TEST(FaultRecovery, CrashBeforeFirstCheckpointRestartsFromScratch) {
 
 TEST(FaultRecovery, TwoSequentialFaults) {
   ScenarioBuilder b = base_scenario("vcausal:el");
-  b.ring(/*laps=*/60, /*token_bytes=*/4096);
+  b.set("workload.laps", "60");
   const RunResult ref = run_ring(b.build());
   ASSERT_TRUE(ref.completed);
-  b.fault_at(ref.report.completion_time / 4, 1);
-  b.fault_at(ref.report.completion_time / 2, 2);
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time / 4, 1));
+  b.set("faults.crash_rank", crash_at(ref.report.completion_time / 2, 2));
   const RunResult out = run_ring(b.build());
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.report.faults_injected, 2u);
@@ -172,7 +187,7 @@ TEST(FaultRecovery, MidrunFaultModeMatchesExplicitFault) {
   // The runner's midrun-fault mode (reference + crash at half completion)
   // is exactly the two-run pattern above, packaged.
   ScenarioBuilder b = base_scenario("vcausal:el");
-  b.midrun_fault(/*rank=*/1);
+  b.set("midrun_fault_rank", "1");
   const RunResult out = scenario::run_spec(b.build());
   ASSERT_TRUE(out.completed);
   ASSERT_TRUE(out.has_reference);
@@ -183,7 +198,7 @@ TEST(FaultRecovery, MidrunFaultModeMatchesExplicitFault) {
 
 TEST(Determinism, IdenticalConfigIdenticalCompletionTime) {
   ScenarioBuilder b = base_scenario("vcausal:el");
-  b.fault_at(200 * sim::kMillisecond, 1);
+  b.set("faults.crash_rank", "200ms:1");
   const RunResult a = run_ring(b.build());
   const RunResult c = run_ring(b.build());
   ASSERT_TRUE(a.completed);

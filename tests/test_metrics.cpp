@@ -230,9 +230,15 @@ TEST(Registry, SnapshotIsNameOrderedAndCarriesTheSeries) {
 
 scenario::RunResult run_small(bool metered) {
   scenario::ScenarioBuilder b("metrics_e2e");
-  b.variant("vcausal:el").nranks(4).seed(7);
-  b.random_any(/*iterations=*/12, /*wseed=*/3, /*bytes=*/1024);
-  if (metered) b.metrics().metrics_sample_interval(50 * sim::kMicrosecond);
+  b.set("variant", "vcausal:el")
+      .set("seed", "7")
+      .set("workload", "random_any")
+      .set("workload.iters", "12")
+      .set("workload.seed", "3")
+      .set("workload.bytes", "1024");
+  if (metered) {
+    b.set("metrics.enabled", "true").set("metrics.sample_interval", "50us");
+  }
   return scenario::run_spec(b.build());
 }
 

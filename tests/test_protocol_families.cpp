@@ -20,12 +20,13 @@ using scenario::ScenarioBuilder;
 
 TEST(Replica, CrashIsTransparent) {
   ScenarioBuilder b("replica_crash");
-  b.variant("replica")
-      .nranks(4)
-      .ring(/*laps=*/40, /*token_bytes=*/1024)
-      .detection_delay(2 * sim::kMillisecond)
-      .fault_at(30 * sim::kMillisecond, 1)
-      .compare_reference();
+  b.set("variant", "replica")
+      .set("nranks", "4")
+      .set("workload.laps", "40")
+      .set("workload.bytes", "1024")
+      .set("detection_delay", "2ms")
+      .set("faults.crash_rank", "30ms:1")
+      .set("compare_reference", "true");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   ASSERT_TRUE(r.completed);
@@ -45,10 +46,11 @@ TEST(Replica, CrashIsTransparent) {
 
 TEST(Replica, SteadyStateIsPriced) {
   ScenarioBuilder b("replica_price");
-  b.variant("replica")
-      .nranks(4)
-      .replica_sync_interval(4)
-      .ring(/*laps=*/40, /*token_bytes=*/2048);
+  b.set("variant", "replica")
+      .set("nranks", "4")
+      .set("replica.sync_interval", "4")
+      .set("workload.laps", "40")
+      .set("workload.bytes", "2048");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   ASSERT_TRUE(r.completed);
@@ -65,12 +67,13 @@ TEST(Replica, PromotionsOfDistinctRanksOverlap) {
   // Two crashes inside one detection window: promotions do not serialize
   // (there is no shared recovery resource to contend for).
   ScenarioBuilder b("replica_two");
-  b.variant("replica")
-      .nranks(4)
-      .ring(/*laps=*/40, /*token_bytes=*/1024)
-      .detection_delay(5 * sim::kMillisecond)
-      .fault_at(30 * sim::kMillisecond, 1)
-      .fault_at(31 * sim::kMillisecond, 2);
+  b.set("variant", "replica")
+      .set("nranks", "4")
+      .set("workload.laps", "40")
+      .set("workload.bytes", "1024")
+      .set("detection_delay", "5ms")
+      .set("faults.crash_rank", "30ms:1")
+      .set("faults.crash_rank", "31ms:2");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   ASSERT_TRUE(r.completed);
@@ -87,13 +90,14 @@ TEST(Replica, PromotionsOfDistinctRanksOverlap) {
 
 TEST(Ulfm, ShrinkAndRepairContinuesWithSurvivors) {
   ScenarioBuilder b("ulfm_crash");
-  b.variant("ulfm")
-      .nranks(4)
-      .ring(/*laps=*/40, /*token_bytes=*/1024)
-      .detection_delay(2 * sim::kMillisecond)
-      .ulfm_repair_cost(5 * sim::kMillisecond)
-      .fault_at(30 * sim::kMillisecond, 1)
-      .compare_reference();
+  b.set("variant", "ulfm")
+      .set("nranks", "4")
+      .set("workload.laps", "40")
+      .set("workload.bytes", "1024")
+      .set("detection_delay", "2ms")
+      .set("ulfm.repair_cost", "5ms")
+      .set("faults.crash_rank", "30ms:1")
+      .set("compare_reference", "true");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   ASSERT_TRUE(r.completed);
@@ -118,13 +122,14 @@ TEST(Ulfm, ShrinkAndRepairContinuesWithSurvivors) {
 
 TEST(Ulfm, SecondCrashShrinksAgain) {
   ScenarioBuilder b("ulfm_twice");
-  b.variant("ulfm")
-      .nranks(4)
-      .ring(/*laps=*/60, /*token_bytes=*/1024)
-      .detection_delay(2 * sim::kMillisecond)
-      .ulfm_repair_cost(5 * sim::kMillisecond)
-      .fault_at(20 * sim::kMillisecond, 3)
-      .fault_at(60 * sim::kMillisecond, 1);
+  b.set("variant", "ulfm")
+      .set("nranks", "4")
+      .set("workload.laps", "60")
+      .set("workload.bytes", "1024")
+      .set("detection_delay", "2ms")
+      .set("ulfm.repair_cost", "5ms")
+      .set("faults.crash_rank", "20ms:3")
+      .set("faults.crash_rank", "60ms:1");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   ASSERT_TRUE(r.completed);
@@ -142,12 +147,13 @@ TEST(Ulfm, SoleSurvivorStillFinishes) {
   // Shrinking a 2-rank job leaves one survivor; the ring degenerates to
   // its compute phase and the run still completes (shrunk).
   ScenarioBuilder b("ulfm_sole");
-  b.variant("ulfm")
-      .nranks(2)
-      .ring(/*laps=*/30, /*token_bytes=*/1024)
-      .detection_delay(2 * sim::kMillisecond)
-      .ulfm_repair_cost(5 * sim::kMillisecond)
-      .fault_at(10 * sim::kMillisecond, 0);
+  b.set("variant", "ulfm")
+      .set("nranks", "2")
+      .set("workload.laps", "30")
+      .set("workload.bytes", "1024")
+      .set("detection_delay", "2ms")
+      .set("ulfm.repair_cost", "5ms")
+      .set("faults.crash_rank", "10ms:0");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   ASSERT_TRUE(r.completed);
@@ -163,13 +169,14 @@ TEST(Ulfm, AllDeadIsAbandonment) {
   // abandoned — it must NOT report completion off a done-set full of
   // corpses.
   ScenarioBuilder b("ulfm_wipeout");
-  b.variant("ulfm")
-      .nranks(2)
-      .ring(/*laps=*/30, /*token_bytes=*/1024)
-      .detection_delay(2 * sim::kMillisecond)
-      .ulfm_repair_cost(10 * sim::kMillisecond)
-      .fault_at(10 * sim::kMillisecond, 0)
-      .fault_at(15 * sim::kMillisecond, 1);
+  b.set("variant", "ulfm")
+      .set("nranks", "2")
+      .set("workload.laps", "30")
+      .set("workload.bytes", "1024")
+      .set("detection_delay", "2ms")
+      .set("ulfm.repair_cost", "10ms")
+      .set("faults.crash_rank", "10ms:0")
+      .set("faults.crash_rank", "15ms:1");
   const scenario::RunResult r = scenario::run_spec(b.build());
 
   EXPECT_FALSE(r.completed);
@@ -185,10 +192,11 @@ TEST(Ulfm, AllDeadIsAbandonment) {
 TEST(PayloadAtSender, SkipsTheCopyAndKeepsTheAnswer) {
   const auto run = [](bool at_sender) {
     ScenarioBuilder b(at_sender ? "pas_on" : "pas_off");
-    b.variant("vcausal:el")
-        .nranks(4)
-        .ring(/*laps=*/40, /*token_bytes=*/65536)
-        .payload_at_sender(at_sender);
+    b.set("variant", "vcausal:el")
+        .set("nranks", "4")
+        .set("workload.laps", "40")
+        .set("workload.bytes", "65536")
+        .set("payload_at_sender", at_sender ? "true" : "false");
     return scenario::run_spec(b.build());
   };
   const scenario::RunResult off = run(false);
@@ -207,12 +215,14 @@ TEST(PayloadAtSender, SkipsTheCopyAndKeepsTheAnswer) {
 
 TEST(PayloadAtSender, StillRecoversExactly) {
   ScenarioBuilder b("pas_recover");
-  b.variant("vcausal:el")
-      .nranks(4)
-      .checkpoint(ckpt::Policy::kRoundRobin, 20 * sim::kMillisecond)
-      .ring(/*laps=*/30, /*token_bytes=*/1024)
-      .payload_at_sender()
-      .midrun_fault(/*rank=*/2);
+  b.set("variant", "vcausal:el")
+      .set("nranks", "4")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "20ms")
+      .set("workload.laps", "30")
+      .set("workload.bytes", "1024")
+      .set("payload_at_sender", "true")
+      .set("midrun_fault_rank", "2");
   const scenario::RunResult r = scenario::run_spec(b.build());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.recovered_exact);

@@ -134,8 +134,7 @@ Reports run_pinned() {
 
   // A skipped point: BT runs on square rank counts only.
   scenario::ScenarioSpec skip = scenario::ScenarioBuilder("skip_probe")
-                                    .nas(workloads::NasKernel::kBT,
-                                         workloads::NasClass::kS, 0.01)
+                                    .set("nas", "bt:S:0.01")
                                     .sweep("nranks", {"4", "8"})
                                     .build();
   out.emplace_back("+skipped_point", run_quick(skip, "<builder>"));
@@ -143,8 +142,9 @@ Reports run_pinned() {
   // A failed point: the worker running the second point dies before it
   // delivers a result, exactly as tests/test_sweep_parallel.cpp induces.
   scenario::ScenarioSpec crash = scenario::ScenarioBuilder("crash_probe")
-                                     .variant("vcausal:el")
-                                     .ring(4, 1024)
+                                     .set("variant", "vcausal:el")
+                                     .set("workload.laps", "4")
+                                     .set("workload.bytes", "1024")
                                      .sweep("seed", {"1", "2", "3"})
                                      .build();
   scenario::RunOptions opt;

@@ -1,7 +1,9 @@
 // Tests for the scenario layer: builder validation, registry lookups,
-// scenario-file parse round-trips, sweep expansion (cartesian + skip
-// semantics), quick overlays, lowering, and the JSON report shape.
+// scenario-file parse round-trips, the mpiv_run command line, sweep
+// expansion (cartesian + skip semantics), quick overlays, lowering, and the
+// JSON report shape.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -35,62 +37,87 @@ std::string error_of(const std::function<void()>& fn) {
 
 TEST(Builder, RejectsNonPositiveRanks) {
   const std::string msg =
-      error_of([] { ScenarioBuilder("t").nranks(0).build(); });
+      error_of([] { ScenarioBuilder("t").set("nranks", "0").build(); });
   EXPECT_NE(msg.find("nranks must be in [1, 4096] (got 0)"), std::string::npos)
       << msg;
-  EXPECT_THROW(ScenarioBuilder("t").nranks(-3).build(), SpecError);
+  EXPECT_THROW(ScenarioBuilder("t").set("nranks", "-3").build(), SpecError);
 }
 
 TEST(Builder, RejectsBadShardCounts) {
-  const std::string msg = error_of(
-      [] { ScenarioBuilder("t").variant("vcausal:el").el_shards(0).build(); });
+  const std::string msg = error_of([] {
+    ScenarioBuilder("t")
+        .set("variant", "vcausal:el")
+        .set("el_shards", "0")
+        .build();
+  });
   EXPECT_NE(msg.find("el_shards must be >= 1"), std::string::npos) << msg;
   // More shards than ranks is impossible to place.
-  EXPECT_THROW(
-      ScenarioBuilder("t").variant("vcausal:el").nranks(4).el_shards(8).build(),
-      SpecError);
+  EXPECT_THROW(ScenarioBuilder("t")
+                   .set("variant", "vcausal:el")
+                   .set("nranks", "4")
+                   .set("el_shards", "8")
+                   .build(),
+               SpecError);
 }
 
 TEST(Builder, RejectsShardsWithoutEventLogger) {
   const std::string msg = error_of([] {
-    ScenarioBuilder("t").variant("vcausal:noel").nranks(8).el_shards(2).build();
+    ScenarioBuilder("t")
+        .set("variant", "vcausal:noel")
+        .set("nranks", "8")
+        .set("el_shards", "2")
+        .build();
   });
   EXPECT_NE(msg.find("disables the event logger"), std::string::npos) << msg;
   // Unset shards with a no-EL variant stays fine, and so does an explicit
   // el_shards = 1 (no sharding) — matching the Cluster-level check.
-  EXPECT_NO_THROW(ScenarioBuilder("t").variant("vcausal:noel").build());
-  EXPECT_NO_THROW(
-      ScenarioBuilder("t").variant("vcausal:noel").el_shards(1).build());
+  EXPECT_NO_THROW(ScenarioBuilder("t").set("variant", "vcausal:noel").build());
+  EXPECT_NO_THROW(ScenarioBuilder("t")
+                      .set("variant", "vcausal:noel")
+                      .set("el_shards", "1")
+                      .build());
 }
 
 TEST(Builder, RejectsFaultPlanNamingMissingRank) {
   const std::string msg = error_of([] {
-    ScenarioBuilder("t").nranks(4).variant("vcausal:el").fault_at(1000, 4).build();
+    ScenarioBuilder("t")
+        .set("nranks", "4")
+        .set("variant", "vcausal:el")
+        .set("faults.crash_rank", "1000ns:4")
+        .build();
   });
   EXPECT_NE(msg.find("names rank 4"), std::string::npos) << msg;
   EXPECT_NE(msg.find("0..3"), std::string::npos) << msg;
-  EXPECT_THROW(
-      ScenarioBuilder("t").nranks(4).variant("vcausal:el").midrun_fault(9).build(),
-      SpecError);
+  EXPECT_THROW(ScenarioBuilder("t")
+                   .set("nranks", "4")
+                   .set("variant", "vcausal:el")
+                   .set("midrun_fault_rank", "9")
+                   .build(),
+               SpecError);
 }
 
 TEST(Builder, RejectsFaultsUnderP4) {
-  EXPECT_THROW(ScenarioBuilder("t").variant("p4").fault_at(10, 0).build(),
+  EXPECT_THROW(ScenarioBuilder("t")
+                   .set("variant", "p4")
+                   .set("faults.crash_rank", "10ns:0")
+                   .build(),
                SpecError);
 }
 
 TEST(Builder, RejectsUnknownWorkloadParameters) {
   const std::string msg = error_of([] {
-    ScenarioBuilder("t").workload("ring").wparam("lapz", 20).build();
+    ScenarioBuilder("t")
+        .set("workload", "ring")
+        .set("workload.lapz", "20")
+        .build();
   });
   EXPECT_NE(msg.find("no parameter 'lapz'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("laps, bytes"), std::string::npos) << msg;
 }
 
 TEST(Builder, SwitchingWorkloadsDropsStaleParameters) {
-  // The textual path (apply_key / scenario files / --set) matches the
-  // builder contract: a new workload name clears the old workload's
-  // parameters instead of leaking them into the new one.
+  // A new workload name clears the old workload's parameters instead of
+  // leaking them into the new one.
   ScenarioSpec spec = scenario::parse_scenario_text(
       "workload = random_any\n"
       "workload.bytes = 1111\n"
@@ -208,17 +235,16 @@ TEST(Registry, VariantNamesParse) {
 
 TEST(ScenarioFile, ParseRoundTripPreservesTheSpec) {
   ScenarioBuilder b("roundtrip");
-  net::CostModel cost;
-  cost.el_service = 120 * sim::kMicrosecond;
-  b.variant("logon:el")
-      .nranks(9)
-      .el_shards(3)
-      .seed(42)
-      .cost(cost)
-      .checkpoint(ckpt::Policy::kRandom, 75 * sim::kMillisecond)
-      .fault_at(120 * sim::kMillisecond, 2)
-      .fault_rate(0.5)
-      .nas(workloads::NasKernel::kBT, workloads::NasClass::kA, 0.15)
+  b.set("variant", "logon:el")
+      .set("nranks", "9")
+      .set("el_shards", "3")
+      .set("seed", "42")
+      .set("cost.el_service", "120us")
+      .set("ckpt_policy", "random")
+      .set("ckpt_interval", "75ms")
+      .set("faults.crash_rank", "120ms:2")
+      .set("faults.rank_rate", "0.5")
+      .set("nas", "bt:A:0.15")
       .sweep("nranks", {"4", "9", "16"});
   const ScenarioSpec spec = b.build();
 
@@ -250,12 +276,11 @@ TEST(ScenarioFile, ParseRoundTripPreservesTheSpec) {
 
 TEST(ScenarioFile, TraceKeysRoundTripAndStayOutOfDefaultText) {
   ScenarioBuilder b("traced");
-  b.variant("vcausal:el")
-      .nranks(4)
-      .trace()
-      .trace_capacity(1024)
-      .trace_dir("/tmp/mpiv-traces")
-      .compare_reference();
+  b.set("variant", "vcausal:el")
+      .set("trace.enabled", "true")
+      .set("trace.capacity", "1024")
+      .set("trace.dir", "/tmp/mpiv-traces")
+      .set("compare_reference", "true");
   const ScenarioSpec spec = b.build();
 
   const std::string text = scenario::to_scenario_text(spec);
@@ -269,7 +294,7 @@ TEST(ScenarioFile, TraceKeysRoundTripAndStayOutOfDefaultText) {
   // A spec that never touched the trace knobs must not grow a [trace]
   // section (keeps goldens of emitted text stable).
   ScenarioBuilder plain("plain");
-  plain.variant("vcausal:el").nranks(4);
+  plain.set("variant", "vcausal:el");
   EXPECT_EQ(scenario::to_scenario_text(plain.build()).find("[trace]"),
             std::string::npos);
 
@@ -325,12 +350,13 @@ TEST(ScenarioFile, FuzzedTextParsesOrRaisesSpecErrorNeverCrashes) {
   std::vector<std::string> bases;
   {
     ScenarioBuilder b("fuzz_base");
-    b.variant("manetho:el")
-        .nranks(8)
-        .el_shards(2)
-        .seed(7)
-        .checkpoint(ckpt::Policy::kRoundRobin, 30 * sim::kMillisecond)
-        .compare_reference()
+    b.set("variant", "manetho:el")
+        .set("nranks", "8")
+        .set("el_shards", "2")
+        .set("seed", "7")
+        .set("ckpt_policy", "round-robin")
+        .set("ckpt_interval", "30ms")
+        .set("compare_reference", "true")
         .sweep("nranks", {"4", "8"})
         .sweep("seed", {"1", "2", "3"});
     bases.push_back(scenario::to_scenario_text(b.build()));
@@ -389,7 +415,7 @@ TEST(ScenarioFile, FuzzedTextParsesOrRaisesSpecErrorNeverCrashes) {
 TEST(ScenarioFile, PayloadAtSenderIsCausalOnly) {
   // The flag round-trips on a causal variant...
   ScenarioBuilder b("pas");
-  b.variant("vcausal:el").payload_at_sender();
+  b.set("variant", "vcausal:el").set("payload_at_sender", "true");
   const std::string text = scenario::to_scenario_text(b.build());
   EXPECT_NE(text.find("payload_at_sender = true"), std::string::npos) << text;
   EXPECT_TRUE(scenario::parse_scenario_text(text).payload_at_sender);
@@ -484,25 +510,48 @@ TEST(ScenarioFile, OutOfBoundSweepValuesAreSkippedPoints) {
                                        "5000)"),
             std::string::npos)
       << points[3].skip_reason;
+
+  // A retransmit interval <= 0 would silently turn off every retransmit,
+  // including the one an outage or an EL crash needs to finish.
+  const std::vector<scenario::RunPoint> retry =
+      scenario::expand(scenario::parse_scenario_text(
+          "[sweep]\nfaults.service_retry = 0ms, -5ms, 10ms\n"));
+  ASSERT_EQ(retry.size(), 3u);
+  for (int i : {0, 1}) {
+    EXPECT_NE(retry[i].skip_reason.find("faults.service_retry must be > 0"),
+              std::string::npos)
+        << retry[i].skip_reason;
+  }
+  EXPECT_FALSE(retry[2].skipped) << retry[2].skip_reason;
 }
 
 // ---------------------------------------------------------------------------
 // The key table: one row per key drives parse, print, --list and the docs
 // ---------------------------------------------------------------------------
 
-std::string mpiv_run_list() {
-  std::string out;
-  std::FILE* p = ::popen(MPIV_RUN_BINARY " --list", "r");
-  if (p == nullptr) return out;
+struct CliResult {
+  std::string out;  // stdout; stderr is discarded
+  int status = -1;  // exit status, -1 if the binary did not exit normally
+};
+
+/// Runs mpiv_run with `args` from the source root, so scenario paths like
+/// scenarios/fig9.scn resolve.
+CliResult mpiv_run(const std::string& args) {
+  CliResult r;
+  const std::string cmd = "cd '" MPIV_SOURCE_DIR "' && '" MPIV_RUN_BINARY
+                          "' " + args + " 2>/dev/null";
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return r;
   char buf[4096];
   std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) out.append(buf, n);
-  ::pclose(p);
-  return out;
+  while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) r.out.append(buf, n);
+  const int status = ::pclose(p);
+  if (WIFEXITED(status)) r.status = WEXITSTATUS(status);
+  return r;
 }
 
 TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
-  const std::string listing = mpiv_run_list();
+  const std::string listing = mpiv_run("--list").out;
   ASSERT_NE(listing.find("[faults]"), std::string::npos) << listing;
   std::size_t rows = 0;
   for (const scenario::KeyInfo& k : scenario::key_table()) {
@@ -529,7 +578,7 @@ TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
 
     EXPECT_NE(listing.find(std::string(" ") + k.key + " "), std::string::npos);
   }
-  EXPECT_EQ(rows, 56u);  // 55 keys plus the workload.* family
+  EXPECT_EQ(rows, 53u);  // 52 keys plus the workload.* family
 
   ScenarioSpec spec;
   EXPECT_THROW(scenario::apply_key(spec, "faults.no_such_key", "1"), SpecError);
@@ -566,6 +615,36 @@ TEST(KeyTable, BundledScenariosReachATextFixedPoint) {
     }
   }
   EXPECT_GE(files, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// The mpiv_run command line
+// ---------------------------------------------------------------------------
+
+TEST(Cli, SetReplacesASweepAxis) {
+  // One bundled file plus --set lines pins any single point of its grid.
+  const CliResult fig9 = mpiv_run(
+      "--print --set nas=lu:A:0.12 --set nranks=16 "
+      "--set variant=manetho:noel scenarios/fig9.scn");
+  EXPECT_EQ(fig9.status, 0);
+  EXPECT_NE(fig9.out.find("1 run point(s)"), std::string::npos) << fig9.out;
+  const CliResult seeded =
+      mpiv_run("--print --set seed=2 scenarios/fault_campaign.scn");
+  EXPECT_EQ(seeded.status, 0);
+  EXPECT_NE(seeded.out.find("3 run point(s)"), std::string::npos)
+      << seeded.out;
+}
+
+TEST(Cli, MalformedOptionsExitTwo) {
+  // Every case fails in argument parsing, before any worker is forked.
+  EXPECT_EQ(mpiv_run("--print --jobs 4x scenarios/quickstart.scn").status, 2);
+  EXPECT_EQ(mpiv_run("--print --jobs 0 scenarios/quickstart.scn").status, 2);
+  EXPECT_EQ(
+      mpiv_run("--print --jobs 99999999999 scenarios/quickstart.scn").status,
+      2);
+  // The seed is set like every other key: --set seed=N.
+  EXPECT_EQ(mpiv_run("--print --seed 1 scenarios/quickstart.scn").status, 2);
+  EXPECT_EQ(mpiv_run("--print --jobs 2 scenarios/quickstart.scn").status, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,13 +717,14 @@ TEST(Quick, OverlayReplacesAxesAndScalars) {
 
 TEST(Lowering, MapsEveryFieldOntoClusterConfig) {
   ScenarioBuilder b("lowering");
-  b.variant("manetho:noel")
-      .nranks(6)
-      .seed(99)
-      .checkpoint(ckpt::Policy::kRoundRobin, 50 * sim::kMillisecond)
-      .fault_at(70 * sim::kMillisecond, 5)
-      .detection_delay(100 * sim::kMillisecond)
-      .max_sim_time(30 * sim::kSecond);
+  b.set("variant", "manetho:noel")
+      .set("nranks", "6")
+      .set("seed", "99")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "50ms")
+      .set("faults.crash_rank", "70ms:5")
+      .set("detection_delay", "100ms")
+      .set("max_sim_time", "30s");
   const runtime::ClusterConfig cfg = scenario::lower(b.build());
   EXPECT_EQ(cfg.nranks, 6);
   EXPECT_EQ(cfg.protocol, runtime::ProtocolKind::kCausal);
@@ -687,8 +767,8 @@ TEST(ClusterDeath, RejectsFaultOnMissingRank) {
 
 TEST(Report, JsonIsWellFormedAndCarriesTheSweep) {
   ScenarioBuilder b("report");
-  b.nranks(4)
-      .ring(/*laps=*/5, /*token_bytes=*/256)
+  b.set("workload.laps", "5")
+      .set("workload.bytes", "256")
       .sweep("variant", {"vdummy", "vcausal:el"});
   scenario::RunSet set = scenario::run(b.build());
   set.origin = "test";
@@ -728,7 +808,11 @@ TEST(Report, SkippedPointsAreReportedNotDropped) {
 
 TEST(Runner, PingpongResultsLandInTheReport) {
   ScenarioBuilder b("pp");
-  b.variant("vcausal:el").nranks(2).pingpong({1, 1024}, 20);
+  b.set("variant", "vcausal:el")
+      .set("nranks", "2")
+      .set("workload", "pingpong")
+      .set("workload.sizes", "1, 1024")
+      .set("workload.reps", "20");
   const scenario::RunResult r = scenario::run_spec(b.build());
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.pingpong.points.size(), 2u);
@@ -743,10 +827,10 @@ TEST(Report, DegradedTallyDrivesTheDistinctExitCode) {
   // An abandoned point (max_sim_time hit) makes the grid degraded — the
   // contract behind mpiv_run's exit status 3.
   ScenarioBuilder b("starved");
-  b.variant("vcausal:el")
-      .nranks(4)
-      .ring(/*laps=*/200, /*token_bytes=*/4096)
-      .max_sim_time(1 * sim::kMicrosecond);
+  b.set("variant", "vcausal:el")
+      .set("workload.laps", "200")
+      .set("workload.bytes", "4096")
+      .set("max_sim_time", "1us");
   const scenario::RunResult r = scenario::run_spec(b.build());
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.outcome(), scenario::Outcome::kAbandoned);
@@ -776,7 +860,10 @@ TEST(Report, DegradedTallyDrivesTheDistinctExitCode) {
   // A clean grid is not degraded, and still carries the failed counter
   // (always emitted, so serial and parallel reports stay byte-identical).
   ScenarioBuilder ok("ok");
-  ok.variant("vcausal:el").nranks(2).ring(3, 128);
+  ok.set("variant", "vcausal:el")
+      .set("nranks", "2")
+      .set("workload.laps", "3")
+      .set("workload.bytes", "128");
   const scenario::RunSet clean =
       scenario::RunSet{"ok", "t", false, {scenario::run_spec(ok.build())}};
   EXPECT_FALSE(clean.tally().degraded());
@@ -786,11 +873,12 @@ TEST(Report, DegradedTallyDrivesTheDistinctExitCode) {
 
 TEST(Runner, MidrunFaultProducesReferenceAndExactRecovery) {
   ScenarioBuilder b("midrun");
-  b.variant("vcausal:el")
-      .nranks(4)
-      .checkpoint(ckpt::Policy::kRoundRobin, 20 * sim::kMillisecond)
-      .ring(/*laps=*/30, /*token_bytes=*/1024)
-      .midrun_fault(/*rank=*/2);
+  b.set("variant", "vcausal:el")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "20ms")
+      .set("workload.laps", "30")
+      .set("workload.bytes", "1024")
+      .set("midrun_fault_rank", "2");
   const scenario::RunResult r = scenario::run_spec(b.build());
   ASSERT_TRUE(r.completed);
   ASSERT_TRUE(r.has_reference);

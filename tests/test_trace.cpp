@@ -272,13 +272,14 @@ TEST(Divergence, RingTruncationFallsBackToSuffixAlignment) {
 
 scenario::RunResult traced_midrun_run(std::uint32_t capacity = 8192) {
   scenario::ScenarioBuilder b("traced");
-  b.variant("vcausal:el")
-      .nranks(4)
-      .checkpoint(ckpt::Policy::kRoundRobin, 20 * sim::kMillisecond)
-      .ring(/*laps=*/30, /*token_bytes=*/1024)
-      .midrun_fault(/*rank=*/2)
-      .trace()
-      .trace_capacity(capacity);
+  b.set("variant", "vcausal:el")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "20ms")
+      .set("workload.laps", "30")
+      .set("workload.bytes", "1024")
+      .set("midrun_fault_rank", "2")
+      .set("trace.enabled", "true")
+      .set("trace.capacity", std::to_string(capacity));
   return scenario::run_spec(b.build());
 }
 
@@ -323,7 +324,9 @@ TEST(TraceRun, TinyRingStillComparesViaSuffixAlignment) {
 
 TEST(TraceRun, DisabledTracingProducesNoStream) {
   scenario::ScenarioBuilder b("untraced");
-  b.variant("vcausal:el").nranks(4).ring(5, 256);
+  b.set("variant", "vcausal:el")
+      .set("workload.laps", "5")
+      .set("workload.bytes", "256");
   const scenario::RunResult r = scenario::run_spec(b.build());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.trace_dump.empty());

@@ -13,8 +13,8 @@
 // max_sim_time, `failed` lost its worker) — so CI grids can't silently
 // pass on a report full of holes.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,7 +34,6 @@ void usage(std::FILE* out, const char* argv0) {
                "                   to --jobs 1)\n"
                "  --out FILE       write the JSON report to FILE (default: stdout)\n"
                "  --set key=value  override a scenario key (repeatable)\n"
-               "  --seed N         override the seed (replaces a seed sweep axis)\n"
                "  --print          print the expanded run matrix, run nothing\n"
                "  --list           list registered protocols/strategies/"
                "workloads and every scenario key\n",
@@ -87,6 +86,18 @@ void apply_override(scenario::ScenarioSpec& spec, const std::string& kv) {
   spec.quick.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
 }
 
+/// The whole argument must be a decimal count that fits in an int;
+/// anything else ("4x", "", "-1", too many digits) yields 0.
+int parse_jobs(const char* text) {
+  long long n = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return 0;
+    n = n * 10 + (*c - '0');
+    if (n > std::numeric_limits<int>::max()) return 0;
+  }
+  return static_cast<int>(n);
+}
+
 void print_matrix(const scenario::ScenarioSpec& spec) {
   const std::vector<scenario::RunPoint> points = scenario::expand(spec);
   std::printf("scenario '%s': %zu run point(s)\n", spec.name.c_str(),
@@ -117,19 +128,18 @@ int main(int argc, char** argv) {
       list_registries();
       return 0;
     } else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      jobs = parse_jobs(argv[++i]);
       if (jobs < 1) {
-        std::fprintf(stderr, "--jobs expects a positive worker count\n");
+        std::fprintf(stderr,
+                     "error: bad value '%s' for '--jobs' (expected a "
+                     "positive worker count)\n",
+                     argv[i]);
         return 2;
       }
     } else if (std::strcmp(a, "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(a, "--set") == 0 && i + 1 < argc) {
       overrides.emplace_back(argv[++i]);
-    } else if (std::strcmp(a, "--seed") == 0 && i + 1 < argc) {
-      // Sugar for --set seed=N: pins stochastic campaigns for exact
-      // reproduction (and replaces a seed sweep axis when one exists).
-      overrides.emplace_back(std::string("seed=") + argv[++i]);
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       usage(stdout, argv[0]);
       return 0;
