@@ -32,7 +32,7 @@
 
 namespace mpiv::metrics {
 
-/// Metrics knobs lowered from the scenario layer ([metrics] section).
+/// Metrics knobs (ClusterConfig::metrics, the `[metrics]` scenario section).
 /// Config{} (disabled) arms nothing: zero overhead, identical schedule.
 struct Config {
   bool enabled = false;

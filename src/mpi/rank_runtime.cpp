@@ -66,19 +66,7 @@ void RankRuntime::crash() {
   // Poisson and event-triggered injections alike — lands on the victim lane.
   trace::emit(tlane_, eng_.now(), trace::Kind::kFault, trace::kRankCrash,
               rank_, rsn_, ckpts_completed_);
-  net_.crash_node(layout_.rank_node(rank_));
-  proc_->kill();
-  daemon_->reset();
-  reset_volatile();
-  // Volatile protocol + matching state dies with the process; the
-  // checkpoint image (if any) is the only persistent state.
-  proto_->reset();
-  rsn_ = 0;
-  coll_seq_ = 0;
-  std::fill(send_ssn_.begin(), send_ssn_.end(), 0);
-  for (auto& a : arr_) a.reset();
-  unexpected_.clear();
-  restart_image_.reset();
+  teardown();
 }
 
 void RankRuntime::restart(AppFactory factory, std::uint64_t image_version) {
@@ -126,20 +114,10 @@ long RankRuntime::promote_release() {
 void RankRuntime::shrink_relaunch(AppFactory factory,
                                   std::vector<int> survivors, int victim) {
   MPIV_CHECK(proc_ != nullptr, "rank %d has no process", rank_);
-  // Crash-style soft teardown, minus the fault record: ULFM wipes the
-  // revoked communicator wholesale, so no frame, match or protocol state
-  // from the old world may leak into the shrunk one.
-  net_.crash_node(layout_.rank_node(rank_));
-  proc_->kill();
-  daemon_->reset();
-  reset_volatile();
-  proto_->reset();
-  rsn_ = 0;
-  coll_seq_ = 0;
-  std::fill(send_ssn_.begin(), send_ssn_.end(), 0);
-  for (auto& a : arr_) a.reset();
-  unexpected_.clear();
-  restart_image_.reset();
+  // Crash-style teardown, minus the fault record: ULFM wipes the revoked
+  // communicator wholesale, so no frame, match or protocol state from the
+  // old world may leak into the shrunk one.
+  teardown();
 
   survivors_ = std::move(survivors);
   vrank_ = 0;
@@ -155,7 +133,12 @@ void RankRuntime::shrink_relaunch(AppFactory factory,
   proc_->start(app_main(std::move(factory)));
 }
 
-void RankRuntime::reset_volatile() {
+void RankRuntime::teardown() {
+  net_.crash_node(layout_.rank_node(rank_));
+  proc_->kill();
+  daemon_->reset();
+  // Volatile protocol + matching state dies with the process; the
+  // checkpoint image (if any) is the only persistent state.
   posted_.clear();
   pending_irecvs_.clear();
   replay_.clear();
@@ -168,6 +151,13 @@ void RankRuntime::reset_volatile() {
   fetch_resp_.reset();
   awaiting_store_ack_ = false;
   awaiting_fetch_ = false;
+  proto_->reset();
+  rsn_ = 0;
+  coll_seq_ = 0;
+  std::fill(send_ssn_.begin(), send_ssn_.end(), 0);
+  for (auto& a : arr_) a.reset();
+  unexpected_.clear();
+  restart_image_.reset();
 }
 
 sim::Task<void> RankRuntime::app_main(AppFactory factory) {

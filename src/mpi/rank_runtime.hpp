@@ -228,7 +228,10 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
 
   void serialize_matching(util::Buffer& b) const;
   void restore_matching(util::Buffer& b);
-  void reset_volatile();
+  /// The wipe shared by crash() and shrink_relaunch(): takes the node off
+  /// the fabric, kills the process, resets the daemon and drops every piece
+  /// of volatile matching and protocol state.
+  void teardown();
 
   /// Virtual -> physical rank on the (possibly shrunk) communicator.
   int to_physical(int v) const {

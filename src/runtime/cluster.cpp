@@ -86,7 +86,7 @@ Cluster::Cluster(ClusterConfig cfg)
   hooks.service_retry = cfg_.campaign.empty() ? 0 : cfg_.campaign.service_retry;
   hooks.trace = trace_.get();
 
-  const ProtocolEntry& protocol = protocol_entry(cfg_.protocol);
+  const ProtocolEntry& protocol = protocol_entry(cfg_.variant.protocol);
   for (int r = 0; r < cfg_.nranks; ++r) {
     ranks_.push_back(std::make_unique<mpi::RankRuntime>(
         eng_, net_, layout_, r, protocol.channel, protocol.make(cfg_),
@@ -185,11 +185,11 @@ void Cluster::arm_metrics() {
 Cluster::~Cluster() = default;
 
 std::string Cluster::protocol_label() const {
-  return protocol_entry(cfg_.protocol).label(cfg_.strategy, cfg_.event_logger);
+  return protocol_entry(cfg_.variant.protocol).label(cfg_.variant);
 }
 
 ClusterReport Cluster::run(mpi::AppFactory factory) {
-  const RecoveryMode mode = protocol_entry(cfg_.protocol).recovery;
+  const RecoveryMode mode = protocol_entry(cfg_.variant.protocol).recovery;
   dispatcher_ = std::make_unique<Dispatcher>(
       net_, layout_, [this] {
         std::vector<mpi::RankRuntime*> v;

@@ -41,11 +41,23 @@ enum class ProtocolKind : std::uint8_t {
                  // the victim on a rebuilt communicator
 };
 
-struct ClusterConfig {
-  int nranks = 4;
+/// One protocol variant of the evaluation ("p4", "vdummy", "coordinated",
+/// "vcausal:el", "manetho:noel", ...). Non-causal protocols ignore the
+/// strategy; the Event Logger stays on for them.
+struct Variant {
   ProtocolKind protocol = ProtocolKind::kVdummy;
   causal::StrategyKind strategy = causal::StrategyKind::kVcausal;
   bool event_logger = true;
+
+  bool operator==(const Variant&) const = default;
+};
+
+/// Everything one cluster run is configured by. Each member is set from
+/// one scenario key (docs/SCENARIOS.md); scenario::ScenarioSpec derives
+/// from this struct, so these are the only defaults.
+struct ClusterConfig {
+  int nranks = 4;
+  Variant variant;
   /// Number of Event Logger shards (paper §VI future work: > 1 distributes
   /// determinant logging; shards exchange their stable-clock arrays).
   int el_shards = 1;
@@ -53,6 +65,7 @@ struct ClusterConfig {
   /// serving no ranks until a shard crash fails over onto one.
   int el_standby = 0;
   net::CostModel cost{};
+  /// Master seed: workload RNG, checkpoint scheduler, fault streams.
   std::uint64_t seed = 1;
 
   ckpt::Policy ckpt_policy = ckpt::Policy::kNone;
@@ -60,15 +73,15 @@ struct ClusterConfig {
 
   /// Every fault of the run (rank and daemon crashes, EL shard crashes,
   /// checkpoint-server outages, link perturbations, partitions), executed
-  /// by the fault engine.
+  /// by the fault engine (the `[faults]` section of scenario files).
   fault::Campaign campaign;
   sim::Time detection_delay = 250 * sim::kMillisecond;
 
   /// Replica hybrid: the shadow is refreshed with one sync frame every this
-  /// many application sends (0 = every send).
+  /// many application sends (`replica.sync_interval`; <= 1 = every send).
   int replica_sync_interval = 8;
   /// ULFM shrink-and-repair: the priced agreement + communicator-rebuild
-  /// window between revoke and the survivors' relaunch.
+  /// window between revoke and the survivors' relaunch (`ulfm.repair_cost`).
   sim::Time ulfm_repair_cost = 10 * sim::kMillisecond;
   /// Causal variant knob: keep logged payloads in the sender's application
   /// memory instead of copying them into the daemon (skips the per-byte
@@ -110,10 +123,9 @@ struct ProtocolEntry {
   std::unique_ptr<ftapi::VProtocol> (*make)(const ClusterConfig&);
 
   /// The variant as `.scn` files name it ("replica", "manetho:noel").
-  std::string variant_name(causal::StrategyKind strategy,
-                           bool event_logger) const;
+  std::string variant_name(const Variant& v) const;
   /// The report label ("Replica hybrid", "Manetho (no EL)").
-  std::string label(causal::StrategyKind strategy, bool event_logger) const;
+  std::string label(const Variant& v) const;
 };
 
 /// The registered descriptor of `kind` (panics on an unregistered kind).
@@ -136,22 +148,22 @@ void check_config(const ClusterConfig& cfg, Fail&& fail) {
     fail("el_shards (" + to_string(cfg.el_shards) + ") cannot exceed nranks (" +
          to_string(cfg.nranks) + ")");
   }
-  const ProtocolEntry& p = protocol_entry(cfg.protocol);
+  const ProtocolEntry& p = protocol_entry(cfg.variant.protocol);
   const auto needs_el = [&](const char* knob, int n) {
     fail(std::string(knob) + " = " + to_string(n) +
          " requires event_logger = true, but variant '" +
-         p.variant_name(cfg.strategy, cfg.event_logger) +
+         p.variant_name(cfg.variant) +
          "' disables the event logger");
   };
   // One shard is no sharding, so it stays legal without an event logger.
-  if (cfg.el_shards > 1 && !cfg.event_logger) {
+  if (cfg.el_shards > 1 && !cfg.variant.event_logger) {
     needs_el("el_shards", cfg.el_shards);
   }
   if (cfg.el_standby < 0 || cfg.el_standby > 64) {
     fail("el_standby must be in [0, 64] (got " + to_string(cfg.el_standby) +
          ")");
   }
-  if (cfg.el_standby > 0 && !cfg.event_logger) {
+  if (cfg.el_standby > 0 && !cfg.variant.event_logger) {
     needs_el("el_standby", cfg.el_standby);
   }
   if (p.channel == net::ChannelKind::kP4 && !cfg.campaign.empty()) {
@@ -161,11 +173,11 @@ void check_config(const ClusterConfig& cfg, Fail&& fail) {
   // Every injection must name a real target and an implementable
   // trigger/action combination before anything is scheduled.
   fault::validate_campaign(cfg.campaign, cfg.nranks,
-                           cfg.el_shards + cfg.el_standby, cfg.event_logger,
-                           fail);
+                           cfg.el_shards + cfg.el_standby,
+                           cfg.variant.event_logger, fail);
   if (cfg.payload_at_sender && !p.causal) {
     fail("payload_at_sender is a causal-logging knob but variant '" +
-         p.variant_name(cfg.strategy, cfg.event_logger) + "' is not causal");
+         p.variant_name(cfg.variant) + "' is not causal");
   }
 }
 

@@ -133,7 +133,8 @@ Registry<ProtocolEntry>& protocols() {
               [](const runtime::ClusterConfig& cfg)
                   -> std::unique_ptr<ftapi::VProtocol> {
                 return std::make_unique<causal::CausalProtocol>(
-                    cfg.strategy, cfg.event_logger, cfg.payload_at_sender);
+                    cfg.variant.strategy, cfg.variant.event_logger,
+                    cfg.payload_at_sender);
               }},
              {ProtocolKind::kPessimistic, "pessimistic", "Pessimistic",
               "MPICH-V2-style pessimistic logging", true, false,
@@ -270,7 +271,7 @@ Registry<WorkloadEntry>& workload_registry() {
   return *reg;
 }
 
-// Kind-based lookups serve internal callers holding the lowered enums; a
+// Kind-based lookups serve internal callers holding resolved enums; a
 // miss there is a corrupted enum, not user input, so it panics like the
 // switch defaults it replaced (name-based lookups throw SpecError).
 const StrategyEntry& strategy_entry(causal::StrategyKind kind) {
@@ -282,9 +283,8 @@ const StrategyEntry& strategy_entry(causal::StrategyKind kind) {
   return *e;
 }
 
-VariantSpec parse_variant(const std::string& name) {
-  VariantSpec v;
-  v.name = name;
+runtime::Variant parse_variant(const std::string& name) {
+  runtime::Variant v;
   std::string head = name;
   std::string suffix;
   if (const std::size_t colon = name.find(':'); colon != std::string::npos) {
@@ -323,11 +323,10 @@ VariantSpec parse_variant(const std::string& name) {
       msg += ")";
       throw SpecError(msg);
     }
-    // Non-causal protocols ignore the strategy; EL stays on so the default
-    // lowering matches a hand-built ClusterConfig.
+    // Non-causal protocols ignore the strategy and keep the EL on, as a
+    // default-constructed Variant does.
   }
   v.protocol = p->kind;
-  v.label = p->label(v.strategy, v.event_logger);
   return v;
 }
 
@@ -344,20 +343,18 @@ const ProtocolEntry& protocol_entry(ProtocolKind kind) {
   return *e;
 }
 
-std::string ProtocolEntry::variant_name(causal::StrategyKind strategy,
-                                        bool event_logger) const {
+std::string ProtocolEntry::variant_name(const Variant& v) const {
   if (!causal) return name;
   for (const auto& [n, s] : scenario::strategies().entries()) {
-    if (s.kind == strategy) return n + (event_logger ? ":el" : ":noel");
+    if (s.kind == v.strategy) return n + (v.event_logger ? ":el" : ":noel");
   }
   return "?";
 }
 
-std::string ProtocolEntry::label(causal::StrategyKind strategy,
-                                 bool event_logger) const {
+std::string ProtocolEntry::label(const Variant& v) const {
   if (!causal) return display;
-  return std::string(causal::strategy_kind_name(strategy)) +
-         (event_logger ? " (EL)" : " (no EL)");
+  return std::string(causal::strategy_kind_name(v.strategy)) +
+         (v.event_logger ? " (EL)" : " (no EL)");
 }
 
 }  // namespace mpiv::runtime

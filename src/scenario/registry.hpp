@@ -112,7 +112,7 @@ Registry<ProtocolEntry>& protocols();
 Registry<StrategyEntry>& strategies();
 Registry<WorkloadEntry>& workload_registry();
 
-/// Entry lookup by lowered enum (protocols: runtime::protocol_entry).
+/// Entry lookup by enum (protocols: runtime::protocol_entry).
 const StrategyEntry& strategy_entry(causal::StrategyKind kind);
 
 }  // namespace mpiv::scenario

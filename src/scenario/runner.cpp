@@ -29,7 +29,7 @@ ClusterRun run_cluster(const ScenarioSpec& spec) {
   const WorkloadEntry& entry = workload_registry().at(spec.workload.name);
   WorkloadInstance wl = entry.make(spec);
   ClusterRun out;
-  runtime::Cluster cluster(lower(spec));
+  runtime::Cluster cluster(spec);
   out.protocol_label = cluster.protocol_label();
   out.report = cluster.run(wl.app);
   out.events_executed = cluster.engine().events_executed();
@@ -134,6 +134,21 @@ void apply_quick(ScenarioSpec& spec) {
   spec.quick.clear();
 }
 
+ScenarioSpec load_scenario(const std::string& path, bool quick,
+                           const std::vector<std::string>& overrides) {
+  ScenarioSpec spec = parse_scenario_file(path);
+  if (!quick) spec.quick.clear();
+  for (const std::string& kv : overrides) {
+    const std::size_t eq = kv.find('=');
+    if (eq == std::string::npos) {
+      throw SpecError("--set expects key=value, got '" + kv + "'");
+    }
+    spec.quick.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+  }
+  apply_quick(spec);
+  return spec;
+}
+
 std::vector<RunPoint> expand(const ScenarioSpec& spec) {
   ScenarioSpec base = spec;
   const auto axes = base.sweep;
@@ -169,8 +184,10 @@ std::vector<RunPoint> expand(const ScenarioSpec& spec) {
     } else {
       for (const auto& [axis, value] : p.axes) {
         if (!p.label.empty()) p.label += ", ";
-        p.label += axis == "variant" ? p.spec.variant.label
-                                     : axis + "=" + value;
+        p.label += axis == "variant"
+                       ? runtime::protocol_entry(p.spec.variant.protocol)
+                             .label(p.spec.variant)
+                       : axis + "=" + value;
       }
     }
     if (!p.skipped) {
@@ -194,28 +211,7 @@ std::vector<RunPoint> expand(const ScenarioSpec& spec) {
   }
 }
 
-runtime::ClusterConfig lower(const ScenarioSpec& spec) {
-  runtime::ClusterConfig cfg;
-  cfg.nranks = spec.nranks;
-  cfg.protocol = spec.variant.protocol;
-  cfg.strategy = spec.variant.strategy;
-  cfg.event_logger = spec.variant.event_logger;
-  cfg.el_shards = spec.el_shards;
-  cfg.el_standby = spec.el_standby;
-  cfg.cost = spec.cost;
-  cfg.seed = spec.seed;
-  cfg.ckpt_policy = spec.ckpt_policy;
-  cfg.ckpt_interval = spec.ckpt_interval;
-  cfg.campaign = spec.faults.campaign;
-  cfg.detection_delay = spec.detection_delay;
-  cfg.replica_sync_interval = spec.replica_sync_interval;
-  cfg.ulfm_repair_cost = spec.ulfm_repair_cost;
-  cfg.payload_at_sender = spec.payload_at_sender;
-  cfg.trace = spec.trace;
-  cfg.metrics = spec.metrics;
-  cfg.max_sim_time = spec.max_sim_time;
-  return cfg;
-}
+runtime::ClusterConfig lower(const ScenarioSpec& spec) { return spec; }
 
 RunResult run_point(const RunPoint& point) {
   RunResult r;
@@ -281,7 +277,7 @@ RunResult run_point(const RunPoint& point) {
     ScenarioSpec ref = spec;
     ref.compare_reference = false;
     ref.faults.midrun_rank = -1;
-    auto& inj = ref.faults.campaign.injections;
+    auto& inj = ref.campaign.injections;
     inj.erase(std::remove_if(inj.begin(), inj.end(),
                              [](const fault::Injection& i) {
                                return i.target == fault::Target::kRank;
@@ -292,7 +288,7 @@ RunResult run_point(const RunPoint& point) {
     // — the simulator is deterministic, so don't pay for it twice.
     const bool ref_is_measured =
         spec.faults.midrun_rank < 0 &&
-        inj.size() == spec.faults.campaign.injections.size();
+        inj.size() == spec.campaign.injections.size();
     const ClusterRun ref_run = run_cluster(ref);
     r.has_reference = true;
     r.reference_time = ref_run.report.completion_time;
@@ -309,7 +305,7 @@ RunResult run_point(const RunPoint& point) {
     }
     if (spec.faults.midrun_rank >= 0) {
       // At the front, so it fires before any other crash at the same time.
-      auto& measured = spec.faults.campaign.injections;
+      auto& measured = spec.campaign.injections;
       measured.insert(
           measured.begin(),
           fault::rank_crash_at(

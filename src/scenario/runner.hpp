@@ -1,4 +1,4 @@
-// Scenario execution: sweep expansion, lowering onto runtime::Cluster, and
+// Scenario execution: sweep expansion, runs on runtime::Cluster, and
 // the machine-readable report `mpiv_run` and the bench harness share.
 #pragma once
 
@@ -144,13 +144,20 @@ struct RunSet {
 /// scalar setting.
 void apply_quick(ScenarioSpec& spec);
 
+/// Loads a scenario file as mpiv_run and mpiv_trace do: its [quick]
+/// overrides apply only when `quick`, then each `key=value` in `overrides`
+/// applies with the same overlay semantics (a key naming a sweep axis
+/// replaces it). Throws SpecError.
+ScenarioSpec load_scenario(const std::string& path, bool quick,
+                           const std::vector<std::string>& overrides);
+
 /// Expands the sweep axes (cartesian, declaration order) into validated
 /// run points. Throws SpecError if any point fails validation; points
 /// whose workload rejects the rank count come back `skipped`.
 std::vector<RunPoint> expand(const ScenarioSpec& spec);
 
-/// Lowers a resolved spec onto the internal config (field-for-field; the
-/// determinism goldens pin this mapping).
+/// The spec's ClusterConfig part. Callers can pass a spec wherever a
+/// ClusterConfig is expected; this spelling stays for bench/e2e.
 runtime::ClusterConfig lower(const ScenarioSpec& spec);
 
 /// Runs one point (including its reference pass in midrun-fault mode).

@@ -316,7 +316,7 @@ void add_rate_stream(S& s, const std::string& key, const std::string& value,
   }
   if (rate < 0) bad_value(key, value, "a rate >= 0 (0 = off)");
   if (rate == 0) return;
-  s.faults.campaign.injections.push_back(fault::crash_stream(target, rate));
+  s.campaign.injections.push_back(fault::crash_stream(target, rate));
 }
 
 // --- the key table ---------------------------------------------------------
@@ -383,9 +383,15 @@ constexpr KeyRow kKeys[] = {
     {.doc = {"variant", "scenario", "<protocol> | <strategy>[:el|:noel]",
              "manetho:el",
              "protocol variant (causal strategies default to :el)"},
-     .field = MEMBER(variant.name), .lead = true,
+     .lead = true,
      .apply = [](S& s, const std::string&, const std::string& v) {
        s.variant = parse_variant(v);
+     },
+     .print = [](const S& s, std::string& out) {
+       out += "variant = " +
+              runtime::protocol_entry(s.variant.protocol)
+                  .variant_name(s.variant) +
+              "\n";
      }},
     {.doc = {"nranks", "scenario", "<int 1..4096>", "8",
              "compute ranks (MPI process + communication daemon each)"},
@@ -528,7 +534,7 @@ constexpr KeyRow kKeys[] = {
        inj.target = Target::kRank;
        parse_fault_trigger(k, f[0], "ckpt", Trigger::kOnCheckpoint, inj);
        inj.index = parse_int(k, f[1]);
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kRank && i.trigger != Trigger::kRate;
@@ -558,7 +564,7 @@ constexpr KeyRow kKeys[] = {
        inj.at = parse_time(k, f[0]);
        inj.index = parse_int(k, f[1]);
        if (f.size() == 3) inj.duration = parse_time(k, f[2]);
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kDaemon && i.trigger != Trigger::kRate;
@@ -584,7 +590,7 @@ constexpr KeyRow kKeys[] = {
        inj.target = Target::kElShard;
        parse_fault_trigger(k, f[0], "stored", Trigger::kOnElStored, inj);
        inj.index = parse_int(k, f[1]);
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kElShard && i.action != Action::kOutage;
@@ -606,7 +612,7 @@ constexpr KeyRow kKeys[] = {
        inj.at = parse_time(k, f[0]);
        inj.index = parse_int(k, f[1]);
        inj.duration = parse_time(k, f[2]);
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kElShard && i.action == Action::kOutage;
@@ -623,7 +629,7 @@ constexpr KeyRow kKeys[] = {
        inj.action = Action::kOutage;
        inj.at = parse_time(k, f[0]);
        inj.duration = parse_time(k, f[1]);
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches =
          [](const Injection& i) { return i.target == Target::kCkptServer; },
@@ -641,7 +647,7 @@ constexpr KeyRow kKeys[] = {
        inj.index = parse_int(k, f[1]);
        inj.magnitude = parse_time(k, f[2]);
        inj.duration = parse_time(k, f[3]);
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kLink && i.action != Action::kDropWindow;
@@ -664,7 +670,7 @@ constexpr KeyRow kKeys[] = {
        inj.duration = parse_time(k, f[2]);
        inj.magnitude =
            f.size() == 4 ? parse_time(k, f[3]) : 5 * sim::kMillisecond;
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kLink && i.action == Action::kDropWindow;
@@ -678,7 +684,7 @@ constexpr KeyRow kKeys[] = {
              "10ms:0-1|2-3:25ms:2ms",
              "partial partition: the two rank groups mutually unreachable"},
      .apply = [](S& s, const std::string& k, const std::string& v) {
-       s.faults.campaign.injections.push_back(parse_partition(
+       s.campaign.injections.push_back(parse_partition(
            k, v, false, "'<time>:<ranks>|<ranks>:<duration>[:<backoff>]'"));
      },
      .matches = [](const Injection& i) {
@@ -700,7 +706,7 @@ constexpr KeyRow kKeys[] = {
                    "at least one 'elK' / 'ckpt' token (use faults.partition "
                    "for rank-only cuts)");
        }
-       s.faults.campaign.injections.push_back(inj);
+       s.campaign.injections.push_back(inj);
      },
      .matches = [](const Injection& i) {
        return i.target == Target::kFabric && i.cuts_services();
@@ -708,30 +714,30 @@ constexpr KeyRow kKeys[] = {
      .format = format_partition},
     {.doc = {"faults.el_failover", "faults", "reassign|standby", "standby",
              "what mounts a dead shard's log: surviving shard or cold standby"},
-     .field = MEMBER(faults.campaign.el_failover)},
+     .field = MEMBER(campaign.el_failover)},
     {.doc = {"faults.el_failover_delay", "faults", "<duration>", "25ms",
              "shard-crash detection + log-mount initiation delay"},
-     .field = MEMBER(faults.campaign.el_failover_delay)},
+     .field = MEMBER(campaign.el_failover_delay)},
     {.doc = {"faults.detection_delay", "faults", "<duration>", "5ms",
              "suspicion window for a service cut (default: cluster "
              "detection_delay)"},
-     .field = MEMBER(faults.campaign.detection_delay),
+     .field = MEMBER(campaign.detection_delay),
      .apply = [](S& s, const std::string& k, const std::string& v) {
        // -1 (inherit) is the default, not a scenario-file value.
-       s.faults.campaign.detection_delay = parse_time(k, v);
-       if (s.faults.campaign.detection_delay <= 0) {
+       s.campaign.detection_delay = parse_time(k, v);
+       if (s.campaign.detection_delay <= 0) {
          bad_value(k, v, "a positive duration like 5ms");
        }
      }},
     {.doc = {"faults.daemon_restart_delay", "faults", "<duration>", "40ms",
              "daemon detect + respawn + reconnect delay"},
-     .field = MEMBER(faults.campaign.daemon_restart_delay)},
+     .field = MEMBER(campaign.daemon_restart_delay)},
     {.doc = {"faults.service_retry", "faults", "<duration>", "500ms",
              "client retransmit interval for unacked EL/ckpt requests"},
-     .field = MEMBER(faults.campaign.service_retry), .lo = 0, .open = true},
+     .field = MEMBER(campaign.service_retry), .lo = 0, .open = true},
     {.doc = {"faults.seed_salt", "faults", "<u64>", "77",
              "salt mixed into the campaign's stochastic streams"},
-     .field = MEMBER(faults.campaign.seed_salt)},
+     .field = MEMBER(campaign.seed_salt)},
 };
 // END KEY TABLE (scripts/check_docs.sh)
 
@@ -846,7 +852,7 @@ const std::vector<KeyInfo>& key_table() {
 void strip_fault_key(ScenarioSpec& spec, const std::string& key) {
   const KeyRow* row = find_key(key);
   if (row == nullptr || row->matches == nullptr) return;  // scalars override
-  auto& inj = spec.faults.campaign.injections;
+  auto& inj = spec.campaign.injections;
   inj.erase(std::remove_if(inj.begin(), inj.end(), row->matches), inj.end());
 }
 
@@ -994,7 +1000,7 @@ std::string to_scenario_text(const ScenarioSpec& spec) {
     }
     std::string body;
     bool any = first == std::begin(kKeys);
-    for (const Injection& inj : spec.faults.campaign.injections) {
+    for (const Injection& inj : spec.campaign.injections) {
       for (const KeyRow* row = first; row != last; ++row) {
         if (row->matches != nullptr && row->matches(inj)) {
           body += std::string(local_name(*row)) + " = " + row->format(inj) +
@@ -1036,9 +1042,8 @@ void validate(const ScenarioSpec& spec) {
   auto fail = [&spec](const std::string& what) {
     throw SpecError("scenario '" + spec.name + "': " + what);
   };
-  // The rules every cluster config obeys, on the config this spec lowers
-  // to; the rest are the scenario's own.
-  runtime::check_config(lower(spec), fail);
+  // The rules every cluster config obeys; the rest are the scenario's own.
+  runtime::check_config(spec, fail);
   // Per-field bounds, straight from the key table.
   for (const KeyRow& row : kKeys) {
     if (row.lo == -kInf && row.hi == kInf) continue;

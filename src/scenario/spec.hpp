@@ -1,14 +1,15 @@
 // Declarative experiment specs (the paper's comparison matrix as data).
 //
-// A ScenarioSpec names everything one experiment varies — protocol variant,
-// EL topology, cost model, checkpoint policy, fault plan, workload, sweep
-// axes — in registry-resolved strings. The key table behind apply_key is
-// the only way to set one: a scenario-file line (parse_scenario_file), an
-// `mpiv_run --set` override, a sweep-axis value and ScenarioBuilder::set in
-// C++ all go through the same parser and bounds. runtime::ClusterConfig
-// remains the *lowered* form: scenario::lower() maps a validated spec onto
-// it field-for-field, so a spec-driven run is byte-identical to a
-// hand-built ClusterConfig run (tests/test_determinism.cpp pins this).
+// A ScenarioSpec is a runtime::ClusterConfig — protocol variant, EL
+// topology, cost model, checkpoint policy, fault campaign — plus what only
+// a scenario has: a name, the midrun-crash protocol, report directories,
+// the workload, sweep axes and quick overrides. The key table behind
+// apply_key is the only way to set one: a scenario-file line
+// (parse_scenario_file), an `mpiv_run --set` override, a sweep-axis value
+// and ScenarioBuilder::set in C++ all go through the same parser and
+// bounds. A Cluster is built straight from the spec's ClusterConfig part,
+// so each setting has one member and one default
+// (tests/test_determinism.cpp pins the resulting runs).
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/scheduler.hpp"
-#include "fault/campaign.hpp"
 #include "runtime/cluster.hpp"
 
 namespace mpiv::scenario {
@@ -30,17 +29,6 @@ namespace mpiv::scenario {
 class SpecError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// One protocol variant of the evaluation, lowered from a name such as
-/// "p4", "vdummy", "pessimistic", "coordinated", "vcausal:el",
-/// "manetho:noel". Causal strategies default to ":el" when unsuffixed.
-struct VariantSpec {
-  std::string name = "vdummy";  // canonical registry name
-  std::string label = "MPICH-Vdummy";
-  runtime::ProtocolKind protocol = runtime::ProtocolKind::kVdummy;
-  causal::StrategyKind strategy = causal::StrategyKind::kVcausal;
-  bool event_logger = true;
 };
 
 /// Registry-resolved workload plus its string-typed parameters (exact for
@@ -56,51 +44,23 @@ struct WorkloadSpec {
   std::string get_str(const std::string& key, const std::string& fallback) const;
 };
 
-/// When and whom to crash. Every fault is a `campaign` injection (rank and
-/// daemon crashes, EL-shard crashes, server outages, link perturbations,
-/// partitions — the `[faults]` section of scenario files). `midrun_rank >=
-/// 0` is the paper's "middle of correct execution" protocol: the runner
-/// first executes a fault-free reference, then reruns with a crash of that
-/// rank at `midrun_frac * reference completion time`, put at the front of
-/// the campaign.
-struct FaultPlan {
+/// The paper's "middle of correct execution" protocol. `midrun_rank >= 0`
+/// makes the runner first execute a fault-free reference, then rerun with a
+/// crash of that rank at `midrun_frac * reference completion time`, put at
+/// the front of the campaign. Every other fault is a campaign injection.
+struct MidrunFault {
   int midrun_rank = -1;
   double midrun_frac = 0.5;
-  fault::Campaign campaign;
-
-  bool any() const { return midrun_rank >= 0 || !campaign.empty(); }
 };
 
-/// The full declarative experiment description. Field defaults mirror
-/// runtime::ClusterConfig so an empty spec lowers to the seed defaults.
-struct ScenarioSpec {
+/// The full declarative experiment description: the cluster configuration
+/// plus the scenario's own fields.
+struct ScenarioSpec : runtime::ClusterConfig {
   std::string name = "unnamed";
   std::string notes;
 
-  VariantSpec variant;
-  int nranks = 4;
   bool el_shards_set = false;  // true once el_shards was explicitly chosen
-  int el_shards = 1;
-  int el_standby = 0;  // cold standby EL shard nodes (failover targets)
-  std::uint64_t seed = 1;
-  net::CostModel cost{};
-
-  ckpt::Policy ckpt_policy = ckpt::Policy::kNone;
-  sim::Time ckpt_interval = 0;
-
-  FaultPlan faults;
-  sim::Time detection_delay = 250 * sim::kMillisecond;
-  sim::Time max_sim_time = 4L * 3600 * sim::kSecond;
-
-  /// Replica hybrid: application sends between shadow sync frames
-  /// (`replica.sync_interval`; <= 1 syncs on every send).
-  int replica_sync_interval = 8;
-  /// ULFM shrink-and-repair: agreement + communicator-rebuild window
-  /// between revoke and the survivors' relaunch (`ulfm.repair_cost`).
-  sim::Time ulfm_repair_cost = 10 * sim::kMillisecond;
-  /// Causal variant knob (`payload_at_sender`): retain logged payloads in
-  /// sender application memory instead of copying into the daemon.
-  bool payload_at_sender = false;
+  MidrunFault faults;
 
   /// Run a fault-free reference pass even without a midrun fault, so
   /// `recovered_exact` is computed for ANY faulty run (the chaos-soak
@@ -108,16 +68,10 @@ struct ScenarioSpec {
   /// campaign's environment faults, exactly like the midrun protocol.
   bool compare_reference = false;
 
-  /// Per-rank trace lanes (`[trace]` section / `trace.*` keys). When a
-  /// reference pass runs, it inherits the same trace config so the two
-  /// streams can be aligned by mpiv_trace.
-  trace::Config trace{};
   /// Directory for trace stream files ("" = keep in memory / JSON only).
+  /// When a reference pass runs, it inherits the same trace config so the
+  /// two streams can be aligned by mpiv_trace.
   std::string trace_dir;
-
-  /// Aggregate metrics + virtual-time gauge sampler (`[metrics]` section /
-  /// `metrics.*` keys). Off by default; schedule-neutral when on.
-  metrics::Config metrics{};
   /// Directory for per-run time-series CSV files ("" = JSON summary only).
   std::string metrics_dir;
 
@@ -132,9 +86,12 @@ struct ScenarioSpec {
   std::vector<std::pair<std::string, std::string>> quick;
 };
 
-/// Resolves a variant name through the protocol/strategy registries.
-/// Throws SpecError for unknown names, listing what is registered.
-VariantSpec parse_variant(const std::string& name);
+/// Resolves a variant name ("vcausal", "manetho:noel", "coordinated")
+/// through the protocol/strategy registries; causal strategies default to
+/// ":el" when unsuffixed. Its canonical spelling is
+/// runtime::ProtocolEntry::variant_name. Throws SpecError for unknown
+/// names, listing what is registered.
+runtime::Variant parse_variant(const std::string& name);
 
 /// Applies one textual `key = value` setting to the spec — the single
 /// mutation path shared by the file parser, sweep expansion, quick

@@ -96,7 +96,7 @@ struct Record {
   }
 };
 
-/// Trace knobs lowered from the scenario layer (ClusterConfig::trace).
+/// Trace knobs (ClusterConfig::trace, the `[trace]` scenario section).
 struct Config {
   bool enabled = false;
   std::uint32_t capacity = 8192;  // retained records per lane

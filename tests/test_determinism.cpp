@@ -9,9 +9,10 @@
 // alters *semantics* (rather than host-side speed) moves at least one of
 // these counters; a refactor that keeps them is provably behaviour-
 // preserving for everything the paper measures. Because the runs are built
-// from ScenarioSpecs, the goldens also pin the spec -> ClusterConfig
-// lowering: if the scenario layer lowered anything differently from the
-// hand-built configs these values were recorded with, every row would move.
+// from ScenarioSpecs, the goldens also pin the scenario layer: a spec is a
+// ClusterConfig plus scenario-only fields, so if any key set the cluster
+// differently from the hand-built configs these values were recorded with,
+// every row would move.
 #include <gtest/gtest.h>
 
 #include "scenario/runner.hpp"
@@ -62,8 +63,8 @@ struct Golden {
 };
 
 // Recorded from the pre-refactor tree (std::map storage, std::function
-// engine, hand-built ClusterConfigs). The scenario lowering must
-// reproduce these exactly.
+// engine, hand-built ClusterConfigs). Spec-built runs must reproduce these
+// exactly.
 const Golden kGolden[] = {
     {"vcausal:el", false, {1431ull, 113312ull, 5016ull, 0xd2b99efda9bae7f3ull}},
     {"vcausal:noel", false, {730ull, 98120ull, 8832ull, 0xa1c6926540643335ull}},

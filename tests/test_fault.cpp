@@ -86,7 +86,7 @@ TEST(FaultCampaign, FaultsSectionParses) {
       "service_retry = 300ms\n"
       "seed_salt = 77\n";
   const ScenarioSpec spec = scenario::parse_scenario_text(text);
-  const fault::Campaign& c = spec.faults.campaign;
+  const fault::Campaign& c = spec.campaign;
   ASSERT_EQ(c.injections.size(), 9u);
 
   EXPECT_EQ(c.injections[0].target, Target::kRank);
@@ -135,7 +135,7 @@ TEST(FaultCampaign, DaemonAndPartitionKeysParse) {
       "partition = 10ms:0-2+6|3-5:25ms:3ms\n"
       "partition = 40ms:0|1:5ms\n";
   const ScenarioSpec spec = scenario::parse_scenario_text(text);
-  const fault::Campaign& c = spec.faults.campaign;
+  const fault::Campaign& c = spec.campaign;
   ASSERT_EQ(c.injections.size(), 5u);
 
   EXPECT_EQ(c.injections[0].target, Target::kDaemon);
@@ -174,7 +174,7 @@ TEST(FaultCampaign, ServicePartitionKeysParse) {
       "partition_services = 50ms:ckpt+el1|0-2:10ms\n"
       "detection_delay = 5ms\n";
   const ScenarioSpec spec = scenario::parse_scenario_text(text);
-  const fault::Campaign& c = spec.faults.campaign;
+  const fault::Campaign& c = spec.campaign;
   ASSERT_EQ(c.injections.size(), 2u);
 
   EXPECT_EQ(c.injections[0].target, Target::kFabric);
@@ -234,8 +234,8 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
           .build();
   const ScenarioSpec back =
       scenario::parse_scenario_text(scenario::to_scenario_text(spec));
-  const fault::Campaign& a = spec.faults.campaign;
-  const fault::Campaign& b = back.faults.campaign;
+  const fault::Campaign& a = spec.campaign;
+  const fault::Campaign& b = back.campaign;
   ASSERT_EQ(a.injections.size(), b.injections.size());
   for (std::size_t i = 0; i < a.injections.size(); ++i) {
     SCOPED_TRACE(i);
@@ -376,28 +376,28 @@ TEST(FaultValidation, SweptServicePartitionStripsOnlyItsOwnKind) {
   ASSERT_EQ(points.size(), 2u);
   for (const scenario::RunPoint& p : points) {
     int plain = 0, service = 0;
-    for (const Injection& i : p.spec.faults.campaign.injections) {
+    for (const Injection& i : p.spec.campaign.injections) {
       if (i.target != Target::kFabric) continue;
       i.cuts_services() ? ++service : ++plain;
     }
     EXPECT_EQ(plain, 1) << p.label;
     EXPECT_EQ(service, 1) << p.label;
   }
-  EXPECT_EQ(points[0].spec.faults.campaign.injections.back().services_a,
+  EXPECT_EQ(points[0].spec.campaign.injections.back().services_a,
             (std::vector<int>{0}));
-  EXPECT_EQ(points[1].spec.faults.campaign.injections.back().services_a,
+  EXPECT_EQ(points[1].spec.campaign.injections.back().services_a,
             (std::vector<int>{1}));
 }
 
 TEST(FaultValidation, LegacyClusterRejectsBadPlansToo) {
   runtime::ClusterConfig dup;
-  dup.protocol = runtime::ProtocolKind::kCausal;
+  dup.variant.protocol = runtime::ProtocolKind::kCausal;
   dup.campaign.injections.push_back(fault::rank_crash_at(1000, 1));
   dup.campaign.injections.push_back(fault::rank_crash_at(1000, 1));
   EXPECT_DEATH(runtime::Cluster{dup}, "duplicate fault");
 
   runtime::ClusterConfig zero;
-  zero.protocol = runtime::ProtocolKind::kCausal;
+  zero.variant.protocol = runtime::ProtocolKind::kCausal;
   zero.campaign.injections.push_back(fault::rank_crash_at(0, 1));
   EXPECT_DEATH(runtime::Cluster{zero}, "t <= 0");
 }
@@ -411,7 +411,7 @@ TEST(FaultValidation, SeedSweepAxisExpands) {
   EXPECT_EQ(points[1].spec.seed, 2u);
   EXPECT_EQ(points[2].spec.seed, 3u);
   // The campaign rides along into every point.
-  EXPECT_EQ(points[2].spec.faults.campaign.injections.size(), 1u);
+  EXPECT_EQ(points[2].spec.campaign.injections.size(), 1u);
 }
 
 TEST(FaultValidation, SweptInjectionKeyReplacesTheBaseLine) {
@@ -427,16 +427,16 @@ TEST(FaultValidation, SweptInjectionKeyReplacesTheBaseLine) {
   ASSERT_EQ(points.size(), 2u);
   for (const scenario::RunPoint& p : points) {
     int crashes = 0, outages = 0;
-    for (const Injection& i : p.spec.faults.campaign.injections) {
+    for (const Injection& i : p.spec.campaign.injections) {
       if (i.target == Target::kElShard && i.action == Action::kCrash) ++crashes;
       if (i.target == Target::kElShard && i.action == Action::kOutage) ++outages;
     }
     EXPECT_EQ(crashes, 1) << p.label;
     EXPECT_EQ(outages, 1) << p.label;
   }
-  EXPECT_EQ(points[0].spec.faults.campaign.injections.back().at,
+  EXPECT_EQ(points[0].spec.campaign.injections.back().at,
             2 * sim::kMillisecond);
-  EXPECT_EQ(points[1].spec.faults.campaign.injections.back().index, 1);
+  EXPECT_EQ(points[1].spec.campaign.injections.back().index, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ using workloads::ChecksumResult;
 ClusterConfig cfg_with_shards(int shards, int nranks = 6) {
   ClusterConfig cfg;
   cfg.nranks = nranks;
-  cfg.protocol = ProtocolKind::kCausal;
-  cfg.strategy = causal::StrategyKind::kVcausal;
-  cfg.event_logger = true;
+  cfg.variant.protocol = ProtocolKind::kCausal;
+  cfg.variant.strategy = causal::StrategyKind::kVcausal;
+  cfg.variant.event_logger = true;
   cfg.el_shards = shards;
   cfg.ckpt_policy = ckpt::Policy::kRoundRobin;
   cfg.ckpt_interval = 60 * sim::kMillisecond;

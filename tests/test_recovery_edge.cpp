@@ -37,8 +37,8 @@ void crash_at(ClusterConfig& cfg, sim::Time at, int rank) {
 ClusterConfig causal_cfg(int nranks = 5) {
   ClusterConfig cfg;
   cfg.nranks = nranks;
-  cfg.protocol = ProtocolKind::kCausal;
-  cfg.strategy = causal::StrategyKind::kManetho;
+  cfg.variant.protocol = ProtocolKind::kCausal;
+  cfg.variant.strategy = causal::StrategyKind::kManetho;
   cfg.ckpt_policy = ckpt::Policy::kRoundRobin;
   cfg.ckpt_interval = 30 * sim::kMillisecond;
   return cfg;
@@ -113,7 +113,7 @@ TEST(RecoveryEdge, NearSimultaneousFaultsAreSerialized) {
 TEST(RecoveryEdge, PessimisticReplaysWildcardOrders) {
   ClusterConfig cfg;
   cfg.nranks = 6;
-  cfg.protocol = ProtocolKind::kPessimistic;
+  cfg.variant.protocol = ProtocolKind::kPessimistic;
   cfg.ckpt_policy = ckpt::Policy::kNone;
   auto run_it = [&cfg] {
     auto result = std::make_shared<ChecksumResult>(cfg.nranks);
@@ -133,7 +133,7 @@ TEST(RecoveryEdge, PessimisticReplaysWildcardOrders) {
 TEST(RecoveryEdge, CoordinatedSurvivesRepeatedRollbacks) {
   ClusterConfig cfg;
   cfg.nranks = 4;
-  cfg.protocol = ProtocolKind::kCoordinated;
+  cfg.variant.protocol = ProtocolKind::kCoordinated;
   cfg.ckpt_policy = ckpt::Policy::kAllAtOnce;
   cfg.ckpt_interval = 60 * sim::kMillisecond;
   const RunOutput ref = run_ring(cfg, 70);

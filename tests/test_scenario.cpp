@@ -1,7 +1,7 @@
 // Tests for the scenario layer: builder validation, registry lookups,
 // scenario-file parse round-trips, the mpiv_run command line, sweep
-// expansion (cartesian + skip semantics), quick overlays, lowering, and the
-// JSON report shape.
+// expansion (cartesian + skip semantics), quick overlays, the cluster
+// config rules, and the JSON report shape.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -183,7 +183,7 @@ TEST(Registry, EveryRegisteredNameParsesBackThroughScn) {
     const ScenarioSpec again =
         scenario::parse_scenario_text(scenario::to_scenario_text(spec));
     EXPECT_EQ(again.variant.protocol, e.kind) << name;
-    EXPECT_EQ(again.variant.name, spec.variant.name) << name;
+    EXPECT_EQ(again.variant, spec.variant) << name;
   }
   for (const auto& [name, e] : scenario::strategies().entries()) {
     for (const char* suffix : {":el", ":noel"}) {
@@ -216,11 +216,11 @@ TEST(Registry, StrategyFactoryResolvesThroughRegistry) {
 }
 
 TEST(Registry, VariantNamesParse) {
-  const scenario::VariantSpec v = scenario::parse_variant("manetho:noel");
+  const runtime::Variant v = scenario::parse_variant("manetho:noel");
   EXPECT_EQ(v.protocol, runtime::ProtocolKind::kCausal);
   EXPECT_EQ(v.strategy, causal::StrategyKind::kManetho);
   EXPECT_FALSE(v.event_logger);
-  EXPECT_EQ(v.label, "Manetho (no EL)");
+  EXPECT_EQ(runtime::protocol_entry(v.protocol).label(v), "Manetho (no EL)");
   // Unsuffixed causal strategies default to the EL being on.
   EXPECT_TRUE(scenario::parse_variant("vcausal").event_logger);
   EXPECT_THROW(scenario::parse_variant("p4:noel"), SpecError);
@@ -251,9 +251,7 @@ TEST(ScenarioFile, ParseRoundTripPreservesTheSpec) {
   const ScenarioSpec reparsed =
       scenario::parse_scenario_text(scenario::to_scenario_text(spec));
   EXPECT_EQ(reparsed.name, spec.name);
-  EXPECT_EQ(reparsed.variant.name, spec.variant.name);
-  EXPECT_EQ(reparsed.variant.protocol, spec.variant.protocol);
-  EXPECT_EQ(reparsed.variant.strategy, spec.variant.strategy);
+  EXPECT_EQ(reparsed.variant, spec.variant);
   EXPECT_EQ(reparsed.nranks, spec.nranks);
   EXPECT_EQ(reparsed.el_shards, spec.el_shards);
   EXPECT_EQ(reparsed.seed, spec.seed);
@@ -261,10 +259,10 @@ TEST(ScenarioFile, ParseRoundTripPreservesTheSpec) {
   EXPECT_EQ(reparsed.ckpt_policy, spec.ckpt_policy);
   EXPECT_EQ(reparsed.ckpt_interval, spec.ckpt_interval);
   const std::vector<fault::Injection>& inj =
-      reparsed.faults.campaign.injections;
+      reparsed.campaign.injections;
   ASSERT_EQ(inj.size(), 2u);
-  EXPECT_EQ(inj[0].at, spec.faults.campaign.injections[0].at);
-  EXPECT_EQ(inj[0].index, spec.faults.campaign.injections[0].index);
+  EXPECT_EQ(inj[0].at, spec.campaign.injections[0].at);
+  EXPECT_EQ(inj[0].index, spec.campaign.injections[0].index);
   EXPECT_DOUBLE_EQ(inj[1].rate_per_minute, 0.5);
   EXPECT_EQ(reparsed.workload.name, "nas");
   EXPECT_EQ(reparsed.workload.params, spec.workload.params);
@@ -534,12 +532,12 @@ struct CliResult {
   int status = -1;  // exit status, -1 if the binary did not exit normally
 };
 
-/// Runs mpiv_run with `args` from the source root, so scenario paths like
-/// scenarios/fig9.scn resolve.
-CliResult mpiv_run(const std::string& args) {
+/// Runs one of the tools with `args` from the source root, so scenario
+/// paths like scenarios/fig9.scn resolve.
+CliResult run_tool(const char* binary, const std::string& args) {
   CliResult r;
-  const std::string cmd = "cd '" MPIV_SOURCE_DIR "' && '" MPIV_RUN_BINARY
-                          "' " + args + " 2>/dev/null";
+  const std::string cmd = "cd '" MPIV_SOURCE_DIR "' && '" +
+                          std::string(binary) + "' " + args + " 2>/dev/null";
   std::FILE* p = ::popen(cmd.c_str(), "r");
   if (p == nullptr) return r;
   char buf[4096];
@@ -548,6 +546,10 @@ CliResult mpiv_run(const std::string& args) {
   const int status = ::pclose(p);
   if (WIFEXITED(status)) r.status = WEXITSTATUS(status);
   return r;
+}
+
+CliResult mpiv_run(const std::string& args) {
+  return run_tool(MPIV_RUN_BINARY, args);
 }
 
 TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
@@ -618,7 +620,7 @@ TEST(KeyTable, BundledScenariosReachATextFixedPoint) {
 }
 
 // ---------------------------------------------------------------------------
-// The mpiv_run command line
+// The tools' command lines
 // ---------------------------------------------------------------------------
 
 TEST(Cli, SetReplacesASweepAxis) {
@@ -645,6 +647,38 @@ TEST(Cli, MalformedOptionsExitTwo) {
   // The seed is set like every other key: --set seed=N.
   EXPECT_EQ(mpiv_run("--print --seed 1 scenarios/quickstart.scn").status, 2);
   EXPECT_EQ(mpiv_run("--print --jobs 2 scenarios/quickstart.scn").status, 0);
+
+  // mpiv_trace and mpiv_stat parse their numeric flags as strictly as
+  // --jobs, and each bad case fails before anything runs or loads.
+  const auto trace = [](const std::string& args) {
+    return run_tool(MPIV_TRACE_BINARY, args + " scenarios/quickstart.scn")
+        .status;
+  };
+  EXPECT_EQ(trace("--max-chain 2x"), 2);
+  EXPECT_EQ(trace("--max-chain 0"), 2);
+  // The seed and ring capacity are keys like any other: --set seed=N,
+  // --set trace.capacity=N.
+  EXPECT_EQ(trace("--seed 1"), 2);
+  EXPECT_EQ(trace("--capacity 64"), 2);
+  EXPECT_EQ(
+      trace("--quick --max-chain 2 --set seed=2 --set trace.capacity=64"), 0);
+
+  const std::string report = ::testing::TempDir() + "cli_quickstart.json";
+  ASSERT_EQ(
+      mpiv_run("--quick --out '" + report + "' scenarios/quickstart.scn")
+          .status,
+      0);
+  const auto stat = [&report](const std::string& args, int files) {
+    std::string cmd = args;
+    for (int i = 0; i < files; ++i) cmd += " '" + report + "'";
+    return run_tool(MPIV_STAT_BINARY, cmd).status;
+  };
+  EXPECT_EQ(stat("--top 3x", 1), 2);
+  EXPECT_EQ(stat("--top 3", 1), 0);
+  EXPECT_EQ(stat("--diff --tol abc", 2), 2);
+  EXPECT_EQ(stat("--diff --tol -1", 2), 2);
+  EXPECT_EQ(stat("--diff --tol 0.02", 2), 0);
+  std::remove(report.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -712,33 +746,8 @@ TEST(Quick, OverlayReplacesAxesAndScalars) {
 }
 
 // ---------------------------------------------------------------------------
-// Lowering
+// Hand-built ClusterConfigs
 // ---------------------------------------------------------------------------
-
-TEST(Lowering, MapsEveryFieldOntoClusterConfig) {
-  ScenarioBuilder b("lowering");
-  b.set("variant", "manetho:noel")
-      .set("nranks", "6")
-      .set("seed", "99")
-      .set("ckpt_policy", "round-robin")
-      .set("ckpt_interval", "50ms")
-      .set("faults.crash_rank", "70ms:5")
-      .set("detection_delay", "100ms")
-      .set("max_sim_time", "30s");
-  const runtime::ClusterConfig cfg = scenario::lower(b.build());
-  EXPECT_EQ(cfg.nranks, 6);
-  EXPECT_EQ(cfg.protocol, runtime::ProtocolKind::kCausal);
-  EXPECT_EQ(cfg.strategy, causal::StrategyKind::kManetho);
-  EXPECT_FALSE(cfg.event_logger);
-  EXPECT_EQ(cfg.el_shards, 1);
-  EXPECT_EQ(cfg.seed, 99u);
-  EXPECT_EQ(cfg.ckpt_policy, ckpt::Policy::kRoundRobin);
-  EXPECT_EQ(cfg.ckpt_interval, 50 * sim::kMillisecond);
-  ASSERT_EQ(cfg.campaign.injections.size(), 1u);
-  EXPECT_EQ(cfg.campaign.injections[0].index, 5);
-  EXPECT_EQ(cfg.detection_delay, 100 * sim::kMillisecond);
-  EXPECT_EQ(cfg.max_sim_time, 30 * sim::kSecond);
-}
 
 // Legacy construction validates too: a hand-built ClusterConfig that the
 // builder would reject dies with the same story.
@@ -747,8 +756,8 @@ using ClusterDeath = ::testing::Test;
 TEST(ClusterDeath, RejectsShardsWithoutEventLogger) {
   runtime::ClusterConfig cfg;
   cfg.nranks = 8;
-  cfg.protocol = runtime::ProtocolKind::kCausal;
-  cfg.event_logger = false;
+  cfg.variant.protocol = runtime::ProtocolKind::kCausal;
+  cfg.variant.event_logger = false;
   cfg.el_shards = 2;
   EXPECT_DEATH(runtime::Cluster{cfg}, "requires event_logger");
 }
@@ -756,7 +765,7 @@ TEST(ClusterDeath, RejectsShardsWithoutEventLogger) {
 TEST(ClusterDeath, RejectsFaultOnMissingRank) {
   runtime::ClusterConfig cfg;
   cfg.nranks = 4;
-  cfg.protocol = runtime::ProtocolKind::kCausal;
+  cfg.variant.protocol = runtime::ProtocolKind::kCausal;
   cfg.campaign.injections.push_back(fault::rank_crash_at(1000, 7));
   EXPECT_DEATH(runtime::Cluster{cfg}, "names rank 7");
 }

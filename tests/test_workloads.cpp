@@ -64,7 +64,7 @@ TEST_P(NasKernelTest, CompletesUnderVdummy) {
   const NasKernel k = GetParam();
   ClusterConfig cfg;
   cfg.nranks = small_ranks(k);
-  cfg.protocol = ProtocolKind::kVdummy;
+  cfg.variant.protocol = ProtocolKind::kVdummy;
   NasConfig n{k, NasClass::kS, cfg.nranks, 1.0};
   NasRun out = run_nas(cfg, n);
   ASSERT_TRUE(out.report.completed) << workloads::nas_kernel_name(k);
@@ -75,7 +75,7 @@ TEST_P(NasKernelTest, ProtocolsAgreeOnChecksums) {
   const NasKernel k = GetParam();
   ClusterConfig cfg;
   cfg.nranks = small_ranks(k);
-  cfg.protocol = ProtocolKind::kVdummy;
+  cfg.variant.protocol = ProtocolKind::kVdummy;
   NasConfig n{k, NasClass::kS, cfg.nranks, 1.0};
   const NasRun ref = run_nas(cfg, n);
   ASSERT_TRUE(ref.report.completed);
@@ -83,10 +83,10 @@ TEST_P(NasKernelTest, ProtocolsAgreeOnChecksums) {
        {causal::StrategyKind::kVcausal, causal::StrategyKind::kManetho,
         causal::StrategyKind::kLogOn}) {
     ClusterConfig c2 = cfg;
-    c2.protocol = ProtocolKind::kCausal;
-    c2.strategy = s;
+    c2.variant.protocol = ProtocolKind::kCausal;
+    c2.variant.strategy = s;
     for (bool el : {true, false}) {
-      c2.event_logger = el;
+      c2.variant.event_logger = el;
       NasRun out = run_nas(c2, n);
       ASSERT_TRUE(out.report.completed);
       EXPECT_EQ(out.checksums.checksums, ref.checksums.checksums)
@@ -100,8 +100,8 @@ TEST_P(NasKernelTest, SurvivesCrashWithIdenticalResults) {
   const NasKernel k = GetParam();
   ClusterConfig cfg;
   cfg.nranks = small_ranks(k);
-  cfg.protocol = ProtocolKind::kCausal;
-  cfg.strategy = causal::StrategyKind::kManetho;
+  cfg.variant.protocol = ProtocolKind::kCausal;
+  cfg.variant.strategy = causal::StrategyKind::kManetho;
   cfg.ckpt_policy = ckpt::Policy::kRoundRobin;
   cfg.ckpt_interval = 100 * sim::kMillisecond;
   // Scale short kernels up so the fault strikes while every rank is still
@@ -134,13 +134,13 @@ TEST(NasScaling, PiggybackGrowsWithoutEventLogger) {
   // piggyback volume must be substantially larger.
   ClusterConfig cfg;
   cfg.nranks = 4;
-  cfg.protocol = ProtocolKind::kCausal;
-  cfg.strategy = causal::StrategyKind::kVcausal;
+  cfg.variant.protocol = ProtocolKind::kCausal;
+  cfg.variant.strategy = causal::StrategyKind::kVcausal;
   NasConfig n{NasKernel::kCG, NasClass::kS, cfg.nranks, 1.0};
 
-  cfg.event_logger = true;
+  cfg.variant.event_logger = true;
   const NasRun with_el = run_nas(cfg, n);
-  cfg.event_logger = false;
+  cfg.variant.event_logger = false;
   const NasRun without_el = run_nas(cfg, n);
   ASSERT_TRUE(with_el.report.completed);
   ASSERT_TRUE(without_el.report.completed);

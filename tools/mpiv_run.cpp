@@ -14,10 +14,10 @@
 // pass on a report full of holes.
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -76,28 +76,6 @@ void list_registries() {
   }
 }
 
-/// --set uses quick-overlay semantics: replace a same-named sweep axis,
-/// otherwise apply as a scalar setting.
-void apply_override(scenario::ScenarioSpec& spec, const std::string& kv) {
-  const std::size_t eq = kv.find('=');
-  if (eq == std::string::npos) {
-    throw scenario::SpecError("--set expects key=value, got '" + kv + "'");
-  }
-  spec.quick.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-}
-
-/// The whole argument must be a decimal count that fits in an int;
-/// anything else ("4x", "", "-1", too many digits) yields 0.
-int parse_jobs(const char* text) {
-  long long n = 0;
-  for (const char* c = text; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') return 0;
-    n = n * 10 + (*c - '0');
-    if (n > std::numeric_limits<int>::max()) return 0;
-  }
-  return static_cast<int>(n);
-}
-
 void print_matrix(const scenario::ScenarioSpec& spec) {
   const std::vector<scenario::RunPoint> points = scenario::expand(spec);
   std::printf("scenario '%s': %zu run point(s)\n", spec.name.c_str(),
@@ -128,7 +106,7 @@ int main(int argc, char** argv) {
       list_registries();
       return 0;
     } else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      jobs = parse_jobs(argv[++i]);
+      jobs = cli::positive_count(argv[++i]);
       if (jobs < 1) {
         std::fprintf(stderr,
                      "error: bad value '%s' for '--jobs' (expected a "
@@ -159,10 +137,8 @@ int main(int argc, char** argv) {
   std::vector<scenario::RunSet> reports;
   try {
     for (const std::string& path : files) {
-      scenario::ScenarioSpec spec = scenario::parse_scenario_file(path);
-      if (!quick) spec.quick.clear();
-      for (const std::string& kv : overrides) apply_override(spec, kv);
-      if (quick || !overrides.empty()) scenario::apply_quick(spec);
+      const scenario::ScenarioSpec spec =
+          scenario::load_scenario(path, quick, overrides);
 
       if (print_only) {
         print_matrix(spec);

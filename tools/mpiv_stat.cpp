@@ -11,13 +11,13 @@
 // behavioural change. Exit status: 0 = ok / zero drift, 1 = drift found,
 // 2 = usage or parse errors.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "metrics/stat.hpp"
 
 namespace {
@@ -164,7 +164,7 @@ int diff(const std::string& path_a, const std::string& path_b,
 
 int main(int argc, char** argv) {
   bool do_diff = false;
-  long top_n = 0;
+  int top_n = 0;
   double tolerance = 0.0;
   std::vector<std::string> files;
 
@@ -173,13 +173,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(a, "--diff") == 0) {
       do_diff = true;
     } else if (std::strcmp(a, "--top") == 0 && i + 1 < argc) {
-      top_n = std::strtol(argv[++i], nullptr, 10);
-      if (top_n <= 0) {
+      top_n = cli::positive_count(argv[++i]);
+      if (top_n < 1) {
         std::fprintf(stderr, "--top expects a positive count\n");
         return 2;
       }
     } else if (std::strcmp(a, "--tol") == 0 && i + 1 < argc) {
-      tolerance = std::strtod(argv[++i], nullptr);
+      tolerance = cli::nonnegative_number(argv[++i]);
       if (tolerance < 0) {
         std::fprintf(stderr, "--tol expects a nonnegative fraction\n");
         return 2;

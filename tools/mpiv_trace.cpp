@@ -23,8 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "cli.hpp"
 #include "scenario/runner.hpp"
-#include "scenario/spec.hpp"
 #include "trace/divergence.hpp"
 #include "trace/trace.hpp"
 
@@ -36,11 +36,10 @@ void usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
                "usage: %s [options] <scenario.scn> [more.scn ...]\n"
                "  --quick          apply the scenario's [quick] overrides\n"
-               "  --set key=value  override a scenario key (repeatable)\n"
-               "  --seed N         override the seed\n"
-               "  --capacity N     trace ring capacity per lane (default %u)\n"
+               "  --set key=value  override a scenario key (repeatable;\n"
+               "                   e.g. seed=N, trace.capacity=N)\n"
                "  --max-chain N    causal chain depth to print (default 8)\n",
-               argv0, trace::Config{}.capacity);
+               argv0);
 }
 
 /// snprintf, not "r" + to_string: GCC 12 -Wrestrict false positive.
@@ -239,12 +238,15 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (std::strcmp(a, "--set") == 0 && i + 1 < argc) {
       overrides.emplace_back(argv[++i]);
-    } else if (std::strcmp(a, "--seed") == 0 && i + 1 < argc) {
-      overrides.emplace_back(std::string("seed=") + argv[++i]);
-    } else if (std::strcmp(a, "--capacity") == 0 && i + 1 < argc) {
-      overrides.emplace_back(std::string("trace.capacity=") + argv[++i]);
     } else if (std::strcmp(a, "--max-chain") == 0 && i + 1 < argc) {
-      max_chain = std::atoi(argv[++i]);
+      max_chain = cli::positive_count(argv[++i]);
+      if (max_chain < 1) {
+        std::fprintf(stderr,
+                     "error: bad value '%s' for '--max-chain' (expected a "
+                     "positive depth)\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       usage(stdout, argv[0]);
       return 0;
@@ -264,17 +266,8 @@ int main(int argc, char** argv) {
   Tally tally;
   try {
     for (const std::string& path : files) {
-      scenario::ScenarioSpec spec = scenario::parse_scenario_file(path);
-      if (!quick) spec.quick.clear();
-      for (const std::string& kv : overrides) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos) {
-          throw scenario::SpecError("--set expects key=value, got '" + kv +
-                                    "'");
-        }
-        spec.quick.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
-      }
-      if (quick || !overrides.empty()) scenario::apply_quick(spec);
+      scenario::ScenarioSpec spec =
+          scenario::load_scenario(path, quick, overrides);
       // The tool's whole point: lanes on, reference twin on.
       spec.trace.enabled = true;
       spec.compare_reference = true;
