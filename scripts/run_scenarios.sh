@@ -225,6 +225,63 @@ else
   exit 1
 fi
 
+# Persisted reference traces: with lanes on and trace.dir set, every point
+# that ran writes its own stream and its rank-fault-free twin's. Both rank
+# fault rates of one chaos corner strip to the same twin, which runs once
+# and is shared, so their .reference.trace files must be byte-identical.
+RT_DIR="$OUT_DIR/chaos_soak.traces"
+RT_JSON="$OUT_DIR/chaos_soak.traces.json"
+RT_OUT="$OUT_DIR/chaos_soak.traces.txt"
+if ! run_ok "$BUILD_DIR/mpiv_run" --quick --set trace.enabled=true \
+    --set "trace.dir=$RT_DIR" --set faults.rank_rate=60,120 \
+    --out "$RT_JSON" scenarios/chaos_soak.scn 2> "$RT_JSON.log"; then
+  echo "reference-trace smoke FAILED: mpiv_run crashed" >&2
+  sed 's/^/  | /' "$RT_JSON.log" >&2
+  exit 1
+fi
+if command -v python3 > /dev/null 2>&1; then
+  if ! python3 - "$RT_JSON" "$RT_DIR" > "$RT_OUT" <<'EOF'
+import filecmp, json, os, sys
+
+rep = json.load(open(sys.argv[1]))
+names = os.listdir(sys.argv[2])
+ran = [r for r in rep["runs"] if r["outcome"] != "skipped"]
+problems = []
+refs = [n for n in names if n.endswith(".reference.trace")]
+own = [n for n in names
+       if n.endswith(".trace") and not n.endswith(".reference.trace")]
+if len(refs) != len(ran) or len(own) != len(ran):
+    problems.append(f"{len(ran)} points ran but {len(own)} .trace and "
+                    f"{len(refs)} .reference.trace files were written")
+twins = {}  # the point's axes but the rank fault rate -> reference files
+for r in ran:
+    trace = r.get("trace", {})
+    for field in ("path", "reference_path"):
+        if not os.path.isfile(trace.get(field, "")):
+            problems.append(f"{r['label']}: no {field} file")
+    corner = tuple((k, v) for k, v in r["axes"].items()
+                   if k != "faults.rank_rate")
+    twins.setdefault(corner, []).append(trace.get("reference_path", ""))
+shared = [paths for paths in twins.values() if len(paths) > 1]
+if not shared:
+    problems.append("no two points share a twin")
+for paths in shared:
+    for other in paths[1:]:
+        if os.path.isfile(other) and not filecmp.cmp(paths[0], other,
+                                                     shallow=False):
+            problems.append(f"{other} differs from {paths[0]}")
+print("\n".join(problems) if problems else
+      f"{len(ran)} points, {len(shared)} shared twins")
+sys.exit(1 if problems else 0)
+EOF
+  then
+    echo "reference-trace smoke FAILED:" >&2
+    sed 's/^/  | /' "$RT_OUT" >&2
+    exit 1
+  fi
+  echo "reference-trace smoke OK ($(cat "$RT_OUT"), shared twins byte-identical)"
+fi
+
 # Parallel-equivalence: the forked worker pool must be invisible in the
 # report. Run the chaos grid serially and under --jobs 4 and require the
 # two reports byte-identical (cmp) and drift-free (mpiv_stat --diff) —

@@ -202,9 +202,14 @@ void retire(Worker& w) {
 
 }  // namespace
 
-std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& points,
+std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
                                            int jobs,
                                            const RunOptions& options) {
+  // Workers bypass the grid's reference cache: each forked worker would
+  // count down its own copy of the users and keep the twins its share of a
+  // key left behind. Every point here runs its own twin.
+  std::vector<RunPoint> points = grid;
+  for (RunPoint& p : points) p.reference_cache.reset();
   std::vector<RunResult> results(points.size());
   std::vector<std::size_t> work;  // indices the workers actually run
   for (std::size_t i = 0; i < points.size(); ++i) {

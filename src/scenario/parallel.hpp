@@ -15,8 +15,9 @@ namespace mpiv::scenario::detail {
 /// parent's report is byte-identical to the serial loop. A worker that
 /// dies mid-point takes exactly that point down with it: the point is
 /// classified `failed`, a replacement worker is forked, and the rest of
-/// the grid keeps running. Skipped points never leave the parent.
-std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& points,
+/// the grid keeps running. Skipped points never leave the parent. Points
+/// run without the grid's reference cache: every point runs its own twin.
+std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
                                            int jobs,
                                            const RunOptions& options);
 

@@ -11,8 +11,6 @@
 
 namespace mpiv::scenario {
 
-namespace {
-
 /// One cluster execution of a resolved, validated spec.
 struct ClusterRun {
   runtime::ClusterReport report;
@@ -22,8 +20,10 @@ struct ClusterRun {
   workloads::PingPongResult pingpong;
   double flops = 0;
   std::string protocol_label;
-  std::string trace_dump;
+  std::shared_ptr<const std::string> trace_dump;  // null: tracing off
 };
+
+namespace {
 
 ClusterRun run_cluster(const ScenarioSpec& spec) {
   const WorkloadEntry& entry = workload_registry().at(spec.workload.name);
@@ -38,9 +38,62 @@ ClusterRun run_cluster(const ScenarioSpec& spec) {
   if (wl.pingpong) out.pingpong = *wl.pingpong;
   out.flops = wl.flops;
   if (trace::TraceSink* sink = cluster.trace_sink()) {
-    out.trace_dump = sink->dump();
+    out.trace_dump = std::make_shared<const std::string>(sink->dump());
   }
   return out;
+}
+
+bool needs_reference(const ScenarioSpec& spec) {
+  return spec.faults.midrun_rank >= 0 || spec.compare_reference;
+}
+
+/// A point's rank-fault-free twin. It strips every rank crash (timed,
+/// stochastic, midrun) but keeps the campaign's *environment* faults — EL
+/// crashes, daemon crashes, server outages, link perturbations,
+/// partitions — so both passes see identical timing up to the measured
+/// crash and `recovered_exact` isolates recovery correctness, not
+/// incidental wildcard reorderings. The twin is unnamed, so its scenario
+/// text is its cache key: every key-table field prints once it leaves
+/// its default (tests/test_scenario.cpp pins that per row), so equal text
+/// means an equal cluster configuration.
+ScenarioSpec reference_spec(const ScenarioSpec& spec) {
+  ScenarioSpec ref = spec;
+  ref.name.clear();
+  ref.compare_reference = false;
+  ref.faults.midrun_rank = -1;
+  auto& inj = ref.campaign.injections;
+  inj.erase(std::remove_if(inj.begin(), inj.end(),
+                           [](const fault::Injection& i) {
+                             return i.target == fault::Target::kRank;
+                           }),
+            inj.end());
+  return ref;
+}
+
+/// Runs the point's twin `ref`, or reuses the one a co-keyed point of the
+/// same grid already ran. The run stays cached while users of its key
+/// remain; the last user evicts it. A point whose spec was edited after
+/// expand() no longer matches its key: it runs a twin of its own and only
+/// gives up its use of the old key.
+std::shared_ptr<const ClusterRun> reference_run(const RunPoint& point,
+                                                const ScenarioSpec& ref) {
+  const auto run_here = [&ref] {
+    return std::make_shared<const ClusterRun>(run_cluster(ref));
+  };
+  ReferenceCache* cache = point.reference_cache.get();
+  if (cache == nullptr) return run_here();
+  const auto it = cache->entries.find(point.reference_key);
+  if (it == cache->entries.end()) return run_here();  // the point reran
+  ReferenceCache::Entry& entry = it->second;
+  const bool current = to_scenario_text(ref) == point.reference_key;
+  std::shared_ptr<const ClusterRun> run = current ? entry.run : nullptr;
+  if (run == nullptr) run = run_here();
+  if (--entry.users == 0) {
+    cache->entries.erase(it);
+  } else if (current) {
+    entry.run = run;
+  }
+  return run;
 }
 
 /// Point labels double as trace file stems; anything outside the portable
@@ -156,6 +209,7 @@ std::vector<RunPoint> expand(const ScenarioSpec& spec) {
   base.quick.clear();
 
   std::vector<RunPoint> points;
+  std::shared_ptr<ReferenceCache> cache;
   // Odometer over the cartesian product, first axis slowest.
   std::vector<std::size_t> idx(axes.size(), 0);
   while (true) {
@@ -198,6 +252,12 @@ std::vector<RunPoint> expand(const ScenarioSpec& spec) {
         p.skip_reason = why;
       }
     }
+    if (!p.skipped && needs_reference(p.spec)) {
+      if (cache == nullptr) cache = std::make_shared<ReferenceCache>();
+      p.reference_key = to_scenario_text(reference_spec(p.spec));
+      ++cache->entries[p.reference_key].users;
+      p.reference_cache = cache;
+    }
     points.push_back(std::move(p));
 
     std::size_t a = axes.size();
@@ -233,7 +293,7 @@ RunResult run_point(const RunPoint& point) {
     r.checksums = run.checksums;
     r.pingpong = run.pingpong;
     r.flops = run.flops;
-    r.trace_dump = run.trace_dump;
+    if (run.trace_dump != nullptr) r.trace_dump = *run.trace_dump;
   };
 
   // Trace streams leave the process only when the spec names a directory;
@@ -244,9 +304,9 @@ RunResult run_point(const RunPoint& point) {
     if (!r.trace_dump.empty()) {
       r.trace_path = write_trace_file(point.spec.trace_dir, stem, r.trace_dump);
     }
-    if (!r.reference_trace_dump.empty()) {
+    if (r.reference_trace_dump != nullptr) {
       r.reference_trace_path = write_trace_file(
-          point.spec.trace_dir, stem + ".reference", r.reference_trace_dump);
+          point.spec.trace_dir, stem + ".reference", *r.reference_trace_dump);
     }
   };
 
@@ -263,41 +323,28 @@ RunResult run_point(const RunPoint& point) {
   };
 
   ScenarioSpec spec = point.spec;
-  if (spec.faults.midrun_rank >= 0 || spec.compare_reference) {
+  if (needs_reference(spec)) {
     // The paper's "middle of correct execution" protocol: a rank-fault-free
-    // reference pass sizes the crash time for the measured pass. The
-    // reference strips every rank crash (timed, stochastic, midrun) but
-    // keeps the campaign's *environment* faults — EL crashes, daemon
-    // crashes, server outages, link perturbations, partitions — so both
-    // passes see identical timing up to the measured crash and
-    // `recovered_exact` isolates recovery correctness, not incidental
-    // wildcard reorderings. `compare_reference` runs the same reference
-    // without scheduling a midrun crash, so a chaos campaign's outcome can
-    // be classified as recovered_exact too.
-    ScenarioSpec ref = spec;
-    ref.compare_reference = false;
-    ref.faults.midrun_rank = -1;
-    auto& inj = ref.campaign.injections;
-    inj.erase(std::remove_if(inj.begin(), inj.end(),
-                             [](const fault::Injection& i) {
-                               return i.target == fault::Target::kRank;
-                             }),
-              inj.end());
+    // reference pass sizes the crash time for the measured pass.
+    // `compare_reference` runs the same reference without scheduling a
+    // midrun crash, so a chaos campaign's outcome can be classified as
+    // recovered_exact too.
+    const ScenarioSpec ref = reference_spec(spec);
     // When the point carries no rank crashes at all (a compare_reference
     // sweep corner like rank_rate = 0), the reference IS the measured run
     // — the simulator is deterministic, so don't pay for it twice.
     const bool ref_is_measured =
         spec.faults.midrun_rank < 0 &&
-        inj.size() == spec.campaign.injections.size();
-    const ClusterRun ref_run = run_cluster(ref);
+        ref.campaign.injections.size() == spec.campaign.injections.size();
+    const std::shared_ptr<const ClusterRun> ref_run = reference_run(point, ref);
     r.has_reference = true;
-    r.reference_time = ref_run.report.completion_time;
-    r.reference_checksums = ref_run.checksums;
-    r.reference_trace_dump = ref_run.trace_dump;
-    if (!ref_run.report.completed || ref_is_measured) {
+    r.reference_time = ref_run->report.completion_time;
+    r.reference_checksums = ref_run->checksums;
+    r.reference_trace_dump = ref_run->trace_dump;
+    if (!ref_run->report.completed || ref_is_measured) {
       // Either the reference never finished (nothing to measure against)
       // or it doubles as the measurement itself.
-      adopt(ref_run);
+      adopt(*ref_run);
       r.recovered_exact = ref_is_measured && r.completed && !r.checksums.empty();
       persist_traces();
       persist_metrics();

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,20 @@
 
 namespace mpiv::scenario {
 
+struct ClusterRun;  // one cluster execution's results (runner.cpp)
+
+/// The rank-fault-free reference runs ("twins") of one expanded grid.
+/// Points whose twins strip to the same spec share one entry: expand()
+/// counts each key's users, the first user's run_point runs the twin and
+/// leaves it here for the others, and the last user evicts it.
+struct ReferenceCache {
+  struct Entry {
+    int users = 0;                          // points that have not run yet
+    std::shared_ptr<const ClusterRun> run;  // null until a user ran it
+  };
+  std::map<std::string, Entry> entries;  // by reference key
+};
+
 /// One fully-resolved point of a scenario's sweep.
 struct RunPoint {
   ScenarioSpec spec;
@@ -18,6 +34,12 @@ struct RunPoint {
   std::vector<std::pair<std::string, std::string>> axes;
   bool skipped = false;       // workload can't run at this point (e.g. BT/2)
   std::string skip_reason;
+  /// Set by expand() on points that run a twin (midrun fault or
+  /// compare_reference): the grid's shared cache and the key of this
+  /// point's twin, the scenario text of its stripped, unnamed spec. A
+  /// null cache runs the twin unshared.
+  std::shared_ptr<ReferenceCache> reference_cache;
+  std::string reference_key;
 };
 
 /// How one run point ended — the chaos-soak classifier. Ordered from worst
@@ -60,15 +82,17 @@ struct RunResult {
   double flops = 0;                      // executed flops (nas), else 0
 
   // Rank-fault-free reference (midrun-fault protocol or compare_reference).
+  // Points of one grid whose twins strip to the same spec share one run.
   bool has_reference = false;
   sim::Time reference_time = 0;
   std::vector<std::uint64_t> reference_checksums;
   bool recovered_exact = false;  // checksums == reference_checksums
 
-  // Merged trace streams (empty when trace.enabled = false). The reference
-  // dump is the alignment twin mpiv_trace localizes divergence against.
+  // Merged trace streams (empty / null when trace.enabled = false). The
+  // reference dump is the alignment twin mpiv_trace localizes divergence
+  // against; points that share a twin share this one dump.
   std::string trace_dump;
-  std::string reference_trace_dump;
+  std::shared_ptr<const std::string> reference_trace_dump;
   // Where the dumps landed when the spec named a trace.dir ("" = in-memory).
   std::string trace_path;
   std::string reference_trace_path;
@@ -153,14 +177,19 @@ ScenarioSpec load_scenario(const std::string& path, bool quick,
 
 /// Expands the sweep axes (cartesian, declaration order) into validated
 /// run points. Throws SpecError if any point fails validation; points
-/// whose workload rejects the rank count come back `skipped`.
+/// whose workload rejects the rank count come back `skipped`. Points that
+/// run a twin share one ReferenceCache and count as users of their key.
 std::vector<RunPoint> expand(const ScenarioSpec& spec);
 
 /// The spec's ClusterConfig part. Callers can pass a spec wherever a
 /// ClusterConfig is expected; this spelling stays for bench/e2e.
 runtime::ClusterConfig lower(const ScenarioSpec& spec);
 
-/// Runs one point (including its reference pass in midrun-fault mode).
+/// Runs one point, including its twin when it needs one. The twin runs
+/// once per key per grid: a later co-keyed point reuses it from the cache,
+/// and the key's last user evicts it. The lookup uses the key of the spec
+/// actually run, so a point whose spec was edited after expand() runs its
+/// own twin. Parallel workers bypass the cache (each runs its own twins).
 RunResult run_point(const RunPoint& point);
 
 /// Validates, resolves and runs a single non-sweep spec.

@@ -55,6 +55,15 @@ bool parse_kind(const std::string& name, Kind* out) {
   return false;
 }
 
+void Lane::push(const Record& r) {
+  if (ring_.size() < capacity_) {
+    ring_.push_back(r);
+  } else {
+    ring_[static_cast<std::size_t>(total_ % capacity_)] = r;
+  }
+  ++total_;
+}
+
 TraceSink::TraceSink(int nranks, int el_shards, std::uint32_t capacity)
     : nranks_(nranks), el_shards_(el_shards) {
   const std::size_t cap = capacity == 0 ? 1 : capacity;

@@ -1,10 +1,11 @@
 // Per-rank structured trace lanes — the debugging instrument for replay.
 //
 // Every rank (plus each Event Logger shard and the fault engine) owns a
-// fixed-capacity ring of POD records describing the events that determine
-// an execution: sends, reception matches, determinant creations,
-// piggybacks, checkpoints, EL acks, faults and recovery phases. Capture is
-// a single ring write stamped with the engine clock and never schedules
+// bounded lane of POD records describing the events that determine an
+// execution: sends, reception matches, determinant creations, piggybacks,
+// checkpoints, EL acks, faults and recovery phases. A lane grows on demand
+// up to its capacity and then wraps as a ring. Capture is a single record
+// append stamped with the engine clock and never schedules
 // anything, so a traced run is event-for-event identical to an untraced
 // one (tests/test_determinism.cpp pins the goldens both ways); with
 // tracing disabled every hook is one null-pointer test.
@@ -77,7 +78,7 @@ enum PhaseCode : std::uint8_t {
 };
 
 /// One trace record. POD on purpose: capture is a struct copy into the
-/// ring, nothing more. `t` orders the merged stream; the meaning of
+/// lane, nothing more. `t` orders the merged stream; the meaning of
 /// `code`/`peer`/`seq`/`aux`/`digest` depends on `kind` (see above).
 struct Record {
   sim::Time t = 0;
@@ -102,25 +103,23 @@ struct Config {
   std::uint32_t capacity = 8192;  // retained records per lane
 };
 
-/// One ring lane. Appends are O(1) struct copies; when the ring wraps the
-/// oldest records are overwritten and `dropped()` reports how many (the
-/// divergence comparator falls back to suffix alignment in that case).
+/// One bounded lane. Appends are amortized O(1) struct copies. Storage
+/// grows with the records actually captured (a short run never pays for
+/// the whole capacity); once `capacity` records are held the lane wraps,
+/// the oldest records are overwritten and `dropped()` reports how many
+/// (the divergence comparator falls back to suffix alignment then).
 class Lane {
  public:
   Lane(std::string name, std::size_t capacity)
-      : name_(std::move(name)), ring_(capacity) {}
+      : name_(std::move(name)), capacity_(capacity) {}
 
-  void push(const Record& r) {
-    ring_[static_cast<std::size_t>(total_ % ring_.size())] = r;
-    ++total_;
-  }
+  /// Out of line, so each hook site's inlined capture stays a null test
+  /// and a call (the hot paths mostly run untraced).
+  void push(const Record& r);
 
   const std::string& name() const { return name_; }
   std::uint64_t total() const { return total_; }
-  std::size_t retained() const {
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                                 : ring_.size();
-  }
+  std::size_t retained() const { return ring_.size(); }
   std::uint64_t dropped() const { return total_ - retained(); }
 
   /// Visits retained records oldest to newest (engine time is monotone, so
@@ -129,13 +128,14 @@ class Lane {
   void for_each(Fn&& fn) const {
     const std::uint64_t start = total_ - retained();
     for (std::uint64_t i = start; i < total_; ++i) {
-      fn(ring_[static_cast<std::size_t>(i % ring_.size())]);
+      fn(ring_[static_cast<std::size_t>(i % capacity_)]);
     }
   }
 
  private:
   std::string name_;
-  std::vector<Record> ring_;
+  std::size_t capacity_;
+  std::vector<Record> ring_;  // record i lives at i % capacity_
   std::uint64_t total_ = 0;
 };
 

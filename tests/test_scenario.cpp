@@ -589,6 +589,43 @@ TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
   EXPECT_NE(msg.find("cost.wire_latency"), std::string::npos) << msg;
 }
 
+TEST(KeyTable, EveryRowMovedOffItsDefaultChangesTheText) {
+  // The runner caches reference twins by to_scenario_text, so equal text
+  // must mean an equal configuration: every key prints once it leaves its
+  // default. These rows' examples are their defaults, so they move to
+  // another value.
+  const std::map<std::string, std::string> off_default = {
+      {"detection_delay", "100ms"},
+      {"cost.bandwidth_mbps", "1000"},
+      {"cost.wire_latency", "50us"},
+      {"cost.mlog_send_fixed", "9us"},
+      {"cost.mlog_recv_fixed", "7us"},
+      {"cost.node_gflops", "1.1"},
+      {"cost.ckpt_disk_mbps", "50"},
+      {"cost.slog_ns_per_byte", "5"},
+      {"faults.el_failover_delay", "30ms"},
+      {"faults.daemon_restart_delay", "50ms"},
+      {"faults.service_retry", "600ms"},
+  };
+  for (const scenario::KeyInfo& k : scenario::key_table()) {
+    SCOPED_TRACE(k.key);
+    std::string key = k.key;
+    if (key.back() == '*') key.replace(key.size() - 1, 1, "laps");
+    const auto alt = off_default.find(key);
+    const std::string value =
+        alt != off_default.end() ? alt->second : k.example;
+    ScenarioSpec base;
+    // The midrun fraction applies, and prints, only with a midrun rank.
+    if (key == "midrun_fault_frac") {
+      scenario::apply_key(base, "midrun_fault_rank", "1");
+    }
+    ScenarioSpec moved = base;
+    scenario::apply_key(moved, key, value);
+    EXPECT_NE(scenario::to_scenario_text(moved),
+              scenario::to_scenario_text(base));
+  }
+}
+
 TEST(KeyTable, BundledScenariosReachATextFixedPoint) {
   // Every bundled scenario, parsed and at every expanded point, full and
   // quick, serializes to text that parses back to the same text.
@@ -898,6 +935,147 @@ TEST(Runner, MidrunFaultProducesReferenceAndExactRecovery) {
       scenario::to_json(scenario::RunSet{"midrun", "t", false, {r}});
   EXPECT_NE(json.find("\"recovered_exact\": true"), std::string::npos);
   EXPECT_NO_THROW(util::parse_json(json));
+}
+
+// ---------------------------------------------------------------------------
+// Reference twins: run once per key per grid
+// ---------------------------------------------------------------------------
+
+/// A small traced ring grid whose points differ in seed and rank-crash rate;
+/// points of one seed strip to the same rank-fault-free twin.
+ScenarioSpec twin_grid(const std::vector<std::string>& rates,
+                       const std::string& name = "twins") {
+  ScenarioBuilder b(name);
+  b.set("variant", "vcausal:el")
+      .set("ckpt_policy", "round-robin")
+      .set("ckpt_interval", "20ms")
+      .set("workload.laps", "20")
+      .set("workload.bytes", "512")
+      .set("compare_reference", "true")
+      .set("trace.enabled", "true")
+      .sweep("seed", {"1", "2"})
+      .sweep("faults.rank_rate", rates);
+  return b.build();
+}
+
+std::vector<scenario::RunResult> run_all(
+    const std::vector<scenario::RunPoint>& points) {
+  std::vector<scenario::RunResult> runs;
+  for (const scenario::RunPoint& p : points) {
+    runs.push_back(scenario::run_point(p));
+  }
+  return runs;
+}
+
+/// The same points with the cache detached: every point runs its own twin.
+std::string detached_json(std::vector<scenario::RunPoint> points) {
+  for (scenario::RunPoint& p : points) p.reference_cache.reset();
+  return scenario::to_json(
+      scenario::RunSet{"twins", "t", false, run_all(points)});
+}
+
+TEST(ReferenceCache, KeysIgnoreOnlyTheName) {
+  const std::vector<scenario::RunPoint> a =
+      scenario::expand(twin_grid({"60", "120"}, "a"));
+  const std::vector<scenario::RunPoint> b =
+      scenario::expand(twin_grid({"60", "120"}, "b"));
+  ASSERT_EQ(a.size(), 4u);
+  ASSERT_EQ(b.size(), 4u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_FALSE(a[i].reference_key.empty());
+    EXPECT_EQ(a[i].reference_key, b[i].reference_key);
+  }
+  EXPECT_EQ(a[0].reference_key, a[1].reference_key);  // rates differ only
+  EXPECT_NE(a[0].reference_key, a[2].reference_key);  // seeds differ
+  // One cache per grid, one user per point.
+  ASSERT_NE(a[0].reference_cache, nullptr);
+  EXPECT_EQ(a[3].reference_cache, a[0].reference_cache);
+  EXPECT_NE(b[0].reference_cache, a[0].reference_cache);
+  ASSERT_EQ(a[0].reference_cache->entries.size(), 2u);
+  for (const auto& [key, entry] : a[0].reference_cache->entries) {
+    EXPECT_EQ(entry.users, 2);
+    EXPECT_EQ(entry.run, nullptr);
+  }
+  // Points without a twin get no cache.
+  ScenarioBuilder plain("plain");
+  plain.set("workload.laps", "5").sweep("seed", {"1", "2"});
+  for (const scenario::RunPoint& p : scenario::expand(plain.build())) {
+    EXPECT_EQ(p.reference_cache, nullptr);
+    EXPECT_TRUE(p.reference_key.empty());
+  }
+}
+
+TEST(ReferenceCache, CoKeyedPointsShareOneTwinAndTheLastUserEvictsIt) {
+  const std::vector<scenario::RunPoint> points =
+      scenario::expand(twin_grid({"60", "120"}));
+  ASSERT_EQ(points.size(), 4u);
+  const std::shared_ptr<scenario::ReferenceCache> cache =
+      points[0].reference_cache;
+  ASSERT_NE(cache, nullptr);
+
+  std::vector<scenario::RunResult> runs;
+  runs.push_back(scenario::run_point(points[0]));
+  // Seed 1's twin waits for its second user; seed 2's has not run yet.
+  ASSERT_EQ(cache->entries.count(points[0].reference_key), 1u);
+  EXPECT_EQ(cache->entries.at(points[0].reference_key).users, 1);
+  EXPECT_NE(cache->entries.at(points[0].reference_key).run, nullptr);
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    runs.push_back(scenario::run_point(points[i]));
+  }
+  EXPECT_TRUE(cache->entries.empty());
+
+  for (const scenario::RunResult& r : runs) {
+    ASSERT_TRUE(r.has_reference) << r.label;
+    ASSERT_NE(r.reference_trace_dump, nullptr) << r.label;
+  }
+  EXPECT_EQ(runs[0].reference_trace_dump, runs[1].reference_trace_dump);
+  EXPECT_EQ(runs[2].reference_trace_dump, runs[3].reference_trace_dump);
+  EXPECT_NE(runs[0].reference_trace_dump, runs[2].reference_trace_dump);
+  EXPECT_EQ(scenario::to_json(scenario::RunSet{"twins", "t", false, runs}),
+            detached_json(points));
+}
+
+TEST(ReferenceCache, ARateZeroPointsRunIsTheTwinOfItsCoKeyedPoint) {
+  const std::vector<scenario::RunPoint> points =
+      scenario::expand(twin_grid({"0", "120"}));
+  ASSERT_EQ(points.size(), 4u);
+  const std::vector<scenario::RunResult> runs = run_all(points);
+  EXPECT_TRUE(points[0].reference_cache->entries.empty());
+  for (const std::size_t zero : {std::size_t{0}, std::size_t{2}}) {
+    const scenario::RunResult& measured = runs[zero];
+    const scenario::RunResult& faulty = runs[zero + 1];
+    ASSERT_NE(measured.reference_trace_dump, nullptr);
+    EXPECT_EQ(*measured.reference_trace_dump, measured.trace_dump);
+    EXPECT_EQ(faulty.reference_trace_dump, measured.reference_trace_dump);
+    EXPECT_EQ(faulty.reference_time, measured.report.completion_time);
+    EXPECT_EQ(faulty.reference_checksums, measured.checksums);
+  }
+  EXPECT_EQ(scenario::to_json(scenario::RunSet{"twins", "t", false, runs}),
+            detached_json(points));
+}
+
+TEST(ReferenceCache, APointEditedAfterExpandRunsItsOwnTwin) {
+  // bench/e2e edits a point's spec after expand (its observability pass
+  // turns trace lanes off): the twin cached under the old key is not its.
+  std::vector<scenario::RunPoint> points =
+      scenario::expand(twin_grid({"60", "120"}));
+  const std::shared_ptr<scenario::ReferenceCache> cache =
+      points[0].reference_cache;
+  const scenario::RunResult first = scenario::run_point(points[0]);
+  ASSERT_NE(first.reference_trace_dump, nullptr);
+  ASSERT_NE(cache->entries.at(points[1].reference_key).run, nullptr);
+
+  points[1].spec.trace.enabled = false;
+  const scenario::RunResult edited = scenario::run_point(points[1]);
+  EXPECT_EQ(edited.reference_trace_dump, nullptr);
+  EXPECT_TRUE(edited.trace_dump.empty());
+  // It still gave up its use of the old key, so the entry is gone.
+  EXPECT_EQ(cache->entries.count(points[1].reference_key), 0u);
+
+  scenario::RunPoint alone = points[1];
+  alone.reference_cache.reset();
+  EXPECT_EQ(scenario::run_json_fragment(edited),
+            scenario::run_json_fragment(scenario::run_point(alone)));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // granularity, not just final checksums).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -266,6 +267,41 @@ TEST(Divergence, RingTruncationFallsBackToSuffixAlignment) {
   EXPECT_EQ(rep2.lanes[0].faulty.digest, 0xbadu);
 }
 
+TEST(Lane, GrowsOnDemandThenWrapsAtCapacity) {
+  // Around each capacity boundary, retained/dropped and the dumped stream
+  // must hold exactly the newest records, as a preallocated ring would.
+  for (const std::size_t cap :
+       {std::size_t{1}, std::size_t{8}, std::size_t{200}}) {
+    for (const std::size_t n : {cap - 1, cap, cap + 1, 2 * cap + 3}) {
+      SCOPED_TRACE("capacity " + std::to_string(cap) + ", " +
+                   std::to_string(n) + " records");
+      trace::TraceSink sink(1, 0, static_cast<std::uint32_t>(cap));
+      trace::Lane& lane = *sink.rank_lane(0);
+      for (std::size_t i = 0; i < n; ++i) {
+        lane.push(rec(static_cast<sim::Time>(i) * 10, Kind::kSend, 1, i));
+      }
+      const std::size_t kept = std::min(n, cap);
+      EXPECT_EQ(lane.total(), n);
+      EXPECT_EQ(lane.retained(), kept);
+      EXPECT_EQ(lane.dropped(), n - kept);
+      std::vector<std::uint64_t> suffix;
+      for (std::size_t i = n - kept; i < n; ++i) suffix.push_back(i);
+      std::vector<std::uint64_t> visited;
+      lane.for_each([&visited](const Record& r) { visited.push_back(r.seq); });
+      EXPECT_EQ(visited, suffix);
+
+      const trace::Stream stream = trace::parse_stream(sink.dump());
+      const trace::LaneInfo* info = stream.lane_info("r0");
+      ASSERT_NE(info, nullptr);
+      EXPECT_EQ(info->total, n);
+      EXPECT_EQ(info->dropped, n - kept);
+      std::vector<std::uint64_t> parsed;
+      for (const Record& r : stream.lane_records("r0")) parsed.push_back(r.seq);
+      EXPECT_EQ(parsed, suffix);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: a traced faulty run against its reference twin
 // ---------------------------------------------------------------------------
@@ -288,9 +324,9 @@ TEST(TraceRun, FaultyAndReferenceStreamsAreCapturedAndEquivalent) {
   ASSERT_TRUE(r.completed);
   ASSERT_TRUE(r.recovered_exact);
   ASSERT_FALSE(r.trace_dump.empty());
-  ASSERT_FALSE(r.reference_trace_dump.empty());
+  ASSERT_NE(r.reference_trace_dump, nullptr);
   const trace::Stream faulty = trace::parse_stream(r.trace_dump);
-  const trace::Stream reference = trace::parse_stream(r.reference_trace_dump);
+  const trace::Stream reference = trace::parse_stream(*r.reference_trace_dump);
   const trace::DivergenceReport rep =
       trace::compare_streams(faulty, reference, 4);
   EXPECT_EQ(rep.victim, 2);
@@ -318,7 +354,7 @@ TEST(TraceRun, TinyRingStillComparesViaSuffixAlignment) {
   for (const trace::LaneInfo& li : faulty.lanes) any_dropped |= li.dropped > 0;
   EXPECT_TRUE(any_dropped);
   const trace::DivergenceReport rep = trace::compare_streams(
-      faulty, trace::parse_stream(r.reference_trace_dump), 4);
+      faulty, trace::parse_stream(*r.reference_trace_dump), 4);
   EXPECT_TRUE(rep.equivalent) << rep.first_divergent()->what;
 }
 
@@ -330,6 +366,7 @@ TEST(TraceRun, DisabledTracingProducesNoStream) {
   const scenario::RunResult r = scenario::run_spec(b.build());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.trace_dump.empty());
+  EXPECT_EQ(r.reference_trace_dump, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,10 +403,10 @@ TEST(ReplayEquivalence, EveryBundledFaultScenarioMatchesItsReference) {
       const scenario::RunResult r = scenario::run_point(p);
       if (r.outcome() != scenario::Outcome::kRecoveredExact) continue;
       ASSERT_FALSE(r.trace_dump.empty()) << p.label;
-      ASSERT_FALSE(r.reference_trace_dump.empty()) << p.label;
+      ASSERT_NE(r.reference_trace_dump, nullptr) << p.label;
       const trace::DivergenceReport rep = trace::compare_streams(
           trace::parse_stream(r.trace_dump),
-          trace::parse_stream(r.reference_trace_dump), p.spec.nranks);
+          trace::parse_stream(*r.reference_trace_dump), p.spec.nranks);
       const trace::LaneDivergence* d = rep.first_divergent();
       EXPECT_TRUE(rep.equivalent)
           << p.label << ": " << (d != nullptr ? d->what : "?") << " on "

@@ -135,7 +135,7 @@ void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
   trace::Stream reference;
   try {
     faulty = trace::parse_stream(r.trace_dump);
-    reference = trace::parse_stream(r.reference_trace_dump);
+    reference = trace::parse_stream(*r.reference_trace_dump);
   } catch (const std::exception& e) {
     std::printf("  unparseable trace stream: %s\n", e.what());
     return;
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
                      r.skipped ? "skipped"
                                : (r.completed ? "done" : "DID NOT COMPLETE"));
         if (r.skipped || r.trace_dump.empty() ||
-            r.reference_trace_dump.empty()) {
+            r.reference_trace_dump == nullptr) {
           continue;
         }
         analyze_point(r, max_chain, &tally);
