@@ -104,10 +104,8 @@ class ElClient {
   std::uint64_t own_stable() const {
     return stable_[static_cast<std::size_t>(svc_.rank)];
   }
-  /// The directory epoch this client sees (0 without live routing).
-  std::uint64_t dir_epoch() const {
-    return svc_.el_dir != nullptr ? svc_.el_dir->epoch() : 0;
-  }
+  /// The directory epoch this client sees (0 until a suspected failover).
+  std::uint64_t dir_epoch() const { return svc_.el_dir->epoch(); }
 
   /// Pessimistic gate: waits until all own determinants up to `seq` are
   /// safely stored at the EL.
@@ -126,8 +124,7 @@ class ElClient {
       // A cascade may abandon our home shard while the fetch is in flight
       // (dead, no successor): stop retrying into a hole — survivors are
       // the only source left.
-      if (svc_.el_dir != nullptr &&
-          svc_.el_dir->abandoned(svc_.el_shard_for(svc_.rank))) {
+      if (svc_.el_dir->abandoned(svc_.el_shard_for(svc_.rank))) {
         fetched_.clear();
         break;
       }

@@ -103,8 +103,7 @@ class MsgLogProtocolBase : public ftapi::VProtocol {
   /// (home shard dead with no successor): recovery and the send gate must
   /// not wait on it.
   bool el_unreachable() const {
-    return svc_.el_dir != nullptr &&
-           svc_.el_dir->abandoned(svc_.el_shard_for(svc_.rank));
+    return svc_.el_dir->abandoned(svc_.el_shard_for(svc_.rank));
   }
 
   sim::Task<ftapi::DeterminantList> recover(

@@ -1,12 +1,12 @@
 // Dynamic rank -> Event Logger shard routing.
 //
-// The static NodeLayout places EL shard *nodes*; this directory says which
-// shard currently serves which rank. Fault-free it reproduces the layout's
-// round-robin assignment over the serving shards (standby shards start
-// cold, serving nobody). When a shard dies the fault engine re-homes its
-// ranks onto a successor here, and every client-side lookup — determinant
-// submission, recovery fetches, checkpoint GC notices — follows
-// automatically. Header is dependency-free so every layer can share it.
+// The static NodeLayout places EL shard *nodes*; this directory is the only
+// place that says which shard serves which rank. It starts round-robin over
+// the serving shards (standby shards start cold, serving nobody). When a
+// shard dies the fault engine re-homes its ranks onto a successor here, and
+// every lookup — determinant submission, recovery fetches, checkpoint GC
+// notices, a shard's own ownership test — follows automatically. Header is
+// dependency-free so every layer can share it.
 #pragma once
 
 #include <cstdint>

@@ -37,13 +37,12 @@ class EventLogger {
   /// "assigning a subset of the nodes to one Event Logger"). With more than
   /// one shard, each periodically multicasts its local stable-clock array
   /// to the others so that every ack can still carry the global view.
-  /// `dir` (optional) overrides the layout's static round-robin ownership
-  /// with live routing; `obs` (optional) receives store-count events for
-  /// trigger-based fault injection.
+  /// `dir` says which ranks the shard owns (live routing, failover
+  /// included); `obs` receives store-count events for trigger-based fault
+  /// injection.
   EventLogger(net::Network& net, const ftapi::NodeLayout& layout,
-              ftapi::ElStats* stats, int shard = 0,
-              const ElDirectory* dir = nullptr,
-              ftapi::FaultObserver* obs = nullptr)
+              ftapi::ElStats* stats, int shard, const ElDirectory& dir,
+              ftapi::FaultObserver& obs)
       : net_(net),
         layout_(layout),
         stats_(stats),
@@ -70,15 +69,9 @@ class EventLogger {
     return per_[creator].contiguous;
   }
   int shard() const { return shard_; }
-  /// Late-bound trigger sink (the fault engine is constructed after the
-  /// shards it observes).
-  void set_observer(ftapi::FaultObserver* obs) { obs_ = obs; }
   /// This shard's trace lane (null = tracing off).
   void set_trace(trace::Lane* lane) { trace_ = lane; }
-  bool owns_rank(int r) const {
-    return dir_ != nullptr ? dir_->shard_of(r) == shard_
-                           : layout_.el_shard_for_rank(r) == shard_;
-  }
+  bool owns_rank(int r) const { return dir_.shard_of(r) == shard_; }
   bool service_down() const { return down_; }
   std::size_t stored_count() const {
     std::size_t n = 0;
@@ -267,7 +260,7 @@ class EventLogger {
               if (gen != svc_gen_) return;  // queue entry died with the service
               for (const ftapi::Determinant& d : dets) store(d);
               ack(reply_to);
-              if (obs_ != nullptr) obs_->on_el_stored(shard_, stored_ops_);
+              obs_.on_el_stored(shard_, stored_ops_);
             });
         ++pending_;
         stats_->peak_queue = std::max(stats_->peak_queue, pending_);
@@ -393,7 +386,7 @@ class EventLogger {
   void exchange_clocks() {
     for (int other = 0; other < layout_.el_count; ++other) {
       if (other == shard_) continue;
-      if (dir_ != nullptr && dir_->dead(other)) continue;
+      if (dir_.dead(other)) continue;
       net::Message m;
       m.kind = net::MsgKind::kControl;
       m.tag = static_cast<std::int32_t>(mpi::CtlSub::kElShardClock);
@@ -409,8 +402,8 @@ class EventLogger {
   ftapi::NodeLayout layout_;
   ftapi::ElStats* stats_;
   int shard_;
-  const ElDirectory* dir_;
-  ftapi::FaultObserver* obs_;
+  const ElDirectory& dir_;
+  ftapi::FaultObserver& obs_;
   trace::Lane* trace_ = nullptr;
   net::ServicePort port_;
   std::vector<Per> per_;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "elog/el_directory.hpp"
@@ -33,32 +32,26 @@
 namespace mpiv::elog {
 class EventLogger;
 }
+namespace mpiv::mpi {
+class RankRuntime;
+}
+namespace mpiv::runtime {
+class Dispatcher;
+}
 
 namespace mpiv::fault {
 
 class FaultEngine final : public ftapi::FaultObserver {
  public:
-  /// Everything the engine acts on, wired by runtime::Cluster. The rank
-  /// path goes through callbacks so the engine stays below the runtime
-  /// layer.
+  /// The cluster services the engine acts on from construction on, wired
+  /// by runtime::Cluster. Only `trace` is optional.
   struct Bindings {
-    sim::Engine* eng = nullptr;
-    net::Network* net = nullptr;
-    ftapi::NodeLayout layout{};
-    elog::ElDirectory* directory = nullptr;      // null when EL disabled
-    std::vector<elog::EventLogger*> els;         // all shards incl. standby
-    std::function<void(int)> crash_rank;         // dispatcher serialized path
-    std::function<std::vector<int>()> alive_ranks;
-    std::function<bool()> run_done;
-    std::function<void(net::Message&&)> send_ctl;  // from the dispatcher node
-    /// Daemon failure domain (RankRuntime::daemon_crash / daemon_restart /
-    /// daemon_down; restart returns -1 when a rank crash superseded the
-    /// outage — the node restart respawned the daemon early).
-    std::function<void(int)> crash_daemon;
-    std::function<long(int)> restart_daemon;
-    std::function<bool(int)> daemon_is_down;
-    /// Daemon outage records land here (null = no timeline).
-    RecoveryTimeline* timeline = nullptr;
+    sim::Engine& eng;
+    net::Network& net;
+    ftapi::NodeLayout layout;
+    elog::ElDirectory& directory;
+    /// Daemon outage and split-brain reconcile records land here.
+    RecoveryTimeline& timeline;
     /// The cluster's engine-side trace lane (null = tracing off).
     trace::Lane* trace = nullptr;
     /// Cluster-level failure-detection delay: the default suspicion window
@@ -66,11 +59,17 @@ class FaultEngine final : public ftapi::FaultObserver {
     sim::Time detection_delay = 0;
   };
 
+  /// Schedules nothing: the injections are armed by arm().
   FaultEngine(Campaign campaign, std::uint64_t seed, Bindings b);
 
-  /// Schedules the timed and stochastic injections in campaign order.
-  /// Call once, before the run starts.
-  void arm();
+  /// Hands over the run's moving parts — every EL shard (standby
+  /// included), the dispatcher that serializes rank crashes and the rank
+  /// runtimes whose daemons fail on their own — then schedules the timed
+  /// and stochastic injections in campaign order. Call once, when all
+  /// three exist and before the run starts; no observer trigger can fire
+  /// earlier.
+  void arm(std::vector<elog::EventLogger*> els, runtime::Dispatcher& dispatcher,
+           std::vector<mpi::RankRuntime*> ranks);
 
   // --- execution-event triggers (ftapi::FaultObserver) ---------------------
   void on_rank_checkpoint(int rank, std::uint64_t completed) override;
@@ -78,10 +77,9 @@ class FaultEngine final : public ftapi::FaultObserver {
 
   const FaultCounts& counts() const { return counts_; }
   /// Time of the first EL shard loss (0 = none): the piggyback-regrowth
-  /// reference point. The pointer form is stable for the lifetime of the
-  /// engine (RankHooks::el_fault_at).
-  sim::Time first_el_fault() const { return first_el_fault_; }
-  const sim::Time* first_el_fault_ptr() const { return &first_el_fault_; }
+  /// reference point. The reference stays valid, and tracks the value, for
+  /// the lifetime of the engine (RankHooks::el_fault_at reads it live).
+  const sim::Time& first_el_fault() const { return first_el_fault_; }
 
  private:
   // --- one injection's action (execute() dispatches) -----------------------
@@ -121,13 +119,16 @@ class FaultEngine final : public ftapi::FaultObserver {
 
   Campaign campaign_;
   Bindings b_;
+  std::vector<elog::EventLogger*> els_;  // set by arm()
+  runtime::Dispatcher* dispatcher_ = nullptr;
+  std::vector<mpi::RankRuntime*> ranks_;
   util::Rng rng_;
   std::vector<char> fired_;      // one-shot latch per injection
   std::vector<char> in_outage_;  // per shard: down transiently, will return
   /// Per rank: daemon-outage generation. A rank crash can end an outage
   /// early (the node restart respawns the daemon), so the respawn timer
   /// captures its generation and only acts if no newer outage started —
-  /// the live daemon state (Bindings::daemon_is_down), not this counter,
+  /// the live daemon state (RankRuntime::daemon_down), not this counter,
   /// decides whether a new injection may fire.
   std::vector<std::uint32_t> daemon_gen_;
   FaultCounts counts_;

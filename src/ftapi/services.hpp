@@ -15,7 +15,8 @@ namespace mpiv::ftapi {
 
 /// Execution-event sink for trigger-based fault injection ("kill rank 3 on
 /// its 5th checkpoint", "crash shard 0 once N determinants are stored").
-/// The fault engine implements it; a null observer costs nothing.
+/// The fault engine implements it and every rank runtime and EL shard
+/// reports to it; the base class ignores every event.
 class FaultObserver {
  public:
   virtual ~FaultObserver() = default;
@@ -34,8 +35,9 @@ class FaultObserver {
 /// Cluster node numbering: ranks first, then the stable auxiliary servers
 /// (Fig. 5 of the paper: checkpoint server, Event Logger(s), dispatcher
 /// with its checkpoint scheduler). `el_count > 1` enables the distributed
-/// Event Logger of the paper's future work (§VI): ranks are assigned to
-/// shards round-robin and the shards exchange their stable-clock arrays.
+/// Event Logger of the paper's future work (§VI): the shards exchange their
+/// stable-clock arrays, and elog::ElDirectory says which shard serves which
+/// rank. The layout only places nodes; it routes nothing.
 struct NodeLayout {
   int nranks = 0;
   int el_count = 1;
@@ -43,11 +45,6 @@ struct NodeLayout {
   net::NodeId rank_node(int r) const { return static_cast<net::NodeId>(r); }
   net::NodeId el_node(int shard = 0) const {
     return static_cast<net::NodeId>(nranks + shard);
-  }
-  /// The EL shard responsible for rank `r`'s determinants.
-  int el_shard_for_rank(int r) const { return r % el_count; }
-  net::NodeId el_node_for_rank(int r) const {
-    return el_node(el_shard_for_rank(r));
   }
   net::NodeId ckpt_node() const {
     return static_cast<net::NodeId>(nranks + el_count);
@@ -69,11 +66,10 @@ struct RankServices {
   int rank = -1;
   int nranks = 0;
   NodeLayout layout{};
-  bool el_enabled = false;
   RankStats* stats = nullptr;
-  /// Dynamic rank -> EL shard routing (null = the layout's static
-  /// round-robin; clusters with fault campaigns install a live directory so
-  /// shard failover re-routes every client automatically).
+  /// The cluster's live rank -> EL shard directory, the only router: a
+  /// shard failover re-homes ranks there and every client follows. Always
+  /// set by the rank runtime.
   const elog::ElDirectory* el_dir = nullptr;
   /// > 0: retransmit interval for unacked checkpoint/EL requests (armed
   /// only under fault campaigns, so fault-free runs schedule no timers).
@@ -81,9 +77,7 @@ struct RankServices {
   /// This rank's trace lane (null = tracing disabled).
   trace::Lane* trace = nullptr;
 
-  int el_shard_for(int r) const {
-    return el_dir != nullptr ? el_dir->shard_of(r) : layout.el_shard_for_rank(r);
-  }
+  int el_shard_for(int r) const { return el_dir->shard_of(r); }
   net::NodeId el_node_for(int r) const { return layout.el_node(el_shard_for(r)); }
 
   /// Sends a control frame from this rank's node.

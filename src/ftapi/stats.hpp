@@ -44,10 +44,6 @@ struct RankStats {
   sim::Time recovery_total_time = 0;    // image fetch + events + replay
   std::uint64_t recovery_events = 0;
   std::uint64_t replayed_receptions = 0;
-  // Daemon-process faults (failure domain split from the rank: the app
-  // survives, stalled, while the dispatcher respawns the daemon).
-  std::uint64_t daemon_crashes = 0;
-  sim::Time daemon_down_time = 0;
   // Split-brain reconciliation (service-side partitions). The first two are
   // EL-side, attributed to the creator rank: submissions the shard dropped
   // as duplicates of records it already held, and records a heal-time merge
@@ -92,8 +88,6 @@ struct RankStats {
     recovery_total_time += o.recovery_total_time;
     recovery_events += o.recovery_events;
     replayed_receptions += o.replayed_receptions;
-    daemon_crashes += o.daemon_crashes;
-    daemon_down_time += o.daemon_down_time;
     el_dup_submissions += o.el_dup_submissions;
     el_reconciled_records += o.el_reconciled_records;
     stale_acks_fenced += o.stale_acks_fenced;

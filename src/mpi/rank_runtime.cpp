@@ -37,9 +37,8 @@ RankRuntime::RankRuntime(sim::Engine& eng, net::Network& net,
   svc.rank = rank_;
   svc.nranks = layout_.nranks;
   svc.layout = layout_;
-  svc.el_enabled = true;  // protocols that ignore the EL simply never use it
   svc.stats = stats_;
-  svc.el_dir = hooks_.el_directory;
+  svc.el_dir = &hooks_.el_directory;
   svc.service_retry = hooks_.service_retry;
   svc.trace = tlane_;
   proto_->bind(svc);
@@ -80,13 +79,10 @@ void RankRuntime::restart(AppFactory factory, std::uint64_t image_version) {
 void RankRuntime::daemon_crash() {
   if (daemon_->daemon_down()) return;
   daemon_->crash_daemon();
-  daemon_down_since_ = eng_.now();
-  ++stats_->daemon_crashes;
 }
 
 long RankRuntime::daemon_restart() {
   if (!daemon_->daemon_down()) return -1;
-  stats_->daemon_down_time += eng_.now() - daemon_down_since_;
   return static_cast<long>(daemon_->restart_daemon());
 }
 
@@ -242,7 +238,7 @@ sim::Task<void> RankRuntime::recovery_main(AppFactory factory,
     blob_offset_ = blob_off;
     blob_len_ = blob_len;
   }
-  if (hooks_.timeline != nullptr) hooks_.timeline->mark_image(rank_, eng_.now());
+  hooks_.timeline.mark_image(rank_, eng_.now());
   trace::emit(tlane_, eng_.now(), trace::Kind::kRecovery, trace::kPhaseImage,
               rank_, rsn_, ckpt_version_);
   if (proto_->is_message_logging()) {
@@ -272,12 +268,10 @@ sim::Task<void> RankRuntime::recovery_main(AppFactory factory,
     }
     stats_->recovery_events += replay_.size();
   }
-  if (hooks_.timeline != nullptr) {
-    hooks_.timeline->mark_collect(rank_, eng_.now(), replay_.size());
-    // Nothing to replay (coordinated rollback, or the checkpoint already
-    // covers every reception): the recovery is live right here.
-    if (replay_.empty()) hooks_.timeline->mark_replay_done(rank_, eng_.now());
-  }
+  hooks_.timeline.mark_collect(rank_, eng_.now(), replay_.size());
+  // Nothing to replay (coordinated rollback, or the checkpoint already
+  // covers every reception): the recovery is live right here.
+  if (replay_.empty()) hooks_.timeline.mark_replay_done(rank_, eng_.now());
   trace::emit(tlane_, eng_.now(), trace::Kind::kRecovery, trace::kPhaseCollect,
               rank_, replay_.size());
   if (replay_.empty()) {
@@ -325,7 +319,7 @@ sim::Task<void> RankRuntime::send(int dst, int tag, std::uint64_t bytes,
     trace::emit(tlane_, eng_.now(), trace::Kind::kPiggyback, 0, pdst, ssn,
                 pb.events, pb.bytes.size());
   }
-  if (hooks_.el_fault_at != nullptr && *hooks_.el_fault_at > 0) {
+  if (hooks_.el_fault_at > 0) {
     stats_->pb_peak_post_el_fault_bytes =
         std::max(stats_->pb_peak_post_el_fault_bytes,
                  static_cast<std::uint64_t>(pb.bytes.size()));
@@ -452,9 +446,7 @@ sim::Task<void> RankRuntime::store_checkpoint(const util::Buffer& app_state,
   store_ack_.reset();
   awaiting_store_ack_ = false;
   ++ckpts_completed_;
-  if (hooks_.observer != nullptr) {
-    hooks_.observer->on_rank_checkpoint(rank_, ckpts_completed_);
-  }
+  hooks_.observer.on_rank_checkpoint(rank_, ckpts_completed_);
   trace::emit(tlane_, eng_.now(), trace::Kind::kCkpt, 0, rank_, ckpt_version_,
               ckpts_completed_, rsn_at_image);
 
@@ -479,9 +471,7 @@ sim::Task<void> RankRuntime::store_checkpoint(const util::Buffer& app_state,
   gc.src_rank = rank_;
   gc.arg = rsn_at_image;
   gc.src = layout_.rank_node(rank_);
-  gc.dst = hooks_.el_directory != nullptr
-               ? layout_.el_node(hooks_.el_directory->shard_of(rank_))
-               : layout_.el_node_for_rank(rank_);
+  gc.dst = layout_.el_node(hooks_.el_directory.shard_of(rank_));
   daemon_->submit_ctl(std::move(gc));
 }
 
@@ -615,9 +605,7 @@ void RankRuntime::pump() {
       if (replay_.empty()) {
         // Last forced reception matched: the recovery timeline's replay
         // phase ends here and execution is live again.
-        if (hooks_.timeline != nullptr) {
-          hooks_.timeline->mark_replay_done(rank_, eng_.now());
-        }
+        hooks_.timeline.mark_replay_done(rank_, eng_.now());
         trace::emit(tlane_, eng_.now(), trace::Kind::kRecovery,
                     trace::kPhaseReplayDone, rank_, rsn_ + 1);
       }

@@ -41,16 +41,15 @@
 
 namespace mpiv::mpi {
 
-/// Optional cluster-level attachments (fault-injection support). All null /
-/// zero by default: a hook-less runtime behaves exactly like the pre-fault
-/// engine one, event for event.
+/// The cluster-level collaborators every rank runtime reports to, wired
+/// once by runtime::Cluster. Only `trace` is optional.
 struct RankHooks {
-  const elog::ElDirectory* el_directory = nullptr;  // live rank -> shard map
-  ftapi::FaultObserver* observer = nullptr;         // checkpoint triggers
-  fault::RecoveryTimeline* timeline = nullptr;      // per-phase recovery marks
+  const elog::ElDirectory& el_directory;  // live rank -> shard map
+  ftapi::FaultObserver& observer;         // checkpoint triggers
+  fault::RecoveryTimeline& timeline;      // per-phase recovery marks
   /// Time of the first EL fault (engine-owned, 0 until one happens): gates
   /// the post-fault piggyback-regrowth peaks in RankStats.
-  const sim::Time* el_fault_at = nullptr;
+  const sim::Time& el_fault_at;
   /// > 0: check unanswered checkpoint-server requests at this interval and
   /// resend the ones a server crash or outage lost (also handed to the EL
   /// client).
@@ -91,7 +90,7 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   RankRuntime(sim::Engine& eng, net::Network& net, const ftapi::NodeLayout& layout,
               int rank, net::ChannelKind channel,
               std::unique_ptr<ftapi::VProtocol> proto, ftapi::RankStats* stats,
-              std::uint64_t seed, RankHooks hooks = {});
+              std::uint64_t seed, RankHooks hooks);
   ~RankRuntime() override;
 
   // --- lifecycle (driven by the dispatcher) --------------------------------
@@ -112,8 +111,8 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   /// A crash under the replication hybrid: the primary dies but its hot
   /// shadow holds identical state, so nothing rolls back — the node's
   /// traffic merely parks at the daemon for the switchover window.
-  /// Distinct from daemon_crash(): no daemon-fault stats are charged; the
-  /// stall is recorded as a PromotionRecord, not a DaemonOutageRecord.
+  /// Distinct from daemon_crash(): no daemon fault is counted; the stall
+  /// is recorded as a PromotionRecord, not a DaemonOutageRecord.
   /// Returns false when the daemon was already down (a daemon outage in
   /// progress owns the hold — the release is then skipped too).
   bool promote_hold();
@@ -286,7 +285,6 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   bool recovering_ = false;
   bool app_finished_ = false;
   bool ckpt_requested_ = false;
-  sim::Time daemon_down_since_ = 0;
   std::uint64_t logical_state_bytes_ = 1 << 20;
   std::uint64_t ckpt_version_ = 0;
   std::uint64_t ckpts_completed_ = 0;  // committed stores (trigger counter)

@@ -34,57 +34,36 @@ Cluster::Cluster(ClusterConfig cfg)
     net_.set_trace(trace_->engine_lane());
   }
 
-  for (int shard = 0; shard < layout_.el_count; ++shard) {
-    els_.push_back(std::make_unique<elog::EventLogger>(
-        net_, layout_, &el_stats_, shard, &el_dir_, nullptr));
-    if (trace_) els_.back()->set_trace(trace_->el_lane(shard));
-  }
-
-  fault::FaultEngine::Bindings fb;
-  fb.eng = &eng_;
-  fb.net = &net_;
-  fb.layout = layout_;
-  fb.directory = &el_dir_;
-  for (auto& e : els_) fb.els.push_back(e.get());
-  fb.crash_rank = [this](int r) {
-    if (dispatcher_) dispatcher_->fault(r);
-  };
-  fb.alive_ranks = [this] {
-    return dispatcher_ ? dispatcher_->alive_ranks() : std::vector<int>{};
-  };
-  fb.run_done = [this] { return dispatcher_ && dispatcher_->all_done(); };
-  fb.send_ctl = [this](net::Message&& m) {
-    if (dispatcher_) dispatcher_->send_ctl(std::move(m));
-  };
-  fb.crash_daemon = [this](int r) {
-    ranks_[static_cast<std::size_t>(r)]->daemon_crash();
-  };
-  fb.restart_daemon = [this](int r) {
-    return ranks_[static_cast<std::size_t>(r)]->daemon_restart();
-  };
-  fb.daemon_is_down = [this](int r) {
-    return ranks_[static_cast<std::size_t>(r)]->daemon_down();
-  };
-  fb.timeline = &timeline_;
-  if (trace_) fb.trace = trace_->engine_lane();
   // The same detector window the dispatcher uses for rank crashes bounds
   // how long a service cut goes unsuspected (faults.detection_delay
   // overrides it per campaign).
-  fb.detection_delay = cfg_.detection_delay;
-  fault_engine_ = std::make_unique<fault::FaultEngine>(cfg_.campaign, cfg_.seed,
-                                                       std::move(fb));
-  for (auto& e : els_) e->set_observer(fault_engine_.get());
+  fault_engine_ = std::make_unique<fault::FaultEngine>(
+      cfg_.campaign, cfg_.seed,
+      fault::FaultEngine::Bindings{
+          .eng = eng_,
+          .net = net_,
+          .layout = layout_,
+          .directory = el_dir_,
+          .timeline = timeline_,
+          .trace = trace_ ? trace_->engine_lane() : nullptr,
+          .detection_delay = cfg_.detection_delay});
 
-  mpi::RankHooks hooks;
-  hooks.el_directory = &el_dir_;
-  hooks.observer = fault_engine_.get();
-  hooks.timeline = &timeline_;
-  hooks.el_fault_at = fault_engine_->first_el_fault_ptr();
-  // Retransmit timers fire only under a campaign: fault-free runs schedule
-  // no retry events (the determinism goldens pin this). Every faulty run
-  // has a campaign, since every fault is an injection.
-  hooks.service_retry = cfg_.campaign.empty() ? 0 : cfg_.campaign.service_retry;
-  hooks.trace = trace_.get();
+  for (int shard = 0; shard < layout_.el_count; ++shard) {
+    els_.push_back(std::make_unique<elog::EventLogger>(
+        net_, layout_, &el_stats_, shard, el_dir_, *fault_engine_));
+    if (trace_) els_.back()->set_trace(trace_->el_lane(shard));
+  }
+
+  const mpi::RankHooks hooks{
+      .el_directory = el_dir_,
+      .observer = *fault_engine_,
+      .timeline = timeline_,
+      .el_fault_at = fault_engine_->first_el_fault(),
+      // Retransmit timers fire only under a campaign: fault-free runs
+      // schedule no retry events (the determinism goldens pin this). Every
+      // faulty run has a campaign, since every fault is an injection.
+      .service_retry = cfg_.campaign.empty() ? 0 : cfg_.campaign.service_retry,
+      .trace = trace_.get()};
 
   const ProtocolEntry& protocol = protocol_entry(cfg_.variant.protocol);
   for (int r = 0; r < cfg_.nranks; ++r) {
@@ -190,14 +169,14 @@ std::string Cluster::protocol_label() const {
 
 ClusterReport Cluster::run(mpi::AppFactory factory) {
   const RecoveryMode mode = protocol_entry(cfg_.variant.protocol).recovery;
+  std::vector<mpi::RankRuntime*> ranks;
+  for (auto& r : ranks_) ranks.push_back(r.get());
+  std::vector<elog::EventLogger*> els;
+  for (auto& e : els_) els.push_back(e.get());
   dispatcher_ = std::make_unique<Dispatcher>(
-      net_, layout_, [this] {
-        std::vector<mpi::RankRuntime*> v;
-        for (auto& r : ranks_) v.push_back(r.get());
-        return v;
-      }(),
-      factory, mode, cfg_.detection_delay, &timeline_, cfg_.ulfm_repair_cost);
-  fault_engine_->arm();
+      net_, layout_, ranks, factory, mode, cfg_.detection_delay, timeline_,
+      cfg_.ulfm_repair_cost);
+  fault_engine_->arm(std::move(els), *dispatcher_, std::move(ranks));
   sched_->start();
   dispatcher_->launch_all();
 

@@ -39,8 +39,7 @@ class Dispatcher {
   Dispatcher(net::Network& net, const ftapi::NodeLayout& layout,
              std::vector<mpi::RankRuntime*> ranks, mpi::AppFactory factory,
              RecoveryMode mode, sim::Time detection_delay,
-             fault::RecoveryTimeline* timeline = nullptr,
-             sim::Time repair_cost = 0)
+             fault::RecoveryTimeline& timeline, sim::Time repair_cost)
       : net_(net),
         layout_(layout),
         port_(net, layout.dispatcher_node()),
@@ -113,17 +112,14 @@ class Dispatcher {
       const bool held =
           ranks_[static_cast<std::size_t>(rank)]->promote_hold();
       promoting_.insert(rank);
-      const int idx =
-          timeline_ != nullptr ? timeline_->begin_promotion(rank, now) : -1;
+      const int idx = timeline_.begin_promotion(rank, now);
       port_.engine().after(detection_delay_, [this, rank, idx, held] {
         const long drained =
             held ? ranks_[static_cast<std::size_t>(rank)]->promote_release()
                  : 0;
-        if (timeline_ != nullptr) {
-          timeline_->end_promotion(
-              idx, port_.engine().now(),
-              drained < 0 ? 0 : static_cast<std::uint64_t>(drained));
-        }
+        timeline_.end_promotion(
+            idx, port_.engine().now(),
+            drained < 0 ? 0 : static_cast<std::uint64_t>(drained));
         promoting_.erase(rank);
       });
       return;
@@ -146,11 +142,8 @@ class Dispatcher {
           survivors.push_back(static_cast<int>(r));
         }
       }
-      const int idx =
-          timeline_ != nullptr
-              ? timeline_->begin_repair(
-                    rank, static_cast<int>(survivors.size()), now)
-              : -1;
+      const int idx = timeline_.begin_repair(
+          rank, static_cast<int>(survivors.size()), now);
       if (survivors.empty()) {
         // Nobody left to repair with: the run can only be abandoned (the
         // all_done() guard keeps the corpse-filled done_ set from
@@ -159,9 +152,7 @@ class Dispatcher {
         return;
       }
       port_.engine().after(detection_delay_, [this, rank, idx, survivors] {
-        if (timeline_ != nullptr) {
-          timeline_->mark_revoke(idx, port_.engine().now());
-        }
+        timeline_.mark_revoke(idx, port_.engine().now());
         for (const int s : survivors) {
           net::Message m;
           m.kind = net::MsgKind::kControl;
@@ -177,9 +168,7 @@ class Dispatcher {
             ranks_[static_cast<std::size_t>(s)]->shrink_relaunch(
                 factory_, survivors, /*victim=*/rank);
           }
-          if (timeline_ != nullptr) {
-            timeline_->end_repair(idx, port_.engine().now());
-          }
+          timeline_.end_repair(idx, port_.engine().now());
           recovery_busy_ = false;
           if (!pending_faults_.empty()) {
             const int next = pending_faults_.front();
@@ -200,28 +189,24 @@ class Dispatcher {
       const std::uint64_t snapshot = wave != 0 ? wave : ckpt::kNoImage;
       done_.clear();
       for (mpi::RankRuntime* r : ranks_) r->crash();
-      if (timeline_ != nullptr) {
-        for (std::size_t r = 0; r < ranks_.size(); ++r) {
-          timeline_->begin(static_cast<int>(r), now, /*coordinated=*/true);
-        }
+      for (std::size_t r = 0; r < ranks_.size(); ++r) {
+        timeline_.begin(static_cast<int>(r), now, /*coordinated=*/true);
       }
       port_.engine().after(detection_delay_, [this, snapshot] {
         recoveries_outstanding_ = ranks_.size();
         for (std::size_t r = 0; r < ranks_.size(); ++r) {
-          if (timeline_ != nullptr) {
-            timeline_->mark_restart(static_cast<int>(r), port_.engine().now());
-          }
+          timeline_.mark_restart(static_cast<int>(r), port_.engine().now());
           ranks_[r]->restart(factory_, snapshot);
         }
       });
       return;
     }
     ranks_[static_cast<std::size_t>(rank)]->crash();
-    if (timeline_ != nullptr) timeline_->begin(rank, now, /*coordinated=*/false);
+    timeline_.begin(rank, now, /*coordinated=*/false);
     done_.erase(rank);
     port_.engine().after(detection_delay_, [this, rank] {
       recoveries_outstanding_ = 1;
-      if (timeline_ != nullptr) timeline_->mark_restart(rank, port_.engine().now());
+      timeline_.mark_restart(rank, port_.engine().now());
       ranks_[static_cast<std::size_t>(rank)]->restart(factory_, 0);
     });
   }
@@ -264,7 +249,7 @@ class Dispatcher {
   RecoveryMode mode_;
   sim::Time detection_delay_;
   sim::Time repair_cost_;
-  fault::RecoveryTimeline* timeline_;
+  fault::RecoveryTimeline& timeline_;
   coord::WaveCoordinator coordinator_;
 
   std::set<int> done_;

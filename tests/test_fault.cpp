@@ -651,7 +651,6 @@ TEST(DaemonFaults, DaemonCrashStallsTheRankButLosesNothing) {
   EXPECT_EQ(rec.fault_at, 10 * sim::kMillisecond);
   EXPECT_EQ(rec.down_ns(), 30 * sim::kMillisecond);
   EXPECT_GT(rec.held_frames, 0u);  // the ring kept talking at the dead node
-  EXPECT_EQ(r.report.totals().daemon_down_time, 30 * sim::kMillisecond);
 }
 
 TEST(DaemonFaults, OutageRecordClosesWhenTheRunOutlastsIt) {

@@ -31,11 +31,21 @@ ClusterConfig cfg_with_shards(int shards, int nranks = 6) {
 }
 
 TEST(MultiEl, ShardAssignmentIsRoundRobin) {
+  elog::ElDirectory dir;
+  dir.init(6, 3, 0);
+  EXPECT_EQ(dir.shard_of(0), 0);
+  EXPECT_EQ(dir.shard_of(1), 1);
+  EXPECT_EQ(dir.shard_of(2), 2);
+  EXPECT_EQ(dir.shard_of(3), 0);
+  // A cold standby serves nobody: two serving shards plus one standby
+  // route round-robin over the first two only.
+  elog::ElDirectory standby;
+  standby.init(6, 2, 1);
+  for (int r = 0; r < 6; ++r) {
+    EXPECT_EQ(standby.shard_of(r), r % 2) << "rank " << r;
+  }
+  EXPECT_TRUE(standby.ranks_on(2).empty());
   ftapi::NodeLayout layout{6, 3};
-  EXPECT_EQ(layout.el_shard_for_rank(0), 0);
-  EXPECT_EQ(layout.el_shard_for_rank(1), 1);
-  EXPECT_EQ(layout.el_shard_for_rank(2), 2);
-  EXPECT_EQ(layout.el_shard_for_rank(3), 0);
   EXPECT_NE(layout.el_node(0), layout.el_node(2));
   EXPECT_EQ(layout.total_nodes(), 6u + 3u + 2u);
   EXPECT_GT(layout.ckpt_node(), layout.el_node(2));
@@ -53,6 +63,26 @@ TEST(MultiEl, EventsLandOnTheOwningShard) {
     EXPECT_GT(cluster.event_logger(shard).stable(static_cast<std::uint32_t>(r)), 0u)
         << "rank " << r;
   }
+}
+
+TEST(MultiEl, ColdStandbyStoresNothingFaultFree) {
+  // Two serving shards and one cold standby: ranks route round-robin over
+  // the serving pair, and with no fault the standby never stores a record.
+  ClusterConfig cfg = cfg_with_shards(2);
+  cfg.el_standby = 1;
+  auto result = std::make_shared<ChecksumResult>(cfg.nranks);
+  Cluster cluster(cfg);
+  ClusterReport rep = cluster.run(workloads::make_ring_app(20, 1024, result));
+  ASSERT_TRUE(rep.completed);
+  for (int r = 0; r < cfg.nranks; ++r) {
+    EXPECT_EQ(cluster.el_directory().shard_of(r), r % 2) << "rank " << r;
+    EXPECT_GT(cluster.event_logger(r % 2).stable(static_cast<std::uint32_t>(r)),
+              0u)
+        << "rank " << r;
+  }
+  EXPECT_GT(cluster.event_logger(0).stored_ops(), 0u);
+  EXPECT_GT(cluster.event_logger(1).stored_ops(), 0u);
+  EXPECT_EQ(cluster.event_logger(2).stored_ops(), 0u);
 }
 
 TEST(MultiEl, ClockExchangeSpreadsStability) {

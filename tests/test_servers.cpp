@@ -15,7 +15,14 @@ struct Rig {
   net::CostModel cost;
   net::Network net{eng, layout.total_nodes(), cost};
   ftapi::ElStats el_stats;
-  elog::EventLogger el{net, layout, &el_stats};
+  // One serving shard owns every rank; the base observer ignores events.
+  elog::ElDirectory dir = [] {
+    elog::ElDirectory d;
+    d.init(4, 1, 0);
+    return d;
+  }();
+  ftapi::FaultObserver observer;
+  elog::EventLogger el{net, layout, &el_stats, 0, dir, observer};
   ckpt::CheckpointServer ckpt{net, layout};
   std::vector<net::Message> inbox;
 

@@ -140,15 +140,8 @@ void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
     std::printf("  unparseable trace stream: %s\n", e.what());
     return;
   }
-  int nranks = 0;
-  for (const trace::LaneInfo& l : faulty.lanes) {
-    if (l.name.size() >= 2 && l.name[0] == 'r' &&
-        l.name[1] >= '0' && l.name[1] <= '9') {
-      ++nranks;
-    }
-  }
-  const trace::DivergenceReport rep =
-      trace::compare_streams(faulty, reference, nranks);
+  const trace::DivergenceReport rep = trace::compare_streams(
+      faulty, reference, static_cast<int>(r.report.rank_stats.size()));
   ++tally->analyzed;
 
   if (rep.victim >= 0) {
