@@ -19,15 +19,9 @@ namespace mpiv::causal {
 
 class CausalProtocol final : public MsgLogProtocolBase {
  public:
-  // payload_at_sender: keep logged payloads in the sender's own memory
-  // instead of copying them through the daemon on every send. The per-byte
-  // slog copy disappears from the critical path; the price moves to
-  // retention (sender_log_peak_bytes grows identically and is only pruned
-  // by the same GC notices — the paper's copy-vs-memory trade).
-  CausalProtocol(StrategyKind kind, bool use_el, bool payload_at_sender = false)
+  CausalProtocol(StrategyKind kind, bool use_el)
       : MsgLogProtocolBase(use_el),
         kind_(kind),
-        payload_at_sender_(payload_at_sender),
         strategy_(make_strategy(kind)) {}
 
   const char* name() const override { return strategy_->name(); }
@@ -50,12 +44,9 @@ class CausalProtocol final : public MsgLogProtocolBase {
     // the last is "time to prepare causality information" (Fig. 8).
     out.stats_cpu = w.cpu;
     out.cpu = svc_.cost->mlog_send_fixed + w.cpu;
-    if (!payload_at_sender_) {
-      // Daemon-side copy into the sender log; with payload_at_sender the
-      // buffer is merely pinned in place and this copy never happens.
-      out.cpu += static_cast<sim::Time>(static_cast<double>(payload.bytes) *
-                                        svc_.cost->slog_ns_per_byte);
-    }
+    // Daemon-side copy into the sender log.
+    out.cpu += static_cast<sim::Time>(static_cast<double>(payload.bytes) *
+                                      svc_.cost->slog_ns_per_byte);
     update_peaks();
     return out;
   }
@@ -123,7 +114,6 @@ class CausalProtocol final : public MsgLogProtocolBase {
   }
 
   StrategyKind kind_;
-  bool payload_at_sender_;
   std::unique_ptr<Strategy> strategy_;
 };
 

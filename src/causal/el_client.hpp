@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "ftapi/determinant.hpp"
 #include "ftapi/services.hpp"
@@ -28,7 +29,6 @@ class ElClient {
     on_stable_ = std::move(on_stable);
     stable_.assign(static_cast<std::size_t>(svc.nranks), 0);
     own_waiters_ = std::make_unique<sim::WaitQueue>(*svc.eng);
-    fetch_done_ = std::make_unique<sim::OneShot>(*svc.eng);
   }
 
   /// Asynchronously ships a local determinant to the Event Logger.
@@ -114,50 +114,42 @@ class ElClient {
   }
 
   /// Recovery: fetches every determinant of this rank stored at the EL.
-  /// With svc_.service_retry armed (fault campaigns), an unanswered request
-  /// is retransmitted — re-routed through the directory, so a fetch that
-  /// raced a shard crash lands on the successor once failover completes.
+  /// Each (re)send goes to the home shard the directory names then, so a
+  /// fetch that raced a shard crash re-routes to the successor; an abandoned
+  /// home shard ends it empty. Resent every period, even into a live shard:
+  /// kIfTargetLost would drop resends from the fault_soak schedule that
+  /// bench/e2e pins by digest, so it waits for that benchmark's re-bless.
   sim::Task<ftapi::DeterminantList> fetch_mine() {
-    fetch_done_->reset();
-    fetched_.clear();
-    for (;;) {
-      // A cascade may abandon our home shard while the fetch is in flight
-      // (dead, no successor): stop retrying into a hole — survivors are
-      // the only source left.
-      if (svc_.el_dir->abandoned(svc_.el_shard_for(svc_.rank))) {
-        fetched_.clear();
-        break;
-      }
-      net::Message m;
-      m.kind = net::MsgKind::kElRecoveryReq;
-      m.src_rank = svc_.rank;
-      m.arg = static_cast<std::uint64_t>(svc_.rank);
-      svc_.send_ctl(svc_.el_node_for(svc_.rank), std::move(m));
-      if (svc_.service_retry <= 0) {
-        co_await fetch_done_->wait();
-        break;
-      }
-      const sim::Time deadline = svc_.eng->now() + svc_.service_retry;
-      svc_.eng->at(deadline, [done = fetch_done_.get()] { done->poke(); });
-      while (!fetch_done_->ready() && svc_.eng->now() < deadline) {
-        co_await fetch_done_->wait_once();
-      }
-      if (fetch_done_->ready()) break;
+    std::optional<net::Message> resp = co_await svc_.el_call->call(
+        [this] {
+          const int shard = svc_.el_shard_for(svc_.rank);
+          return svc_.el_dir->abandoned(shard) ? net::kNoNode
+                                               : svc_.layout.el_node(shard);
+        },
+        [this](net::NodeId el) {
+          net::Message m;
+          m.kind = net::MsgKind::kElRecoveryReq;
+          m.src_rank = svc_.rank;
+          m.arg = static_cast<std::uint64_t>(svc_.rank);
+          svc_.send_ctl(el, std::move(m));
+        },
+        net::ServiceCall::Resend::kEveryPeriod);
+    ftapi::DeterminantList dets;
+    if (!resp) co_return dets;
+    const std::uint32_t n = resp->body.get_u32();
+    dets.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      dets.push_back(ftapi::Determinant::deserialize(resp->body));
     }
-    co_return std::move(fetched_);
+    co_return dets;
   }
   void on_recovery_resp(net::Message&& m) {
-    // Resync the stable vector from the EL's authoritative copy.
+    // Resync the stable vector from the EL's authoritative copy on arrival;
+    // fetch_mine() reads the determinants that follow it.
     std::vector<std::uint64_t> vec(stable_.size());
     for (std::uint64_t& v : vec) v = m.body.get_u64();
     apply_stable(vec);
-    const std::uint32_t n = m.body.get_u32();
-    fetched_.clear();
-    fetched_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      fetched_.push_back(ftapi::Determinant::deserialize(m.body));
-    }
-    fetch_done_->set();
+    svc_.el_call->deliver(std::move(m));
   }
 
   void serialize(util::Buffer& b) const {
@@ -177,8 +169,6 @@ class ElClient {
   std::vector<std::uint64_t> stable_;
   std::map<std::uint64_t, sim::Time> pending_;
   std::unique_ptr<sim::WaitQueue> own_waiters_;
-  std::unique_ptr<sim::OneShot> fetch_done_;
-  ftapi::DeterminantList fetched_;
 };
 
 }  // namespace mpiv::causal

@@ -100,8 +100,7 @@ class MsgLogProtocolBase : public ftapi::VProtocol {
   }
 
   /// True when this rank's determinants are unreachable at any Event Logger
-  /// (home shard dead with no successor): recovery and the send gate must
-  /// not wait on it.
+  /// (home shard dead with no successor): the send gate must not wait on it.
   bool el_unreachable() const {
     return svc_.el_dir->abandoned(svc_.el_shard_for(svc_.rank));
   }
@@ -111,9 +110,7 @@ class MsgLogProtocolBase : public ftapi::VProtocol {
       const std::vector<std::uint64_t>& arr_watermarks) override {
     (void)already_rsn;
     ftapi::DeterminantList all;
-    if (use_el_ && !el_unreachable()) {
-      all = co_await el_.fetch_mine();
-    }
+    if (use_el_) all = co_await el_.fetch_mine();  // empty if unreachable
     // Ask every survivor for the determinants it holds about us and for the
     // logged payloads we have not provably received.
     gathered_.clear();

@@ -128,9 +128,6 @@ struct Campaign {
   /// reachable successor (the split-brain trigger). -1 inherits the
   /// cluster-level detection_delay used for rank-crash detection.
   sim::Time detection_delay = -1;
-  /// Mixed into the engine's stochastic streams so fault schedules sweep
-  /// independently of the workload seed.
-  std::uint64_t seed_salt = 0;
 
   bool empty() const { return injections.empty(); }
   bool targets_el() const {

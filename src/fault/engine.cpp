@@ -8,8 +8,7 @@ namespace mpiv::fault {
 
 FaultEngine::FaultEngine(Campaign campaign, std::uint64_t seed, Bindings b)
     : campaign_(std::move(campaign)), b_(std::move(b)) {
-  // The salt lets fault schedules sweep independently of the workload seed.
-  rng_.reseed(seed ^ 0xFA17'2005ULL ^ campaign_.seed_salt);
+  rng_.reseed(seed ^ 0xFA17'2005ULL);
   fired_.assign(campaign_.injections.size(), 0);
   in_outage_.assign(static_cast<std::size_t>(b_.directory.total_shards()), 0);
   daemon_gen_.assign(static_cast<std::size_t>(b_.layout.nranks), 0);

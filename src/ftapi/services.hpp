@@ -8,6 +8,7 @@
 #include "net/cost_model.hpp"
 #include "net/daemon.hpp"
 #include "net/message.hpp"
+#include "net/service_call.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
@@ -71,9 +72,9 @@ struct RankServices {
   /// shard failover re-homes ranks there and every client follows. Always
   /// set by the rank runtime.
   const elog::ElDirectory* el_dir = nullptr;
-  /// > 0: retransmit interval for unacked checkpoint/EL requests (armed
-  /// only under fault campaigns, so fault-free runs schedule no timers).
-  sim::Time service_retry = 0;
+  /// The rank's recovery request to its EL shard; the runtime owns it so a
+  /// crash cancels it with the checkpoint calls.
+  net::ServiceCall* el_call = nullptr;
   /// This rank's trace lane (null = tracing disabled).
   trace::Lane* trace = nullptr;
 

@@ -25,8 +25,9 @@ RankRuntime::RankRuntime(sim::Engine& eng, net::Network& net,
       }()),
       send_ssn_(static_cast<std::size_t>(layout.nranks), 0),
       arr_(static_cast<std::size_t>(layout.nranks)),
-      store_ack_(eng),
-      fetch_done_(eng) {
+      store_call_(net, hooks.service_retry),
+      fetch_call_(net, hooks.service_retry),
+      el_call_(net, hooks.service_retry) {
   daemon_->attach_upper([this](net::Message&& m) { on_daemon_up(std::move(m)); });
   if (hooks_.trace != nullptr) tlane_ = hooks_.trace->rank_lane(rank_);
   daemon_->set_trace(tlane_);
@@ -39,7 +40,7 @@ RankRuntime::RankRuntime(sim::Engine& eng, net::Network& net,
   svc.layout = layout_;
   svc.stats = stats_;
   svc.el_dir = &hooks_.el_directory;
-  svc.service_retry = hooks_.service_retry;
+  svc.el_call = &el_call_;
   svc.trace = tlane_;
   proto_->bind(svc);
 }
@@ -142,11 +143,9 @@ void RankRuntime::teardown() {
   absorb_free_ = 0;
   recovering_ = false;
   ckpt_requested_ = false;
-  store_ack_.reset();
-  fetch_done_.reset();
-  fetch_resp_.reset();
-  awaiting_store_ack_ = false;
-  awaiting_fetch_ = false;
+  store_call_.cancel();
+  fetch_call_.cancel();
+  el_call_.cancel();
   proto_->reset();
   rsn_ = 0;
   coll_seq_ = 0;
@@ -167,57 +166,26 @@ void RankRuntime::notify_dispatcher(CtlSub sub) {
   m.kind = net::MsgKind::kControl;
   m.tag = static_cast<std::int32_t>(sub);
   m.src_rank = rank_;
-  m.src = layout_.rank_node(rank_);
-  m.dst = layout_.dispatcher_node();
-  daemon_->submit_ctl(std::move(m));
-}
-
-sim::Task<bool> RankRuntime::await_ckpt_server(sim::OneShot& reply) {
-  // A request is lost only when the server node is down at send time or
-  // crashes before answering (its epoch moves). Partitions, drop windows
-  // and daemon outages hold frames and deliver them later, so a live but
-  // slow server just gets another retry period: resending a whole image
-  // into its queue would only slow it down further.
-  const net::NodeId node = layout_.ckpt_node();
-  const bool down_at_send = !net_.node_up(node);
-  const std::uint64_t epoch = net_.node_epoch(node);
-  for (;;) {
-    const sim::Time deadline = eng_.now() + hooks_.service_retry;
-    eng_.at(deadline, [&reply] { reply.poke(); });
-    while (!reply.ready() && eng_.now() < deadline) {
-      co_await reply.wait_once();
-    }
-    if (reply.ready()) co_return false;
-    if (down_at_send || net_.node_epoch(node) != epoch) co_return true;
-  }
+  send_ctl(layout_.dispatcher_node(), std::move(m));
 }
 
 sim::Task<std::optional<util::Buffer>> RankRuntime::fetch_image(
     std::uint64_t image_version) {
-  awaiting_fetch_ = true;
-  for (;;) {
-    net::Message req;
-    req.kind = net::MsgKind::kCkptFetchReq;
-    req.arg = static_cast<std::uint64_t>(rank_);
-    req.ssn = image_version;
-    req.src_rank = rank_;
-    req.src = layout_.rank_node(rank_);
-    req.dst = layout_.ckpt_node();
-    daemon_->submit_ctl(std::move(req));
-    if (hooks_.service_retry <= 0) {
-      co_await fetch_done_.wait();
-      break;
-    }
-    // The request is idempotent and the response guard drops late
-    // duplicates, so a resend after a server crash is safe.
-    if (!co_await await_ckpt_server(fetch_done_)) break;
-  }
-  awaiting_fetch_ = false;
-  fetch_done_.reset();
-  net::Message resp = std::move(*fetch_resp_);
-  fetch_resp_.reset();
-  if (resp.arg == 0) co_return std::nullopt;  // no image stored yet
-  co_return std::move(resp.body);
+  // The request is idempotent and the call drops late duplicates, so a
+  // resend after a server crash is safe.
+  std::optional<net::Message> resp = co_await fetch_call_.call(
+      [this] { return layout_.ckpt_node(); },
+      [this, image_version](net::NodeId ckpt) {
+        net::Message req;
+        req.kind = net::MsgKind::kCkptFetchReq;
+        req.arg = static_cast<std::uint64_t>(rank_);
+        req.ssn = image_version;
+        req.src_rank = rank_;
+        send_ctl(ckpt, std::move(req));
+      },
+      net::ServiceCall::Resend::kIfTargetLost);
+  if (resp->arg == 0) co_return std::nullopt;  // no image stored yet
+  co_return std::move(resp->body);
 }
 
 sim::Task<void> RankRuntime::recovery_main(AppFactory factory,
@@ -418,33 +386,21 @@ sim::Task<void> RankRuntime::store_checkpoint(const util::Buffer& app_state,
   // Dumping the process image through the daemon costs a copy.
   co_await eng_.sleep(net_.cost().memcpy_time(logical_state_bytes_));
 
-  const bool retry = hooks_.service_retry > 0;
-  awaiting_store_ack_ = true;
-  for (;;) {
-    net::Message m;
-    m.kind = net::MsgKind::kCkptStore;
-    m.arg = ckpt_version_;
-    m.src_rank = rank_;
-    m.payload.bytes = logical_state_bytes_;  // app memory beyond protocol state
-    if (retry) {
-      m.body = image;  // keep a copy for resends
-    } else {
-      m.body = std::move(image);
-    }
-    m.src = layout_.rank_node(rank_);
-    m.dst = layout_.ckpt_node();
-    daemon_->submit_ctl(std::move(m));
-    if (!retry) {
-      co_await store_ack_.wait();
-      break;
-    }
-    // The store transaction is idempotent (same version overwrites the same
-    // image), and the ack guard in on_daemon_up drops acks for any other
-    // version.
-    if (!co_await await_ckpt_server(store_ack_)) break;
-  }
-  store_ack_.reset();
-  awaiting_store_ack_ = false;
+  // The store is idempotent (the same version overwrites the same image),
+  // and on_daemon_up passes on only the ack for this version.
+  co_await store_call_.call(
+      [this] { return layout_.ckpt_node(); },
+      [this, &image](net::NodeId ckpt) {
+        net::Message m;
+        m.kind = net::MsgKind::kCkptStore;
+        m.arg = ckpt_version_;
+        m.src_rank = rank_;
+        m.payload.bytes = logical_state_bytes_;  // app memory, not in body
+        // Copy the image while a resend may still need it, else move it.
+        m.body = store_call_.resends() ? image : std::move(image);
+        send_ctl(ckpt, std::move(m));
+      },
+      net::ServiceCall::Resend::kIfTargetLost);
   ++ckpts_completed_;
   hooks_.observer.on_rank_checkpoint(rank_, ckpts_completed_);
   trace::emit(tlane_, eng_.now(), trace::Kind::kCkpt, 0, rank_, ckpt_version_,
@@ -459,9 +415,7 @@ sim::Task<void> RankRuntime::store_checkpoint(const util::Buffer& app_state,
     n.tag = static_cast<std::int32_t>(CtlSub::kCkptNotify);
     n.src_rank = rank_;
     n.arg = wm[static_cast<std::size_t>(peer)];
-    n.src = layout_.rank_node(rank_);
-    n.dst = layout_.rank_node(peer);
-    daemon_->submit_ctl(std::move(n));
+    send_ctl(layout_.rank_node(peer), std::move(n));
   }
   // The Event Logger may prune our determinants covered by the image (the
   // directory routes to our current home shard after a failover).
@@ -470,9 +424,8 @@ sim::Task<void> RankRuntime::store_checkpoint(const util::Buffer& app_state,
   gc.tag = static_cast<std::int32_t>(CtlSub::kElGc);
   gc.src_rank = rank_;
   gc.arg = rsn_at_image;
-  gc.src = layout_.rank_node(rank_);
-  gc.dst = layout_.el_node(hooks_.el_directory.shard_of(rank_));
-  daemon_->submit_ctl(std::move(gc));
+  send_ctl(layout_.el_node(hooks_.el_directory.shard_of(rank_)),
+           std::move(gc));
 }
 
 void RankRuntime::serialize_matching(util::Buffer& b) const {
@@ -514,13 +467,11 @@ void RankRuntime::on_daemon_up(net::Message&& m) {
       return;
     case net::MsgKind::kCkptStoreAck:
       // Retransmitted stores and rollbacks leave duplicate or stale acks;
-      // only the ack for the transaction we are awaiting counts.
-      if (m.arg == ckpt_version_ && awaiting_store_ack_) store_ack_.set();
+      // only the ack for the version being stored counts.
+      if (m.arg == ckpt_version_) store_call_.deliver(std::move(m));
       return;
     case net::MsgKind::kCkptFetchResp:
-      if (!awaiting_fetch_) return;  // late duplicate
-      fetch_resp_ = std::move(m);
-      fetch_done_.set();
+      fetch_call_.deliver(std::move(m));
       return;
     case net::MsgKind::kControl: {
       const auto sub = static_cast<CtlSub>(m.tag);

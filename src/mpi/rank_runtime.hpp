@@ -35,6 +35,7 @@
 #include "mpi/matching.hpp"
 #include "net/daemon.hpp"
 #include "net/network.hpp"
+#include "net/service_call.hpp"
 #include "sim/sync.hpp"
 #include "trace/trace.hpp"
 #include "util/slab.hpp"
@@ -50,9 +51,8 @@ struct RankHooks {
   /// Time of the first EL fault (engine-owned, 0 until one happens): gates
   /// the post-fault piggyback-regrowth peaks in RankStats.
   const sim::Time& el_fault_at;
-  /// > 0: check unanswered checkpoint-server requests at this interval and
-  /// resend the ones a server crash or outage lost (also handed to the EL
-  /// client).
+  /// > 0: the retry period of this rank's service calls (checkpoint
+  /// server and EL); 0 sends each request once and arms no timer.
   sim::Time service_retry = 0;
   /// Cluster trace sink (null = tracing disabled); the runtime records into
   /// its own rank lane and shares that lane with the protocol + daemon.
@@ -210,11 +210,13 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   sim::Task<void> app_main(AppFactory factory);
   sim::Task<void> recovery_main(AppFactory factory, std::uint64_t image_version);
   sim::Task<std::optional<util::Buffer>> fetch_image(std::uint64_t image_version);
-  /// Waits for a checkpoint-server reply on the service_retry cadence.
-  /// True when the request must be resent (the server was down when it was
-  /// sent, or crashed since); false once `reply` is set.
-  sim::Task<bool> await_ckpt_server(sim::OneShot& reply);
   void notify_dispatcher(CtlSub sub);
+  /// Sends a control frame from this rank's node to `dst`.
+  void send_ctl(net::NodeId dst, net::Message&& m) {
+    m.src = layout_.rank_node(rank_);
+    m.dst = dst;
+    daemon_->submit_ctl(std::move(m));
+  }
 
   void on_daemon_up(net::Message&& m);
   void on_app_frame(net::Message&& m);
@@ -288,16 +290,13 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   std::uint64_t logical_state_bytes_ = 1 << 20;
   std::uint64_t ckpt_version_ = 0;
   std::uint64_t ckpts_completed_ = 0;  // committed stores (trigger counter)
-  // Reply guards: a late duplicate ack/response (a resend after a server
-  // crash, or the reply to a transaction a crash abandoned) must not
-  // satisfy a future transaction.
-  bool awaiting_store_ack_ = false;
-  bool awaiting_fetch_ = false;
 
-  // Checkpoint client rendezvous.
-  sim::OneShot store_ack_;
-  sim::OneShot fetch_done_;
-  std::optional<net::Message> fetch_resp_;
+  // Requests to the stable services, one call per kind of request; the EL
+  // fetch is the protocol's (RankServices::el_call), owned here so that
+  // teardown() cancels it with the others.
+  net::ServiceCall store_call_;
+  net::ServiceCall fetch_call_;
+  net::ServiceCall el_call_;
   // The restored checkpoint image, retained whole so the app blob is read
   // in place through restart_state() (no copy); [blob_offset_, +blob_len_)
   // locates the app_state sub-range inside it.

@@ -83,11 +83,6 @@ struct ClusterConfig {
   /// ULFM shrink-and-repair: the priced agreement + communicator-rebuild
   /// window between revoke and the survivors' relaunch (`ulfm.repair_cost`).
   sim::Time ulfm_repair_cost = 10 * sim::kMillisecond;
-  /// Causal variant knob: keep logged payloads in the sender's application
-  /// memory instead of copying them into the daemon (skips the per-byte
-  /// daemon copy charge; the retention watermark is still priced via
-  /// sender_log_peak_bytes).
-  bool payload_at_sender = false;
 
   /// Per-rank trace lanes (trace::Config{} = disabled, zero overhead).
   trace::Config trace{};
@@ -109,8 +104,7 @@ struct ProtocolEntry {
   const char* display;  // report label; a causal label names the strategy
   const char* summary;
   bool fault_tolerant;
-  /// Causal message logging: takes a piggyback strategy and honours
-  /// payload_at_sender.
+  /// Causal message logging: takes a piggyback strategy.
   bool causal;
   /// kP4 is the direct channel, outside the daemon's fault tolerance: no
   /// fault plan may run on it.
@@ -175,10 +169,6 @@ void check_config(const ClusterConfig& cfg, Fail&& fail) {
   fault::validate_campaign(cfg.campaign, cfg.nranks,
                            cfg.el_shards + cfg.el_standby,
                            cfg.variant.event_logger, fail);
-  if (cfg.payload_at_sender && !p.causal) {
-    fail("payload_at_sender is a causal-logging knob but variant '" +
-         p.variant_name(cfg.variant) + "' is not causal");
-  }
 }
 
 struct ClusterReport {

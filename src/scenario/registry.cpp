@@ -133,8 +133,7 @@ Registry<ProtocolEntry>& protocols() {
               [](const runtime::ClusterConfig& cfg)
                   -> std::unique_ptr<ftapi::VProtocol> {
                 return std::make_unique<causal::CausalProtocol>(
-                    cfg.variant.strategy, cfg.variant.event_logger,
-                    cfg.payload_at_sender);
+                    cfg.variant.strategy, cfg.variant.event_logger);
               }},
              {ProtocolKind::kPessimistic, "pessimistic", "Pessimistic",
               "MPICH-V2-style pessimistic logging", true, false,

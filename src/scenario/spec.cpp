@@ -431,9 +431,6 @@ constexpr KeyRow kKeys[] = {
     {.doc = {"ulfm.repair_cost", "scenario", "<duration>", "7ms",
              "ULFM agreement + communicator-rebuild window"},
      .field = MEMBER(ulfm_repair_cost), .lo = 0},
-    {.doc = {"payload_at_sender", "scenario", "<bool>", "true",
-             "causal only: keep logged payloads in sender memory"},
-     .field = MEMBER(payload_at_sender)},
     {.doc = {"midrun_fault_rank", "scenario", "<rank>", "3",
              "crash this rank mid-run, after a fault-free reference pass"},
      .field = MEMBER(faults.midrun_rank), .shown = midrun_set},
@@ -735,9 +732,6 @@ constexpr KeyRow kKeys[] = {
     {.doc = {"faults.service_retry", "faults", "<duration>", "500ms",
              "client retransmit interval for unacked EL/ckpt requests"},
      .field = MEMBER(campaign.service_retry), .lo = 0, .open = true},
-    {.doc = {"faults.seed_salt", "faults", "<u64>", "77",
-             "salt mixed into the campaign's stochastic streams"},
-     .field = MEMBER(campaign.seed_salt)},
 };
 // END KEY TABLE (scripts/check_docs.sh)
 

@@ -17,18 +17,9 @@ class OneShot {
     q_.wake_all();
   }
   void reset() { ready_ = false; }
-  /// Wakes waiters without setting the event — waiters using wait() re-park,
-  /// waiters using wait_once() get control back (timeout/retry loops).
-  void poke() { q_.wake_all(); }
 
   Task<void> wait() {
     while (!ready_) co_await q_.wait();
-  }
-  /// Parks at most once: returns on set() OR poke(). The caller re-checks
-  /// ready() and its own deadline — the building block for retransmit loops
-  /// against crashable services.
-  Task<void> wait_once() {
-    if (!ready_) co_await q_.wait();
   }
 
  private:

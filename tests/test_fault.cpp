@@ -83,8 +83,7 @@ TEST(FaultCampaign, FaultsSectionParses) {
       "rank_rate = 0.5\n"
       "el_failover = standby\n"
       "el_failover_delay = 12ms\n"
-      "service_retry = 300ms\n"
-      "seed_salt = 77\n";
+      "service_retry = 300ms\n";
   const ScenarioSpec spec = scenario::parse_scenario_text(text);
   const fault::Campaign& c = spec.campaign;
   ASSERT_EQ(c.injections.size(), 9u);
@@ -118,7 +117,6 @@ TEST(FaultCampaign, FaultsSectionParses) {
   EXPECT_EQ(c.el_failover, fault::ElFailover::kStandby);
   EXPECT_EQ(c.el_failover_delay, 12 * sim::kMillisecond);
   EXPECT_EQ(c.service_retry, 300 * sim::kMillisecond);
-  EXPECT_EQ(c.seed_salt, 77u);
   EXPECT_EQ(spec.el_standby, 1);
 }
 
@@ -230,7 +228,6 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
           .set("faults.el_failover", "standby")
           .set("faults.el_failover_delay", "17ms")
           .set("faults.service_retry", "300ms")
-          .set("faults.seed_salt", "77")
           .build();
   const ScenarioSpec back =
       scenario::parse_scenario_text(scenario::to_scenario_text(spec));
@@ -258,7 +255,6 @@ TEST(FaultCampaign, BuilderRoundTripsThroughScenarioText) {
   EXPECT_EQ(a.detection_delay, b.detection_delay);
   EXPECT_EQ(a.daemon_restart_delay, b.daemon_restart_delay);
   EXPECT_EQ(a.service_retry, b.service_retry);
-  EXPECT_EQ(a.seed_salt, b.seed_salt);
   EXPECT_EQ(spec.el_standby, back.el_standby);
 }
 

@@ -1,10 +1,15 @@
 // Unit tests for the network model and communication daemon: serialization
 // and latency math, ingress contention, duplex modes, crash-epoch frame
-// dropping, rendezvous, and the cost model.
+// dropping, rendezvous, the cost model, and the service-call resend rules.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "net/daemon.hpp"
 #include "net/network.hpp"
+#include "net/service_call.hpp"
 #include "net/service_port.hpp"
 
 namespace mpiv::net {
@@ -349,6 +354,147 @@ TEST(ServicePort, ChargesSerializeFifo) {
   ASSERT_EQ(at.size(), 2u);
   EXPECT_EQ(at[0], 1000);
   EXPECT_EQ(at[1], 1500);
+}
+
+// --- ServiceCall ------------------------------------------------------------
+
+constexpr sim::Time kMs = sim::kMillisecond;
+
+/// Drives one ServiceCall from a client process and records every send.
+struct CallRig {
+  explicit CallRig(sim::Time retry) : call(net, retry) {}
+
+  sim::Task<void> client(ServiceCall::Resolve resolve,
+                         ServiceCall::Resend rule) {
+    result = co_await call.call(
+        std::move(resolve),
+        [this](NodeId target) { sends.emplace_back(eng.now(), target); },
+        rule);
+  }
+  void start(ServiceCall::Resolve resolve, ServiceCall::Resend rule) {
+    proc.start(client(std::move(resolve), rule));
+  }
+  /// Delivers a reply tagged `arg` at time `t`.
+  void reply_at(sim::Time t, std::uint64_t arg) {
+    eng.at(t, [this, arg] {
+      Message m;
+      m.arg = arg;
+      call.deliver(std::move(m));
+    });
+  }
+
+  sim::Engine eng;
+  CostModel cost;
+  Network net{eng, 4, cost};
+  ServiceCall call;
+  sim::Process& proc = eng.create_process("client");
+  std::vector<std::pair<sim::Time, NodeId>> sends;
+  std::optional<std::optional<Message>> result;  // set once the call returns
+};
+
+ServiceCall::Resolve fixed(NodeId node) {
+  return [node] { return node; };
+}
+
+TEST(ServiceCall, WithoutRetrySendsOnceAndArmsNoTimer) {
+  CallRig r(0);
+  r.start(fixed(2), ServiceCall::Resend::kEveryPeriod);
+  r.eng.run();
+  // Only the client's first resume ran; it sent and parked with nothing
+  // scheduled behind it.
+  EXPECT_EQ(r.eng.events_executed(), 1u);
+  EXPECT_EQ(r.eng.queue_size(), 0u);
+  ASSERT_EQ(r.sends.size(), 1u);
+  EXPECT_EQ(r.sends[0].second, 2u);
+  EXPECT_FALSE(r.result);
+
+  r.reply_at(700 * kMs, 9);
+  r.eng.run();
+  EXPECT_EQ(r.eng.events_executed(), 3u);  // + the reply and the resume
+  EXPECT_EQ(r.sends.size(), 1u);
+  ASSERT_TRUE(r.result && *r.result);
+  EXPECT_EQ((*r.result)->arg, 9u);
+}
+
+TEST(ServiceCall, TargetLostRuleWaitsOutASlowServerAndResendsAfterACrash) {
+  CallRig r(10 * kMs);
+  r.start(fixed(2), ServiceCall::Resend::kIfTargetLost);
+  // Live but slow: three deadlines pass without a resend.
+  r.eng.run_until(35 * kMs);
+  EXPECT_EQ(r.sends.size(), 1u);
+  // The server crashes and comes back: its epoch moved, so the request it
+  // held is gone and goes out again at the next deadline.
+  r.net.crash_node(2);
+  r.net.restart_node(2);
+  r.eng.run_until(45 * kMs);
+  ASSERT_EQ(r.sends.size(), 2u);
+  EXPECT_EQ(r.sends[1].first, 40 * kMs);
+  // The resend restarts the watch: a live server gets its periods again.
+  r.eng.run_until(75 * kMs);
+  EXPECT_EQ(r.sends.size(), 2u);
+  r.reply_at(80 * kMs, 1);
+  r.eng.run_until(200 * kMs);
+  ASSERT_TRUE(r.result && *r.result);
+  EXPECT_EQ(r.sends.size(), 2u);
+}
+
+TEST(ServiceCall, TargetLostRuleResendsWhileTheServerIsDown) {
+  CallRig r(10 * kMs);
+  r.net.crash_node(2);
+  r.start(fixed(2), ServiceCall::Resend::kIfTargetLost);
+  r.eng.run_until(25 * kMs);
+  ASSERT_EQ(r.sends.size(), 3u);
+  EXPECT_EQ(r.sends[1].first, 10 * kMs);
+  EXPECT_EQ(r.sends[2].first, 20 * kMs);
+}
+
+TEST(ServiceCall, EveryPeriodRuleReResolvesAndEndsWhenNoTargetIsLeft) {
+  CallRig r(10 * kMs);
+  std::vector<NodeId> route = {1, 2, 3};
+  std::size_t asked = 0;
+  r.start(
+      [&] { return ++asked <= route.size() ? route[asked - 1] : kNoNode; },
+      ServiceCall::Resend::kEveryPeriod);
+  r.eng.run_until(100 * kMs);
+  // Every target is live, yet each period resends, to wherever the
+  // resolver points at that moment.
+  ASSERT_EQ(r.sends.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.sends[i].first, static_cast<sim::Time>(i) * 10 * kMs);
+    EXPECT_EQ(r.sends[i].second, route[i]);
+  }
+  // The resolver gave up at the fourth send: the call ends, no reply.
+  EXPECT_EQ(asked, 4u);
+  ASSERT_TRUE(r.result);
+  EXPECT_FALSE(*r.result);
+}
+
+TEST(ServiceCall, RepliesToACancelledCallAreNotTakenByTheNextCall) {
+  CallRig r(10 * kMs);
+  r.start(fixed(2), ServiceCall::Resend::kIfTargetLost);
+  r.eng.run_until(5 * kMs);
+  ASSERT_EQ(r.sends.size(), 1u);
+  // The server's answer lands, but the client dies before it resumes. Its
+  // teardown cancels the call, and then a duplicate answer arrives.
+  Message held;
+  held.arg = 1;
+  EXPECT_TRUE(r.call.deliver(std::move(held)));
+  r.proc.kill();
+  r.call.cancel();
+  Message late;
+  late.arg = 3;
+  EXPECT_FALSE(r.call.deliver(std::move(late)));
+
+  // The next incarnation's call waits for its own reply, through the dead
+  // call's stale deadline wake-up at 10 ms.
+  r.start(fixed(2), ServiceCall::Resend::kIfTargetLost);
+  r.eng.run_until(30 * kMs);
+  EXPECT_EQ(r.sends.size(), 2u);
+  EXPECT_FALSE(r.result);
+  r.reply_at(31 * kMs, 2);
+  r.eng.run_until(40 * kMs);
+  ASSERT_TRUE(r.result && *r.result);
+  EXPECT_EQ((*r.result)->arg, 2u);
 }
 
 }  // namespace

@@ -185,48 +185,5 @@ TEST(Ulfm, AllDeadIsAbandonment) {
   EXPECT_EQ(r.report.repairs[1].survivors, 0);
 }
 
-// ---------------------------------------------------------------------------
-// payload_at_sender (causal satellite)
-// ---------------------------------------------------------------------------
-
-TEST(PayloadAtSender, SkipsTheCopyAndKeepsTheAnswer) {
-  const auto run = [](bool at_sender) {
-    ScenarioBuilder b(at_sender ? "pas_on" : "pas_off");
-    b.set("variant", "vcausal:el")
-        .set("nranks", "4")
-        .set("workload.laps", "40")
-        .set("workload.bytes", "65536")
-        .set("payload_at_sender", at_sender ? "true" : "false");
-    return scenario::run_spec(b.build());
-  };
-  const scenario::RunResult off = run(false);
-  const scenario::RunResult on = run(true);
-
-  ASSERT_TRUE(off.completed);
-  ASSERT_TRUE(on.completed);
-  // Same computation, so identical checksums...
-  EXPECT_EQ(on.checksums, off.checksums);
-  // ...but the per-byte daemon-side copy is off the critical path.
-  EXPECT_LT(on.report.completion_time, off.report.completion_time);
-  // Retention is still priced: the sender-log watermark is unchanged.
-  EXPECT_EQ(on.report.totals().sender_log_peak_bytes,
-            off.report.totals().sender_log_peak_bytes);
-}
-
-TEST(PayloadAtSender, StillRecoversExactly) {
-  ScenarioBuilder b("pas_recover");
-  b.set("variant", "vcausal:el")
-      .set("nranks", "4")
-      .set("ckpt_policy", "round-robin")
-      .set("ckpt_interval", "20ms")
-      .set("workload.laps", "30")
-      .set("workload.bytes", "1024")
-      .set("payload_at_sender", "true")
-      .set("midrun_fault_rank", "2");
-  const scenario::RunResult r = scenario::run_spec(b.build());
-  ASSERT_TRUE(r.completed);
-  EXPECT_TRUE(r.recovered_exact);
-}
-
 }  // namespace
 }  // namespace mpiv

@@ -330,7 +330,6 @@ TEST(ScenarioFile, FamilyKeysRoundTripAndStayOutOfDefaultText) {
       scenario::to_scenario_text(ScenarioBuilder("plain").build());
   EXPECT_EQ(plain.find("replica.sync_interval"), std::string::npos);
   EXPECT_EQ(plain.find("ulfm.repair_cost"), std::string::npos);
-  EXPECT_EQ(plain.find("payload_at_sender"), std::string::npos);
 
   // validate() bounds the new knobs.
   EXPECT_NE(error_of([] {
@@ -408,24 +407,6 @@ TEST(ScenarioFile, FuzzedTextParsesOrRaisesSpecErrorNeverCrashes) {
   // The mutation distribution must exercise the accept path too, or the
   // round-trip half of this test silently tests nothing.
   EXPECT_GT(parsed_ok, 20u);
-}
-
-TEST(ScenarioFile, PayloadAtSenderIsCausalOnly) {
-  // The flag round-trips on a causal variant...
-  ScenarioBuilder b("pas");
-  b.set("variant", "vcausal:el").set("payload_at_sender", "true");
-  const std::string text = scenario::to_scenario_text(b.build());
-  EXPECT_NE(text.find("payload_at_sender = true"), std::string::npos) << text;
-  EXPECT_TRUE(scenario::parse_scenario_text(text).payload_at_sender);
-  EXPECT_NO_THROW(scenario::validate(scenario::parse_scenario_text(text)));
-
-  // ...and is rejected, naming the variant, anywhere else.
-  const std::string msg = error_of([] {
-    scenario::validate(scenario::parse_scenario_text(
-        "variant = replica\npayload_at_sender = true\n"));
-  });
-  EXPECT_NE(msg.find("payload_at_sender"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("replica"), std::string::npos) << msg;
 }
 
 TEST(ScenarioFile, ParseErrorsCarryFileAndLine) {
@@ -580,7 +561,7 @@ TEST(KeyTable, EveryRowAppliesRoundTripsAndIsListed) {
 
     EXPECT_NE(listing.find(std::string(" ") + k.key + " "), std::string::npos);
   }
-  EXPECT_EQ(rows, 53u);  // 52 keys plus the workload.* family
+  EXPECT_EQ(rows, 51u);  // 50 keys plus the workload.* family
 
   ScenarioSpec spec;
   EXPECT_THROW(scenario::apply_key(spec, "faults.no_such_key", "1"), SpecError);
