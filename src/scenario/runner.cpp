@@ -20,7 +20,7 @@ struct ClusterRun {
   workloads::PingPongResult pingpong;
   double flops = 0;
   std::string protocol_label;
-  std::shared_ptr<const std::string> trace_dump;  // null: tracing off
+  trace::Dump trace_dump;  // empty: tracing off
 };
 
 namespace {
@@ -38,7 +38,8 @@ ClusterRun run_cluster(const ScenarioSpec& spec) {
   if (wl.pingpong) out.pingpong = *wl.pingpong;
   out.flops = wl.flops;
   if (trace::TraceSink* sink = cluster.trace_sink()) {
-    out.trace_dump = std::make_shared<const std::string>(sink->dump());
+    out.trace_dump =
+        trace::Dump(std::make_shared<const trace::Capture>(sink->capture()));
   }
   return out;
 }
@@ -283,30 +284,33 @@ RunResult run_point(const RunPoint& point) {
 
   // The single place a cluster execution's fields land in the result —
   // both the measured pass and the reference-doubles-as-measurement
-  // shortcut go through it.
-  const auto adopt = [&r](const ClusterRun& run) {
+  // shortcut go through it. The measured run moves in; only a shared twin
+  // is copied.
+  const auto adopt = [&r](ClusterRun run) {
     r.completed = run.report.completed;
-    r.protocol_label = run.protocol_label;
-    r.report = run.report;
+    r.protocol_label = std::move(run.protocol_label);
+    r.report = std::move(run.report);
     r.events_executed = run.events_executed;
     r.wire_bytes = run.wire_bytes;
-    r.checksums = run.checksums;
-    r.pingpong = run.pingpong;
+    r.checksums = std::move(run.checksums);
+    r.pingpong = std::move(run.pingpong);
     r.flops = run.flops;
-    if (run.trace_dump != nullptr) r.trace_dump = *run.trace_dump;
+    r.trace_dump = std::move(run.trace_dump);
   };
 
-  // Trace streams leave the process only when the spec names a directory;
-  // both return paths below funnel through this.
+  // Trace streams leave the process, rendered to text, only when the spec
+  // names a directory; both return paths below funnel through this.
   const auto persist_traces = [&r, &point] {
     if (point.spec.trace_dir.empty()) return;
     const std::string stem = sanitize_label(r.label);
     if (!r.trace_dump.empty()) {
-      r.trace_path = write_trace_file(point.spec.trace_dir, stem, r.trace_dump);
+      r.trace_path = write_trace_file(point.spec.trace_dir, stem,
+                                      trace::render(*r.trace_dump.capture()));
     }
-    if (r.reference_trace_dump != nullptr) {
+    if (!r.reference_trace_dump.empty()) {
       r.reference_trace_path = write_trace_file(
-          point.spec.trace_dir, stem + ".reference", *r.reference_trace_dump);
+          point.spec.trace_dir, stem + ".reference",
+          trace::render(*r.reference_trace_dump.capture()));
     }
   };
 
@@ -363,8 +367,7 @@ RunResult run_point(const RunPoint& point) {
     }
   }
 
-  const ClusterRun run = run_cluster(spec);
-  adopt(run);
+  adopt(run_cluster(spec));
   if (r.has_reference) {
     r.recovered_exact = !r.checksums.empty() &&
                         r.checksums == r.reference_checksums;
@@ -637,16 +640,7 @@ Json run_value(const RunResult& r) {
                              .add("recovered_exact", r.recovered_exact));
   }
   if (!r.trace_dump.empty()) {
-    // Header + lane lines start with '#'; everything else is one record.
-    std::uint64_t records = 0;
-    bool line_start = true;
-    bool comment = false;
-    for (const char ch : r.trace_dump) {
-      if (line_start) comment = ch == '#';
-      line_start = ch == '\n';
-      if (line_start && !comment) ++records;
-    }
-    Json trace = Json::object().add("records", records);
+    Json trace = Json::object().add("records", r.trace_dump.records());
     if (!r.trace_path.empty()) trace.add("path", r.trace_path);
     if (!r.reference_trace_path.empty()) {
       trace.add("reference_path", r.reference_trace_path);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "scenario/spec.hpp"
+#include "trace/trace.hpp"
 #include "workloads/apps.hpp"
 
 namespace mpiv::scenario {
@@ -88,12 +89,14 @@ struct RunResult {
   std::vector<std::uint64_t> reference_checksums;
   bool recovered_exact = false;  // checksums == reference_checksums
 
-  // Merged trace streams (empty / null when trace.enabled = false). The
-  // reference dump is the alignment twin mpiv_trace localizes divergence
-  // against; points that share a twin share this one dump.
-  std::string trace_dump;
-  std::shared_ptr<const std::string> reference_trace_dump;
-  // Where the dumps landed when the spec named a trace.dir ("" = in-memory).
+  // Binary trace captures (empty when trace.enabled = false). Text is
+  // rendered only for a reader of text: `trace.dir` files and
+  // Dump::text(). The reference capture is the alignment twin mpiv_trace
+  // localizes divergence against; points that share a twin share it.
+  trace::Dump trace_dump;
+  trace::Dump reference_trace_dump;
+  // Where the rendered streams landed when the spec named a trace.dir
+  // ("" = none written).
   std::string trace_path;
   std::string reference_trace_path;
   // Where the metrics time-series CSV landed when the spec named a

@@ -77,54 +77,83 @@ TraceSink::TraceSink(int nranks, int el_shards, std::uint32_t capacity)
   lanes_.emplace_back("engine", cap);
 }
 
-std::string TraceSink::dump() const {
-  // Snapshot every lane, then k-way merge by (timestamp, lane index, lane
-  // order). Lane index breaks timestamp ties deterministically; within a
-  // lane the ring order is already the capture order.
-  struct Cursor {
-    std::size_t lane;
-    std::vector<Record> recs;
-    std::size_t next = 0;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(lanes_.size());
-  for (std::size_t li = 0; li < lanes_.size(); ++li) {
-    Cursor c;
-    c.lane = li;
-    c.recs.reserve(lanes_[li].retained());
-    lanes_[li].for_each([&c](const Record& r) { c.recs.push_back(r); });
-    cursors.push_back(std::move(c));
-  }
-
-  std::ostringstream out;
-  out << "# mpiv-trace v1\n";
+Capture TraceSink::capture() const {
+  Capture c;
+  std::size_t retained = 0;
+  for (const Lane& l : lanes_) retained += l.retained();
+  c.lanes.reserve(lanes_.size());
+  c.lane_ends.reserve(lanes_.size());
+  c.records.reserve(retained);
   for (const Lane& l : lanes_) {
-    out << "# lane " << l.name() << " total=" << l.total()
-        << " dropped=" << l.dropped() << "\n";
+    c.lanes.push_back(LaneInfo{l.name(), l.total(), l.dropped()});
+    l.for_each([&c](const Record& r) { c.records.push_back(r); });
+    c.lane_ends.push_back(c.records.size());
   }
+  return c;
+}
 
-  char line[160];
+std::string TraceSink::dump() const { return render(capture()); }
+
+namespace {
+
+/// Visits a capture's records as fn(lane index, record), k-way merged by
+/// (timestamp, lane index, lane order). Lane index breaks timestamp ties
+/// deterministically; within a lane the capture order is the record order.
+template <class Fn>
+void for_each_merged(const Capture& c, Fn&& fn) {
+  std::vector<std::size_t> next(c.lanes.size());
+  for (std::size_t li = 1; li < next.size(); ++li) {
+    next[li] = c.lane_ends[li - 1];
+  }
   for (;;) {
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.next >= c.recs.size()) continue;
-      if (best == nullptr ||
-          c.recs[c.next].t < best->recs[best->next].t) {
-        best = &c;
+    std::size_t best = next.size();
+    for (std::size_t li = 0; li < next.size(); ++li) {
+      if (next[li] == c.lane_ends[li]) continue;
+      if (best == next.size() ||
+          c.records[next[li]].t < c.records[next[best]].t) {
+        best = li;
       }
     }
-    if (best == nullptr) break;
-    const Record& r = best->recs[best->next++];
+    if (best == next.size()) return;
+    fn(best, c.records[next[best]++]);
+  }
+}
+
+}  // namespace
+
+std::string render(const Capture& capture) {
+  std::string out = "# mpiv-trace v1\n";
+  out.reserve(64 * (capture.lanes.size() + 1) + 48 * capture.records.size());
+  for (const LaneInfo& l : capture.lanes) {
+    out += "# lane ";
+    out += l.name;
+    out += " total=";
+    out += std::to_string(l.total);
+    out += " dropped=";
+    out += std::to_string(l.dropped);
+    out += '\n';
+  }
+  char line[160];
+  for_each_merged(capture, [&](std::size_t lane, const Record& r) {
     std::snprintf(line, sizeof(line),
                   "%" PRId64 " %s %s %u %d %" PRIu64 " %" PRIu64 " %" PRIx64
                   "\n",
                   static_cast<std::int64_t>(r.t),
-                  lanes_[best->lane].name().c_str(), kind_name(r.kind),
+                  capture.lanes[lane].name.c_str(), kind_name(r.kind),
                   static_cast<unsigned>(r.code), r.peer, r.seq, r.aux,
                   r.digest);
-    out << line;
+    out += line;
+  });
+  return out;
+}
+
+const std::string& Dump::text() const {
+  static const std::string kNone;
+  if (empty()) return kNone;
+  if (text_ == nullptr) {
+    text_ = std::make_shared<const std::string>(render(*capture_));
   }
-  return out.str();
+  return *text_;
 }
 
 const LaneInfo* Stream::lane_info(const std::string& name) const {
@@ -203,6 +232,16 @@ Stream parse_stream(const std::string& text) {
   if (!saw_header) {
     throw std::runtime_error("trace stream: missing '# mpiv-trace' header");
   }
+  return s;
+}
+
+Stream to_stream(const Capture& capture) {
+  Stream s;
+  s.lanes = capture.lanes;
+  s.records.reserve(capture.records.size());
+  for_each_merged(capture, [&](std::size_t lane, const Record& r) {
+    s.records.push_back(StreamRecord{capture.lanes[lane].name, r});
+  });
   return s;
 }
 

@@ -10,15 +10,19 @@
 // one (tests/test_determinism.cpp pins the goldens both ways); with
 // tracing disabled every hook is one null-pointer test.
 //
-// A dump merge-sorts all lanes by virtual timestamp into one text stream
-// (emitted alongside the scenario JSON when `trace.dir` is set); the
-// stream parses back losslessly, which is what `mpiv_trace` and the
-// replay-equivalence harness consume: aligning a faulty run's stream with
-// its `compare_reference` twin localizes a wrong replay to the exact
-// record instead of a final checksum mismatch.
+// At the end of a run the sink's lanes are copied into a Capture: an
+// immutable, exact-size binary snapshot of every retained record. Runs
+// keep captures, not text: `render` merge-sorts a capture by virtual
+// timestamp into the `# mpiv-trace v1` text stream only for a reader of
+// text (a `trace.dir` file, `TraceSink::dump()`, `Dump::text()`), and that
+// text parses back losslessly. `mpiv_trace` and the replay-equivalence
+// harness read captures directly through `to_stream`: aligning a faulty
+// run's stream with its `compare_reference` twin localizes a wrong replay
+// to the exact record instead of a final checksum mismatch.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -139,6 +143,27 @@ class Lane {
   std::uint64_t total_ = 0;
 };
 
+/// One lane's header: its name and how many records it captured and lost.
+struct LaneInfo {
+  std::string name;
+  std::uint64_t total = 0;
+  std::uint64_t dropped = 0;
+};
+
+/// An immutable, exact-size snapshot of a sink's lanes: each lane's
+/// retained records, oldest first, stored lane after lane.
+struct Capture {
+  std::vector<LaneInfo> lanes;  // in sink order (ties break on it)
+  /// Lane i's records are [lane_ends[i - 1], lane_ends[i]) (from 0 for i = 0).
+  std::vector<std::size_t> lane_ends;
+  std::vector<Record> records;
+};
+
+/// The `# mpiv-trace v1` text of a capture: lane headers, then every record
+/// merge-sorted by (timestamp, lane index, lane order). parse_stream reads
+/// it back field for field.
+std::string render(const Capture& capture);
+
 /// The per-cluster registry: one lane per rank ("r<k>"), one per EL shard
 /// ("el<s>"), one for the fault engine / fabric ("engine"). Owned by
 /// runtime::Cluster and handed out as raw Lane pointers, stable for the
@@ -157,8 +182,10 @@ class TraceSink {
   int nranks() const { return nranks_; }
   const std::vector<Lane>& lanes() const { return lanes_; }
 
-  /// Merge-sorts every lane by (timestamp, lane index, lane order) into one
-  /// deterministic text stream (format parsed back by parse_stream).
+  /// Copies every lane's retained records into an exact-size capture.
+  Capture capture() const;
+
+  /// render(capture()): the deterministic text stream.
   std::string dump() const;
 
  private:
@@ -175,17 +202,35 @@ inline void emit(Lane* lane, sim::Time t, Kind kind, std::uint8_t code,
   lane->push(Record{t, kind, code, peer, seq, aux, digest});
 }
 
+/// A run's shared capture; empty when tracing was off. Copies share the
+/// capture, and the text is rendered only when a reader asks for it.
+class Dump {
+ public:
+  Dump() = default;
+  explicit Dump(std::shared_ptr<const Capture> capture)
+      : capture_(std::move(capture)) {}
+
+  bool empty() const { return capture_ == nullptr; }
+  const std::shared_ptr<const Capture>& capture() const { return capture_; }
+  /// Retained records (the non-comment lines of text()).
+  std::uint64_t records() const {
+    return empty() ? 0 : capture_->records.size();
+  }
+  /// The rendered stream ("" when empty), rendered on first use and cached.
+  const std::string& text() const;
+  std::string::const_iterator begin() const { return text().begin(); }
+  std::string::const_iterator end() const { return text().end(); }
+
+ private:
+  std::shared_ptr<const Capture> capture_;
+  mutable std::shared_ptr<const std::string> text_;
+};
+
 // --- parsed stream (the mpiv_trace / test-harness side) ---------------------
 
 struct StreamRecord {
   std::string lane;  // "r2", "el0", "engine"
   Record rec;
-};
-
-struct LaneInfo {
-  std::string name;
-  std::uint64_t total = 0;
-  std::uint64_t dropped = 0;
 };
 
 struct Stream {
@@ -197,9 +242,13 @@ struct Stream {
   std::vector<Record> lane_records(const std::string& name) const;
 };
 
-/// Parses a dump() stream back. Throws std::runtime_error with a line
+/// Parses a rendered stream back. Throws std::runtime_error with a line
 /// number on malformed input.
 Stream parse_stream(const std::string& text);
+
+/// The stream parse_stream(render(capture)) would return, built without
+/// the text round trip.
+Stream to_stream(const Capture& capture);
 
 /// One-line human rendering of a record ("r2 recv-match seq=57 peer=0 ...").
 std::string format_record(const std::string& lane, const Record& r);

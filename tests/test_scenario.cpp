@@ -1007,11 +1007,14 @@ TEST(ReferenceCache, CoKeyedPointsShareOneTwinAndTheLastUserEvictsIt) {
 
   for (const scenario::RunResult& r : runs) {
     ASSERT_TRUE(r.has_reference) << r.label;
-    ASSERT_NE(r.reference_trace_dump, nullptr) << r.label;
+    ASSERT_FALSE(r.reference_trace_dump.empty()) << r.label;
   }
-  EXPECT_EQ(runs[0].reference_trace_dump, runs[1].reference_trace_dump);
-  EXPECT_EQ(runs[2].reference_trace_dump, runs[3].reference_trace_dump);
-  EXPECT_NE(runs[0].reference_trace_dump, runs[2].reference_trace_dump);
+  EXPECT_EQ(runs[0].reference_trace_dump.capture(),
+            runs[1].reference_trace_dump.capture());
+  EXPECT_EQ(runs[2].reference_trace_dump.capture(),
+            runs[3].reference_trace_dump.capture());
+  EXPECT_NE(runs[0].reference_trace_dump.capture(),
+            runs[2].reference_trace_dump.capture());
   EXPECT_EQ(scenario::to_json(scenario::RunSet{"twins", "t", false, runs}),
             detached_json(points));
 }
@@ -1025,9 +1028,11 @@ TEST(ReferenceCache, ARateZeroPointsRunIsTheTwinOfItsCoKeyedPoint) {
   for (const std::size_t zero : {std::size_t{0}, std::size_t{2}}) {
     const scenario::RunResult& measured = runs[zero];
     const scenario::RunResult& faulty = runs[zero + 1];
-    ASSERT_NE(measured.reference_trace_dump, nullptr);
-    EXPECT_EQ(*measured.reference_trace_dump, measured.trace_dump);
-    EXPECT_EQ(faulty.reference_trace_dump, measured.reference_trace_dump);
+    ASSERT_FALSE(measured.reference_trace_dump.empty());
+    EXPECT_EQ(measured.reference_trace_dump.capture(),
+              measured.trace_dump.capture());
+    EXPECT_EQ(faulty.reference_trace_dump.capture(),
+              measured.reference_trace_dump.capture());
     EXPECT_EQ(faulty.reference_time, measured.report.completion_time);
     EXPECT_EQ(faulty.reference_checksums, measured.checksums);
   }
@@ -1043,12 +1048,12 @@ TEST(ReferenceCache, APointEditedAfterExpandRunsItsOwnTwin) {
   const std::shared_ptr<scenario::ReferenceCache> cache =
       points[0].reference_cache;
   const scenario::RunResult first = scenario::run_point(points[0]);
-  ASSERT_NE(first.reference_trace_dump, nullptr);
+  ASSERT_FALSE(first.reference_trace_dump.empty());
   ASSERT_NE(cache->entries.at(points[1].reference_key).run, nullptr);
 
   points[1].spec.trace.enabled = false;
   const scenario::RunResult edited = scenario::run_point(points[1]);
-  EXPECT_EQ(edited.reference_trace_dump, nullptr);
+  EXPECT_TRUE(edited.reference_trace_dump.empty());
   EXPECT_TRUE(edited.trace_dump.empty());
   // It still gave up its use of the old key, so the entry is gone.
   EXPECT_EQ(cache->entries.count(points[1].reference_key), 0u);

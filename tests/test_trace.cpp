@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -126,6 +128,110 @@ TEST(TraceSink, ParserRejectsGarbage) {
   EXPECT_THROW(trace::parse_stream("# mpiv-trace v1\n10 r0 send 0\n"),
                std::runtime_error);  // short record
   EXPECT_NO_THROW(trace::parse_stream("# mpiv-trace v1\n"));
+}
+
+/// Field-for-field stream equality, lane headers included; names the first
+/// difference.
+::testing::AssertionResult same_stream(const trace::Stream& a,
+                                       const trace::Stream& b) {
+  if (a.lanes.size() != b.lanes.size()) {
+    return ::testing::AssertionFailure() << "lane counts " << a.lanes.size()
+                                         << " vs " << b.lanes.size();
+  }
+  for (std::size_t i = 0; i < a.lanes.size(); ++i) {
+    const trace::LaneInfo& x = a.lanes[i];
+    const trace::LaneInfo& y = b.lanes[i];
+    if (x.name != y.name || x.total != y.total || x.dropped != y.dropped) {
+      return ::testing::AssertionFailure() << "lane header " << i << " ("
+                                           << x.name << " vs " << y.name << ")";
+    }
+  }
+  if (a.records.size() != b.records.size()) {
+    return ::testing::AssertionFailure() << "record counts "
+                                         << a.records.size() << " vs "
+                                         << b.records.size();
+  }
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const trace::StreamRecord& x = a.records[i];
+    const trace::StreamRecord& y = b.records[i];
+    if (x.lane != y.lane || x.rec.t != y.rec.t ||
+        !x.rec.same_content(y.rec)) {
+      return ::testing::AssertionFailure()
+             << "record " << i << ": " << trace::format_record(x.lane, x.rec)
+             << " vs " << trace::format_record(y.lane, y.rec);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Four lanes (r0, r1, el0, engine) exercising every corner of the text
+/// format: equal timestamps across lanes and within one, a wrapped lane
+/// (capacity 3, five records), an empty lane, negative peers and
+/// UINT64_MAX seq/digest.
+trace::TraceSink golden_sink() {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  trace::TraceSink sink(/*nranks=*/2, /*el_shards=*/1, /*capacity=*/3);
+  sink.rank_lane(0)->push(rec(10, Kind::kSend, 1, 1, 7, 0xabc));
+  sink.rank_lane(0)->push(rec(20, Kind::kRecvMatch, 1, 2, 3, 0x22));
+  sink.rank_lane(0)->push(rec(40, Kind::kCkpt, -1, 1));
+  sink.rank_lane(1)->push(rec(5, Kind::kSend, 0, 1));
+  sink.rank_lane(1)->push(rec(12, Kind::kSend, 0, 2));
+  sink.rank_lane(1)->push(rec(20, Kind::kDeterminant, 0, 3, 0, 0x5));
+  sink.rank_lane(1)->push(rec(20, Kind::kPiggyback, 0, 4, 2));
+  sink.rank_lane(1)->push(rec(30, Kind::kElAck, -1, 9));
+  sink.engine_lane()->push(
+      rec(20, Kind::kFault, -7, kMax, 0, kMax, trace::kRankCrash));
+  sink.engine_lane()->push(
+      rec(40, Kind::kRecovery, 2, 0, 0, 0, trace::kPhaseRestart));
+  return sink;
+}
+
+TEST(TraceText, RenderMatchesTheGoldenText) {
+  const trace::TraceSink sink = golden_sink();
+  const std::string text = trace::render(sink.capture());
+  EXPECT_EQ(text,
+            "# mpiv-trace v1\n"
+            "# lane r0 total=3 dropped=0\n"
+            "# lane r1 total=5 dropped=2\n"
+            "# lane el0 total=0 dropped=0\n"
+            "# lane engine total=2 dropped=0\n"
+            "10 r0 send 0 1 1 7 abc\n"
+            "20 r0 recv-match 0 1 2 3 22\n"
+            "20 r1 determinant 0 0 3 0 5\n"
+            "20 r1 piggyback 0 0 4 2 0\n"
+            "20 engine fault 1 -7 18446744073709551615 0 ffffffffffffffff\n"
+            "30 r1 el-ack 0 -1 9 0 0\n"
+            "40 r0 ckpt 0 -1 1 0 0\n"
+            "40 engine recovery 1 2 0 0 0\n");
+  EXPECT_EQ(sink.dump(), text);
+
+  const trace::Dump dump(
+      std::make_shared<const trace::Capture>(sink.capture()));
+  std::uint64_t records = 0;
+  bool line_start = true;
+  for (const char ch : dump) {  // the range bench/e2e counts lines over
+    if (line_start && ch != '#') ++records;
+    line_start = ch == '\n';
+  }
+  EXPECT_EQ(dump.records(), records);
+  EXPECT_EQ(dump.records(), 8u);
+  EXPECT_EQ(dump.text(), text);
+  EXPECT_EQ(&dump.text(), &dump.text());  // rendered once, then cached
+
+  const trace::Dump none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.records(), 0u);
+  EXPECT_EQ(none.begin(), none.end());
+}
+
+TEST(TraceText, ToStreamEqualsTheParsedRender) {
+  const trace::Capture capture = golden_sink().capture();
+  const trace::Stream direct = trace::to_stream(capture);
+  EXPECT_TRUE(
+      same_stream(direct, trace::parse_stream(trace::render(capture))));
+  ASSERT_EQ(direct.lanes.size(), 4u);
+  EXPECT_EQ(direct.lanes[1].dropped, 2u);
+  EXPECT_EQ(direct.lanes[2].total, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,9 +430,10 @@ TEST(TraceRun, FaultyAndReferenceStreamsAreCapturedAndEquivalent) {
   ASSERT_TRUE(r.completed);
   ASSERT_TRUE(r.recovered_exact);
   ASSERT_FALSE(r.trace_dump.empty());
-  ASSERT_NE(r.reference_trace_dump, nullptr);
-  const trace::Stream faulty = trace::parse_stream(r.trace_dump);
-  const trace::Stream reference = trace::parse_stream(*r.reference_trace_dump);
+  ASSERT_FALSE(r.reference_trace_dump.empty());
+  const trace::Stream faulty = trace::to_stream(*r.trace_dump.capture());
+  const trace::Stream reference =
+      trace::to_stream(*r.reference_trace_dump.capture());
   const trace::DivergenceReport rep =
       trace::compare_streams(faulty, reference, 4);
   EXPECT_EQ(rep.victim, 2);
@@ -348,13 +455,14 @@ TEST(TraceRun, TinyRingStillComparesViaSuffixAlignment) {
   const scenario::RunResult r = traced_midrun_run(/*capacity=*/64);
   ASSERT_TRUE(r.completed);
   ASSERT_FALSE(r.trace_dump.empty());
-  const trace::Stream faulty = trace::parse_stream(r.trace_dump);
+  ASSERT_FALSE(r.reference_trace_dump.empty());
+  const trace::Stream faulty = trace::to_stream(*r.trace_dump.capture());
   // With 64-record lanes this workload must overflow at least one rank lane.
   bool any_dropped = false;
   for (const trace::LaneInfo& li : faulty.lanes) any_dropped |= li.dropped > 0;
   EXPECT_TRUE(any_dropped);
   const trace::DivergenceReport rep = trace::compare_streams(
-      faulty, trace::parse_stream(*r.reference_trace_dump), 4);
+      faulty, trace::to_stream(*r.reference_trace_dump.capture()), 4);
   EXPECT_TRUE(rep.equivalent) << rep.first_divergent()->what;
 }
 
@@ -366,58 +474,104 @@ TEST(TraceRun, DisabledTracingProducesNoStream) {
   const scenario::RunResult r = scenario::run_spec(b.build());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.trace_dump.empty());
-  EXPECT_EQ(r.reference_trace_dump, nullptr);
+  EXPECT_TRUE(r.reference_trace_dump.empty());
 }
 
 // ---------------------------------------------------------------------------
 // Replay-equivalence harness: every bundled fault scenario
 // ---------------------------------------------------------------------------
 
-// Re-runs each scenarios/*.scn that injects faults (quick grid) with trace
-// lanes and the reference twin forced on. Every point the outcome
-// classifier calls recovered_exact — the checksums matched — must also be
-// record-identical at trace level: the recovered ranks' logical
-// send/recv-match sequences equal the fault-free reference's. This is the
-// paper's replay guarantee pinned at its strongest observable granularity.
+// One traced, referenced run of a bundled fault scenario's quick point.
+struct HarnessRun {
+  std::string label;  // "<file>: <point label>"
+  int nranks = 0;
+  scenario::RunResult result;
+};
+
+// Every scenarios/*.scn that injects faults, its quick grid re-run with
+// trace lanes and the reference twin forced on. Runs once per process;
+// the ReplayEquivalence tests share it.
+struct Harness {
+  int scenarios_with_faults = 0;
+  std::vector<HarnessRun> runs;
+};
+
+const Harness& harness() {
+  static const Harness h = [] {
+    Harness out;
+    const std::filesystem::path dir =
+        std::filesystem::path(MPIV_SOURCE_DIR) / "scenarios";
+    std::vector<std::filesystem::path> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      if (e.path().extension() == ".scn") files.push_back(e.path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const std::filesystem::path& path : files) {
+      scenario::ScenarioSpec spec =
+          scenario::parse_scenario_file(path.string());
+      scenario::apply_quick(spec);
+      if (spec.faults.midrun_rank < 0 && spec.campaign.empty()) continue;
+      ++out.scenarios_with_faults;
+      spec.trace.enabled = true;
+      spec.compare_reference = true;
+      for (const scenario::RunPoint& p : scenario::expand(spec)) {
+        out.runs.push_back(HarnessRun{
+            path.filename().string() + ": " + p.label, p.spec.nranks,
+            scenario::run_point(p)});
+      }
+    }
+    return out;
+  }();
+  return h;
+}
+
+// Every point the outcome classifier calls recovered_exact — the checksums
+// matched — must also be record-identical at trace level: the recovered
+// ranks' logical send/recv-match sequences equal the fault-free
+// reference's. This is the paper's replay guarantee pinned at its
+// strongest observable granularity.
 TEST(ReplayEquivalence, EveryBundledFaultScenarioMatchesItsReference) {
   const std::filesystem::path dir =
       std::filesystem::path(MPIV_SOURCE_DIR) / "scenarios";
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  int scenarios_with_faults = 0;
   int points_checked = 0;
-  std::vector<std::filesystem::path> files;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    if (e.path().extension() == ".scn") files.push_back(e.path());
-  }
-  std::sort(files.begin(), files.end());
-  for (const std::filesystem::path& path : files) {
-    scenario::ScenarioSpec spec =
-        scenario::parse_scenario_file(path.string());
-    scenario::apply_quick(spec);
-    if (spec.faults.midrun_rank < 0 && spec.campaign.empty()) continue;
-    ++scenarios_with_faults;
-    spec.trace.enabled = true;
-    spec.compare_reference = true;
-    SCOPED_TRACE(path.filename().string());
-    for (const scenario::RunPoint& p : scenario::expand(spec)) {
-      const scenario::RunResult r = scenario::run_point(p);
-      if (r.outcome() != scenario::Outcome::kRecoveredExact) continue;
-      ASSERT_FALSE(r.trace_dump.empty()) << p.label;
-      ASSERT_NE(r.reference_trace_dump, nullptr) << p.label;
-      const trace::DivergenceReport rep = trace::compare_streams(
-          trace::parse_stream(r.trace_dump),
-          trace::parse_stream(*r.reference_trace_dump), p.spec.nranks);
-      const trace::LaneDivergence* d = rep.first_divergent();
-      EXPECT_TRUE(rep.equivalent)
-          << p.label << ": " << (d != nullptr ? d->what : "?") << " on "
-          << (d != nullptr ? d->lane : "?");
-      ++points_checked;
-    }
+  for (const HarnessRun& run : harness().runs) {
+    const scenario::RunResult& r = run.result;
+    if (r.outcome() != scenario::Outcome::kRecoveredExact) continue;
+    ASSERT_FALSE(r.trace_dump.empty()) << run.label;
+    ASSERT_FALSE(r.reference_trace_dump.empty()) << run.label;
+    const trace::DivergenceReport rep = trace::compare_streams(
+        trace::to_stream(*r.trace_dump.capture()),
+        trace::to_stream(*r.reference_trace_dump.capture()), run.nranks);
+    const trace::LaneDivergence* d = rep.first_divergent();
+    EXPECT_TRUE(rep.equivalent)
+        << run.label << ": " << (d != nullptr ? d->what : "?") << " on "
+        << (d != nullptr ? d->lane : "?");
+    ++points_checked;
   }
   // The bundle must actually exercise the harness (fault_campaign,
   // chaos_soak, fig10, ... all inject faults).
-  EXPECT_GE(scenarios_with_faults, 4) << "fault scenarios went missing";
+  EXPECT_GE(harness().scenarios_with_faults, 4)
+      << "fault scenarios went missing";
   EXPECT_GE(points_checked, 5) << "no recovered_exact points to verify";
+}
+
+// The binary path mpiv_trace reads and the text path a .trace file takes
+// must agree on every captured stream, faulty and reference alike.
+TEST(ReplayEquivalence, EveryCaptureStreamsAsItsRenderedTextParses) {
+  int captures_checked = 0;
+  for (const HarnessRun& run : harness().runs) {
+    for (const trace::Dump* dump :
+         {&run.result.trace_dump, &run.result.reference_trace_dump}) {
+      if (dump->empty()) continue;
+      const trace::Capture& c = *dump->capture();
+      EXPECT_TRUE(same_stream(trace::to_stream(c),
+                              trace::parse_stream(trace::render(c))))
+          << run.label;
+      ++captures_checked;
+    }
+  }
+  EXPECT_GE(captures_checked, 10);
 }
 
 }  // namespace

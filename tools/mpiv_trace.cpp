@@ -131,15 +131,9 @@ struct Tally {
 
 void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
   std::printf("== %s ==\n", r.label.c_str());
-  trace::Stream faulty;
-  trace::Stream reference;
-  try {
-    faulty = trace::parse_stream(r.trace_dump);
-    reference = trace::parse_stream(*r.reference_trace_dump);
-  } catch (const std::exception& e) {
-    std::printf("  unparseable trace stream: %s\n", e.what());
-    return;
-  }
+  const trace::Stream faulty = trace::to_stream(*r.trace_dump.capture());
+  const trace::Stream reference =
+      trace::to_stream(*r.reference_trace_dump.capture());
   const trace::DivergenceReport rep = trace::compare_streams(
       faulty, reference, static_cast<int>(r.report.rank_stats.size()));
   ++tally->analyzed;
@@ -278,7 +272,7 @@ int main(int argc, char** argv) {
                      r.skipped ? "skipped"
                                : (r.completed ? "done" : "DID NOT COMPLETE"));
         if (r.skipped || r.trace_dump.empty() ||
-            r.reference_trace_dump == nullptr) {
+            r.reference_trace_dump.empty()) {
           continue;
         }
         analyze_point(r, max_chain, &tally);
