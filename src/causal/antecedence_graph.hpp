@@ -16,7 +16,9 @@
 // and the per-query visited set is an epoch stamp on the vertex itself:
 // a walked range is exactly a run of existing visited vertices, so "seq is
 // inside a visited range" = "vertex exists and carries the current query
-// epoch" — no per-query map allocation.
+// epoch" — no per-query map allocation. A vertex is 16 bytes: the cross
+// edge's creator and seq plus a 32-bit stamp, so the epoch counter is
+// checked never to wrap (a wrapped stamp would alias an old query's marks).
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,8 @@ class AntecedenceGraph {
 
   /// Adds a vertex for determinant `d` (dep_* fields are the cross edge).
   void add(const ftapi::Determinant& d) {
-    if (per_[d.creator].emplace(d.seq, Vertex{d.dep_creator, d.dep_seq})) {
-      ++vertices_;
-    }
+    const Vertex v{.dep_creator = d.dep_creator, .dep_seq = d.dep_seq};
+    if (per_[d.creator].emplace(d.seq, v)) ++vertices_;
   }
 
   /// Removes all vertices with seq <= stable[creator] (Event Logger GC:
@@ -58,7 +59,9 @@ class AntecedenceGraph {
     known.assign(per_.size(), 0);
     if (seq == 0) return 0;
     std::uint64_t visits = 0;
-    const std::uint64_t epoch = ++epoch_;
+    MPIV_CHECK(epoch_ < UINT32_MAX,
+               "graph visit stamp would wrap after %u queries", epoch_);
+    const std::uint32_t epoch = ++epoch_;
     // Worklist of (creator, seq) start points; walk process-order chains
     // downward, following cross edges, stamping visited vertices.
     stack_.clear();
@@ -133,14 +136,15 @@ class AntecedenceGraph {
  private:
   struct Vertex {
     std::uint32_t dep_creator = UINT32_MAX;
-    std::uint64_t dep_seq = 0;
     // Per-query visited stamp for known_from (mutable: traversal is const).
-    mutable std::uint64_t visited_epoch = 0;
+    mutable std::uint32_t visited_epoch = 0;
+    std::uint64_t dep_seq = 0;
   };
+  static_assert(sizeof(Vertex) == 16, "a graph vertex packs to 16 bytes");
 
   std::vector<util::SeqWindow<Vertex>> per_;
   std::size_t vertices_ = 0;  // total vertices across creators (O(1) stat)
-  mutable std::uint64_t epoch_ = 0;
+  mutable std::uint32_t epoch_ = 0;
   // Reused traversal worklist (allocation-free after warmup).
   mutable std::vector<std::pair<std::uint32_t, std::uint64_t>> stack_;
 };

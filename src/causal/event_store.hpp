@@ -14,6 +14,13 @@
 // stable watermark and whose slots admit holes, and recovery takes the
 // union of the EL prefix and every survivor's ranges — contiguity of that
 // union is asserted at the recovery site.
+//
+// Per creator the store also keeps a `contiguous` watermark, the idiom the
+// EL shard's own stores use: every seq at or below it is stable or held,
+// and seq contiguous+1 is neither. A piggyback run at or below it is
+// therefore already known here, so absorb skips it without a lookup per
+// event. It advances on add, is raised to the stable point and advanced in
+// set_stable, is recomputed in restore and is zeroed by reset.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +46,20 @@ class EventStore {
     if (d.seq <= p.stable) return false;
     const bool inserted = p.dets.emplace(d.seq, d);
     if (d.seq > p.known) p.known = d.seq;
-    if (inserted) ++held_;
-    return inserted;
+    if (!inserted) return false;
+    ++held_;
+    if (d.seq == p.contiguous + 1) advance(p);
+    return true;
   }
 
   /// Highest event sequence of `creator` this rank has heard of.
   std::uint64_t known(std::uint32_t creator) const { return at(creator).known; }
   /// Stable watermark (acknowledged by the Event Logger).
   std::uint64_t stable(std::uint32_t creator) const { return at(creator).stable; }
+  /// Every seq of `creator` at or below this is stable or held here.
+  std::uint64_t contiguous(std::uint32_t creator) const {
+    return at(creator).contiguous;
+  }
 
   const ftapi::Determinant* find(std::uint32_t creator, std::uint64_t seq) const {
     return at(creator).dets.find(seq);
@@ -62,6 +75,8 @@ class EventStore {
       if (stable[c] <= p.stable) continue;
       p.stable = stable[c];
       p.dets.prune_to(p.stable, [this](const ftapi::Determinant&) { --held_; });
+      if (p.contiguous < p.stable) p.contiguous = p.stable;
+      advance(p);
     }
   }
 
@@ -109,12 +124,15 @@ class EventStore {
         d.dep_seq = b.get_u64();
         if (p.dets.emplace(d.seq, d)) ++held_;
       }
+      p.contiguous = p.stable;
+      advance(p);
     }
   }
   void reset() {
     for (Per& p : per_) {
       p.stable = 0;
       p.known = 0;
+      p.contiguous = 0;
       p.dets.reset();
     }
     held_ = 0;
@@ -136,8 +154,12 @@ class EventStore {
   struct Per {
     std::uint64_t stable = 0;
     std::uint64_t known = 0;
+    std::uint64_t contiguous = 0;
     util::SeqWindow<ftapi::Determinant> dets;
   };
+  static void advance(Per& p) {
+    while (p.dets.contains(p.contiguous + 1)) ++p.contiguous;
+  }
   Per& at(std::uint32_t c) {
     MPIV_CHECK(c < per_.size(), "bad creator %u", c);
     return per_[c];

@@ -155,6 +155,13 @@ Strategy::Work LogOnStrategy::absorb(int src, util::Buffer& in,
   Work w;
   std::size_t i = 0;
   const std::size_t n = wire::plain_decode(in, [&](ftapi::Determinant& d) {
+    // An event at or below the contiguous watermark is already held (or
+    // stable): only the knowledge it carries is new.
+    if (d.seq <= store_->contiguous(d.creator)) {
+      ++i;
+      note_learned(src, d);
+      return;
+    }
     attach_dep(d, deps, i++);
     merge(src, d);
   });

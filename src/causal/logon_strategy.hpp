@@ -19,7 +19,7 @@
 
 namespace mpiv::causal {
 
-class LogOnStrategy final : public ManethoStrategy {
+class LogOnStrategy : public ManethoStrategy {
  public:
   const char* name() const override { return "LogOn"; }
   Work build(int dst, util::Buffer& out, DepShadow& deps) override;

@@ -7,6 +7,7 @@
 // decision costs. All of those are exactly the axes the paper compares.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -133,11 +134,30 @@ class Strategy {
     d.dep_seq = deps[i].second;
   }
 
-  /// Records knowledge implied by a piggyback received from `src`.
-  void note_learned(int src, const ftapi::Determinant& d) {
+  /// Records knowledge implied by a piggyback received from `src`: `src`
+  /// knows `creator`'s events up to `seq`. Both fields are running maxima,
+  /// so noting a run's last event equals noting each of its events.
+  void note_learned(int src, std::uint32_t creator, std::uint64_t seq) {
     PeerView& v = views_[static_cast<std::size_t>(src)];
-    if (d.seq > v.learned[d.creator]) v.learned[d.creator] = d.seq;
-    v.raise_cap(d.creator, d.seq);
+    if (seq > v.learned[creator]) v.learned[creator] = seq;
+    v.raise_cap(creator, seq);
+  }
+  void note_learned(int src, const ftapi::Determinant& d) {
+    note_learned(src, d.creator, d.seq);
+  }
+
+  /// `factored_decode`'s skip callback for a receiver: the leading events
+  /// of a block at or below the store's contiguous watermark are already
+  /// held (or stable), so they are passed over unread and only their
+  /// knowledge is noted. `i`, the dep-shadow cursor, moves past them.
+  std::uint64_t held_prefix(int src, std::uint32_t creator, std::uint64_t first,
+                            std::uint16_t count, std::size_t& i) {
+    const std::uint64_t held = store_->contiguous(creator);
+    if (count == 0 || held < first) return 0;
+    const std::uint64_t k = std::min<std::uint64_t>(count, held - first + 1);
+    note_learned(src, creator, first + k - 1);
+    i += static_cast<std::size_t>(k);
+    return k;
   }
 
   EventStore* store_ = nullptr;

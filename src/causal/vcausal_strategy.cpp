@@ -43,11 +43,16 @@ Strategy::Work VcausalStrategy::absorb(int src, util::Buffer& in,
                                        const DepShadow& deps) {
   Work w;
   std::size_t i = 0;
-  const std::size_t n = wire::factored_decode(in, [&](ftapi::Determinant& d) {
-    attach_dep(d, deps, i++);
-    store_->add(d);
-    note_learned(src, d);
-  });
+  const std::size_t n = wire::factored_decode(
+      in,
+      [&](std::uint32_t creator, std::uint64_t first, std::uint16_t count) {
+        return held_prefix(src, creator, first, count, i);
+      },
+      [&](ftapi::Determinant& d) {
+        attach_dep(d, deps, i++);
+        store_->add(d);
+        note_learned(src, d);
+      });
   MPIV_CHECK(deps.size() == n, "dep shadow size %zu vs %zu", deps.size(), n);
   w.events = n;
   w.cpu = static_cast<sim::Time>(n) *

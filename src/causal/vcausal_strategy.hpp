@@ -13,7 +13,7 @@
 
 namespace mpiv::causal {
 
-class VcausalStrategy final : public Strategy {
+class VcausalStrategy : public Strategy {
  public:
   const char* name() const override { return "Vcausal"; }
   Work build(int dst, util::Buffer& out, DepShadow& deps) override;

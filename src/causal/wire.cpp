@@ -60,8 +60,9 @@ void factored_serialize(const std::vector<ftapi::Determinant>& events,
 
 std::vector<ftapi::Determinant> factored_parse(util::Buffer& in) {
   std::vector<ftapi::Determinant> out;
-  factored_decode(in,
-                  [&out](const ftapi::Determinant& d) { out.push_back(d); });
+  factored_decode(
+      in, [](std::uint32_t, std::uint64_t, std::uint16_t) { return 0; },
+      [&out](const ftapi::Determinant& d) { out.push_back(d); });
   return out;
 }
 

@@ -13,7 +13,10 @@
 // Both serializers reserve the exact size they write. Receivers merge
 // through the streaming decoders (`factored_decode`, `plain_decode`), which
 // hand each determinant to a callback as it is read; the vector-returning
-// parsers are thin wrappers over them.
+// parsers are thin wrappers over them. `factored_decode` first asks a
+// per-block callback how many of the block's leading events to skip: a
+// receiver that already holds a run passes over its bytes with one
+// `Buffer::skip` instead of decoding and merging each event.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 
 #include "ftapi/determinant.hpp"
 #include "util/buffer.hpp"
+#include "util/check.hpp"
 
 namespace mpiv::causal::wire {
 
@@ -38,20 +42,27 @@ constexpr std::uint64_t kPlainPerEvent = 2 + 8 + 2 + 8 + 4;// creator,seq,src,ss
 void factored_serialize(const std::vector<ftapi::Determinant>& events,
                         util::Buffer& out);
 
-/// Decodes a factored piggyback, calling `fn(ftapi::Determinant&)` for each
-/// event in wire order. Returns the number of events.
-template <class Fn>
-std::size_t factored_decode(util::Buffer& in, Fn&& fn) {
+/// Decodes a factored piggyback in wire order. For each block,
+/// `skip(creator, first_seq, count)` returns how many of its leading events
+/// (at most `count`) to pass over unread; `fn(ftapi::Determinant&)` is then
+/// called for each remaining event. Returns the number of events, skipped
+/// ones included.
+template <class Skip, class Fn>
+std::size_t factored_decode(util::Buffer& in, Skip&& skip, Fn&& fn) {
   std::size_t n = 0;
   const std::uint16_t nblocks = in.get_u16();
   for (std::uint16_t b = 0; b < nblocks; ++b) {
     const std::uint16_t creator = in.get_u16();
     const std::uint16_t count = in.get_u16();
     const std::uint64_t first = in.get_u64();
-    for (std::uint16_t k = 0; k < count; ++k) {
+    const std::uint64_t k = skip(std::uint32_t{creator}, first, count);
+    MPIV_CHECK(k <= count, "skip %llu of a %u-event block",
+               static_cast<unsigned long long>(k), unsigned{count});
+    in.skip(static_cast<std::size_t>(k * kFactoredPerEvent));
+    for (auto i = static_cast<std::uint16_t>(k); i < count; ++i) {
       ftapi::Determinant d;
       d.creator = creator;
-      d.seq = first + k;
+      d.seq = first + i;
       d.src = in.get_u16();
       d.ssn = in.get_u64();
       d.tag = static_cast<std::int32_t>(in.get_u32());

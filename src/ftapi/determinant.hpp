@@ -14,19 +14,20 @@
 
 namespace mpiv::ftapi {
 
+// Fields are ordered by size so the struct packs to 40 bytes: every
+// event store, EL shard and piggyback scratch holds these by the million.
 struct Determinant {
-  std::uint32_t creator = 0;  // rank whose reception this describes
   std::uint64_t seq = 0;      // creator's reception sequence number (1-based)
-  std::uint32_t src = 0;      // sender of the matched message
   std::uint64_t ssn = 0;      // sender's (src -> creator) send sequence
-  std::int32_t tag = 0;
-
   // Simulator-side causal dependency (antecedence-graph edge target): the
   // latest event of `src` known when the message was sent. Real Manetho
   // recovers this from the structure of its graph-fragment piggyback, so it
   // is NOT counted as wire bytes (see docs/DESIGN.md §2).
-  std::uint32_t dep_creator = UINT32_MAX;
   std::uint64_t dep_seq = 0;
+  std::uint32_t creator = 0;  // rank whose reception this describes
+  std::uint32_t src = 0;      // sender of the matched message
+  std::int32_t tag = 0;
+  std::uint32_t dep_creator = UINT32_MAX;  // UINT32_MAX: no cross edge
 
   bool operator==(const Determinant& o) const {
     return creator == o.creator && seq == o.seq && src == o.src &&
@@ -53,6 +54,9 @@ struct Determinant {
     return d;
   }
 };
+
+static_assert(sizeof(Determinant) == 40,
+              "Determinant fields must stay ordered by size (no padding)");
 
 using DeterminantList = std::vector<Determinant>;
 

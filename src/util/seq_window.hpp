@@ -14,17 +14,24 @@
 //   [base+1, base+capacity]  -> slot ((seq-1) & (capacity-1)), occupancy bit
 //   seq <= base              -> pruned (never stored again)
 //   emplace / find / contains-> O(1), no allocation
-//   prune_to(b)              -> O(slots dropped), just destroys values
+//   prune_to(b)              -> O(slots dropped), clears occupancy bits
 //   growth                   -> amortized O(1), doubles the ring in place
+//
+// Occupancy lives in a bitmap beside the value array (bit i of word i/64
+// for slot i), so a slot costs sizeof(T) and no padded flag: holes are
+// clear bits, not wider slots. The ring never has fewer than 16 slots, so
+// a small window's bitmap is one partially used word.
 //
 // Iteration is in ascending sequence order (the order std::map gave), so
 // serialization and recovery wire formats are byte-identical to the map
 //-backed originals.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -48,8 +55,8 @@ class SeqWindow {
 
   const T* find(std::uint64_t seq) const {
     if (seq <= base_ || seq > top_) return nullptr;
-    const Slot& s = slots_[index(seq)];
-    return s.occupied ? &s.value : nullptr;
+    const std::size_t i = index(seq);
+    return occupied(i) ? &values_[i] : nullptr;
   }
   T* find(std::uint64_t seq) {
     return const_cast<T*>(static_cast<const SeqWindow*>(this)->find(seq));
@@ -61,11 +68,11 @@ class SeqWindow {
   bool emplace(std::uint64_t seq, Args&&... args) {
     if (seq <= base_) return false;
     grow_to(seq);
-    Slot& s = slots_[index(seq)];
-    if (seq <= top_ && s.occupied) return false;
+    const std::size_t i = index(seq);
+    if (seq <= top_ && occupied(i)) return false;
     if (seq > top_) top_ = seq;
-    s.occupied = true;
-    s.value = T{std::forward<Args>(args)...};
+    bits_[i >> 6] |= bit(i);
+    values_[i] = T{std::forward<Args>(args)...};
     ++count_;
     return true;
   }
@@ -78,11 +85,11 @@ class SeqWindow {
     if (new_base <= base_) return;
     const std::uint64_t hi = top_ < new_base ? top_ : new_base;
     for (std::uint64_t seq = base_ + 1; seq <= hi; ++seq) {
-      Slot& s = slots_[index(seq)];
-      if (!s.occupied) continue;
-      on_drop(static_cast<const T&>(s.value));
-      s.occupied = false;
-      s.value = T{};
+      const std::size_t i = index(seq);
+      if (!occupied(i)) continue;
+      on_drop(static_cast<const T&>(values_[i]));
+      bits_[i >> 6] &= ~bit(i);
+      release(values_[i]);
       --count_;
     }
     base_ = new_base;
@@ -99,8 +106,8 @@ class SeqWindow {
     std::uint64_t seq = lo > base_ ? lo + 1 : base_ + 1;
     const std::uint64_t top = hi < top_ ? hi : top_;
     for (; seq <= top; ++seq) {
-      const Slot& s = slots_[index(seq)];
-      if (s.occupied) fn(seq, s.value);
+      const std::size_t i = index(seq);
+      if (occupied(i)) fn(seq, values_[i]);
     }
   }
 
@@ -112,44 +119,63 @@ class SeqWindow {
 
   /// Drops all entries and resets the base watermark to zero.
   void reset() {
-    for (Slot& s : slots_) {
-      s.occupied = false;
-      s.value = T{};
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      for (std::size_t i = 0; i < cap_; ++i) {
+        if (occupied(i)) release(values_[i]);
+      }
     }
+    std::fill_n(bits_.get(), words_for(cap_), std::uint64_t{0});
     base_ = top_ = 0;
     count_ = 0;
   }
 
  private:
-  struct Slot {
-    bool occupied = false;
-    T value{};
-  };
+  static constexpr std::size_t kMinCapacity = 16;
+
+  static std::uint64_t bit(std::size_t i) {
+    return std::uint64_t{1} << (i & 63);
+  }
+  bool occupied(std::size_t i) const { return (bits_[i >> 6] & bit(i)) != 0; }
+  static std::size_t words_for(std::size_t cap) { return (cap + 63) / 64; }
+
+  /// A vacated slot keeps no resources; plain data is left as it is, since
+  /// only a set bit makes a slot readable and emplace overwrites it.
+  static void release(T& v) {
+    if constexpr (!std::is_trivially_destructible_v<T>) v = T{};
+  }
 
   std::size_t index(std::uint64_t seq) const {
     // capacity is a power of two; seq-1 keeps slot 0 for seq == 1.
-    return static_cast<std::size_t>((seq - 1) & (slots_.size() - 1));
+    return static_cast<std::size_t>((seq - 1) & (cap_ - 1));
   }
 
   void grow_to(std::uint64_t seq) {
     MPIV_DCHECK(seq > base_, "grow below base");
     const std::uint64_t needed = seq - base_;
-    if (!slots_.empty() && needed <= slots_.size()) return;
-    std::size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
+    if (cap_ != 0 && needed <= cap_) return;
+    std::size_t cap = cap_ == 0 ? kMinCapacity : cap_ * 2;
     while (cap < needed) cap *= 2;
-    std::vector<Slot> next(cap);
+    auto next = std::make_unique<T[]>(cap);
+    auto next_bits = std::make_unique<std::uint64_t[]>(words_for(cap));
     // Re-home live slots: positions depend on capacity, so rehash in order.
     for (std::uint64_t s = base_ + 1; s <= top_; ++s) {
-      Slot& old = slots_[index(s)];
-      if (!old.occupied) continue;
-      Slot& fresh = next[static_cast<std::size_t>((s - 1) & (cap - 1))];
-      fresh.occupied = true;
-      fresh.value = std::move(old.value);
+      const std::size_t i = index(s);
+      if (!occupied(i)) continue;
+      const auto j = static_cast<std::size_t>((s - 1) & (cap - 1));
+      next[j] = std::move(values_[i]);
+      next_bits[j >> 6] |= bit(j);
     }
-    slots_ = std::move(next);
+    values_ = std::move(next);
+    bits_ = std::move(next_bits);
+    cap_ = cap;
   }
 
-  std::vector<Slot> slots_;
+  // Two bare arrays and one capacity rather than two vectors: every rank
+  // holds a window per creator in each of its stores, so the empty
+  // window's footprint is paid nranks^2 times per cluster.
+  std::unique_ptr<T[]> values_;
+  std::unique_ptr<std::uint64_t[]> bits_;  // occupancy, one bit per slot
+  std::size_t cap_ = 0;     // slots in values_: 0 or a power of two >= 16
   std::uint64_t base_ = 0;  // all seq <= base_ are pruned
   std::uint64_t top_ = 0;   // highest seq ever admitted (window extent)
   std::size_t count_ = 0;

@@ -4,13 +4,15 @@
 // no-event-sent-twice, graph-pruning soundness (Manetho/LogOn piggyback a
 // subset of Vcausal's), and LogOn's partial-order emission (checked against
 // a map-indexed Kahn oracle) — plus a digest pin over every piggyback of a
-// seeded 32-rank exchange under each strategy.
+// seeded 32-rank exchange under each strategy, and a differential check of
+// the absorb that skips already-held runs against a one-by-one merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "causal/antecedence_graph.hpp"
 #include "causal/event_store.hpp"
@@ -154,6 +156,64 @@ TEST(EventStoreTest, SerializeRestoreRoundTrip) {
   EXPECT_EQ(t.known(2), 6u);
   EXPECT_EQ(t.stable(2), 3u);
   EXPECT_EQ(t.held_count(), 3u);
+}
+
+/// The contiguous watermark by brute force: the highest m at or above the
+/// stable point such that every seq in (stable, m] is held.
+std::uint64_t scan_contiguous(const EventStore& s, std::uint32_t c) {
+  std::uint64_t m = s.stable(c);
+  while (s.find(c, m + 1) != nullptr) ++m;
+  return m;
+}
+
+TEST(EventStoreTest, ContiguousWatermarkMatchesBruteForce) {
+  // A seeded mix of adds (runs, holes, duplicates, below-stable rejects),
+  // set_stable below, inside and past the holes, serialize -> restore into
+  // a fresh store, and reset; the watermark is checked after every step.
+  constexpr int kN = 4;
+  util::Rng rng(2718);
+  EventStore s(kN);
+  for (int step = 0; step < 5000; ++step) {
+    const auto c = static_cast<std::uint32_t>(rng.next_below(kN));
+    const std::uint64_t roll = rng.next_below(100);
+    const char* op = "add";
+    if (roll < 82) {
+      const std::uint64_t from = s.contiguous(c) > 4 ? s.contiguous(c) - 4 : 1;
+      s.add(det(c, from + rng.next_below(12), 0, 1));
+    } else if (roll < 94) {
+      std::vector<std::uint64_t> v = s.stable_vector();
+      const std::uint64_t known = s.known(c);
+      switch (rng.next_below(3)) {
+        case 0:  // below the current point: a no-op
+          op = "set_stable below";
+          v[c] = v[c] > 0 ? v[c] - 1 : 0;
+          break;
+        case 1:  // somewhere in (stable, known], often inside a hole
+          op = "set_stable inside";
+          if (known > v[c]) v[c] += 1 + rng.next_below(known - v[c]);
+          break;
+        default:  // past everything held
+          op = "set_stable past";
+          v[c] = known + 1 + rng.next_below(4);
+          break;
+      }
+      s.set_stable(v);
+    } else if (roll < 99) {
+      op = "restore";
+      util::Buffer b;
+      s.serialize(b);
+      EventStore fresh(kN);
+      fresh.restore(b);
+      s = std::move(fresh);
+    } else {
+      op = "reset";
+      s.reset();
+    }
+    for (std::uint32_t k = 0; k < kN; ++k) {
+      ASSERT_EQ(s.contiguous(k), scan_contiguous(s, k))
+          << op << " at step " << step << ", creator " << k;
+    }
+  }
 }
 
 // --- antecedence graph ----------------------------------------------------------
@@ -670,6 +730,222 @@ TEST(StrategyPin, ExchangeDigestsAreUnchanged) {
   EXPECT_EQ(exchange_digest(StrategyKind::kManetho), 0x9134f266d7868a01ULL);
   EXPECT_EQ(exchange_digest(StrategyKind::kLogOn), 0x1ec36b0234cf2178ULL);
 }
+
+// --- skipping absorb vs one-by-one merge ------------------------------------
+
+// The differential reference: the same strategy, except that absorb decodes
+// every event of the piggyback and merges each one (store add, graph add for
+// a new event, knowledge note), with no watermark skip.
+template <class Base>
+class OneByOneAbsorb final : public Base {
+ public:
+  Strategy::Work absorb(int src, util::Buffer& in,
+                        const Strategy::DepShadow& deps) override {
+    std::vector<ftapi::Determinant> events =
+        std::is_same_v<Base, LogOnStrategy> ? wire::plain_parse(in)
+                                            : wire::factored_parse(in);
+    EXPECT_EQ(events.size(), deps.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ftapi::Determinant& d = events[i];
+      d.dep_creator = deps[i].first;
+      d.dep_seq = deps[i].second;
+      const bool added = this->store_->add(d);
+      if constexpr (std::is_base_of_v<ManethoStrategy, Base>) {
+        if (added) this->graph_->add(d);
+      }
+      this->note_learned(src, d);
+    }
+    Strategy::Work w;
+    w.events = events.size();
+    return w;
+  }
+};
+
+std::unique_ptr<Strategy> make_one_by_one(StrategyKind k) {
+  switch (k) {
+    case StrategyKind::kVcausal:
+      return std::make_unique<OneByOneAbsorb<VcausalStrategy>>();
+    case StrategyKind::kManetho:
+      return std::make_unique<OneByOneAbsorb<ManethoStrategy>>();
+    case StrategyKind::kLogOn:
+      return std::make_unique<OneByOneAbsorb<LogOnStrategy>>();
+  }
+  return nullptr;
+}
+
+/// One side of the differential exchange: a store and a strategy per rank.
+struct Ranks {
+  std::vector<std::unique_ptr<EventStore>> stores;
+  std::vector<std::unique_ptr<Strategy>> strats;
+
+  EventStore& store(int r) { return *stores[static_cast<std::size_t>(r)]; }
+  Strategy& strat(int r) { return *strats[static_cast<std::size_t>(r)]; }
+};
+
+/// Compares rank `r`'s store (held events with their cross edges, known and
+/// stable vectors), graph (vertices per creator) and strategy image.
+::testing::AssertionResult same_rank_state(Ranks& got, Ranks& want, int r,
+                                           int nranks) {
+  EventStore& gs = got.store(r);
+  EventStore& ws = want.store(r);
+  const auto* gm = dynamic_cast<const ManethoStrategy*>(&got.strat(r));
+  const auto* wm = dynamic_cast<const ManethoStrategy*>(&want.strat(r));
+  for (int c = 0; c < nranks; ++c) {
+    const auto creator = static_cast<std::uint32_t>(c);
+    ftapi::DeterminantList g, w;
+    gs.collect(creator, g);
+    ws.collect(creator, w);
+    const bool same =
+        std::equal(g.begin(), g.end(), w.begin(), w.end(),
+                   [](const ftapi::Determinant& a, const ftapi::Determinant& b) {
+                     return a == b && a.dep_creator == b.dep_creator &&
+                            a.dep_seq == b.dep_seq;
+                   });
+    if (!same) {
+      return ::testing::AssertionFailure()
+             << "rank " << r << " holds different events of creator " << c
+             << " (" << g.size() << " vs " << w.size() << ")";
+    }
+    if (gm != nullptr &&
+        gm->graph().vertex_count(creator) != wm->graph().vertex_count(creator)) {
+      return ::testing::AssertionFailure()
+             << "rank " << r << " graph holds " << gm->graph().vertex_count(creator)
+             << " vertices of creator " << c << ", reference "
+             << wm->graph().vertex_count(creator);
+    }
+  }
+  if (gs.known_vector() != ws.known_vector()) {
+    return ::testing::AssertionFailure() << "rank " << r << " known vector";
+  }
+  if (gs.stable_vector() != ws.stable_vector()) {
+    return ::testing::AssertionFailure() << "rank " << r << " stable vector";
+  }
+  util::Buffer gb, wb;
+  got.strat(r).serialize(gb);
+  want.strat(r).serialize(wb);
+  if (gb.bytes() != wb.bytes()) {
+    return ::testing::AssertionFailure() << "rank " << r << " strategy image";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class SkippingAbsorb : public ::testing::TestWithParam<StrategyKind> {};
+
+TEST_P(SkippingAbsorb, MatchesOneByOneMerge) {
+  // A seeded 32-rank exchange run twice in lockstep: once through the real
+  // strategies, once through references that merge every event one by one.
+  // Each piggyback is built on both sides (and must match), each side's
+  // receiver absorbs its own copy, and the receivers are compared after
+  // every absorb. The second half delivers a lagging stable vector to each
+  // rank on its own schedule; one rank restores an earlier checkpoint,
+  // replays its receptions since, and every peer is told of the restart.
+  constexpr int kN = 32;
+  constexpr int kMessages = 1600;
+  constexpr int kVictim = 5;
+  constexpr int kCheckpointAt = 900;
+  constexpr int kRestartAt = 1100;
+  net::CostModel cost;
+  Ranks real, ref;
+  for (int r = 0; r < kN; ++r) {
+    for (Ranks* side : {&real, &ref}) {
+      side->stores.push_back(std::make_unique<EventStore>(kN));
+      side->strats.push_back(side == &real ? make_strategy(GetParam())
+                                           : make_one_by_one(GetParam()));
+      side->strats.back()->attach(side->stores.back().get(), &cost, r, kN);
+    }
+  }
+  std::vector<std::uint64_t> ssn(kN, 0);
+  std::vector<std::uint64_t> stable(kN, 0);
+  util::Buffer real_image, ref_image;
+  std::vector<std::uint64_t> image_known;
+  std::vector<ftapi::DeterminantList> created(kN);  // each rank's receptions
+  util::Rng rng(8128);
+  for (int m = 0; m < kMessages; ++m) {
+    const auto src = static_cast<int>(rng.next_below(kN));
+    auto dst = static_cast<int>(rng.next_below(kN - 1));
+    if (dst >= src) ++dst;
+    util::Buffer pb, ref_pb;
+    Strategy::DepShadow deps, ref_deps;
+    real.strat(src).build(dst, pb, deps);
+    ref.strat(src).build(dst, ref_pb, ref_deps);
+    ASSERT_EQ(pb.bytes(), ref_pb.bytes()) << "message " << m;
+    ASSERT_EQ(deps, ref_deps) << "message " << m;
+    pb.rewind();
+    ref_pb.rewind();
+    const Strategy::Work w = real.strat(dst).absorb(src, pb, deps);
+    ref.strat(dst).absorb(src, ref_pb, ref_deps);
+    ASSERT_EQ(w.events, deps.size()) << "message " << m;
+    ASSERT_EQ(pb.remaining(), 0u) << "message " << m;
+    ASSERT_TRUE(same_rank_state(real, ref, dst, kN)) << "message " << m;
+
+    const auto creator = static_cast<std::uint32_t>(dst);
+    ftapi::Determinant d =
+        det(creator, real.store(dst).known(creator) + 1,
+            static_cast<std::uint32_t>(src),
+            ++ssn[static_cast<std::size_t>(src)], m % 5);
+    d.dep_creator = static_cast<std::uint32_t>(src);
+    d.dep_seq = real.store(dst).known(static_cast<std::uint32_t>(src));
+    created[static_cast<std::size_t>(dst)].push_back(d);
+    for (Ranks* side : {&real, &ref}) {
+      side->store(dst).add(d);
+      side->strat(dst).on_local_event(d);
+    }
+
+    if (m >= kMessages / 2 && m % 40 == 0) {
+      for (int c = 0; c < kN; ++c) {
+        const auto ci = static_cast<std::size_t>(c);
+        const std::uint64_t created =
+            real.store(c).known(static_cast<std::uint32_t>(c));
+        if (created > stable[ci] + 6) stable[ci] = created - 6;
+      }
+      // Each rank hears from the Event Logger on two rounds out of three.
+      for (int r = 0; r < kN; ++r) {
+        if ((m / 40 + r) % 3 == 0) continue;
+        for (Ranks* side : {&real, &ref}) {
+          side->store(r).set_stable(stable);
+          side->strat(r).on_stable(stable);
+        }
+      }
+    }
+    if (m == kCheckpointAt) {
+      image_known = real.store(kVictim).known_vector();
+      for (Ranks* side : {&real, &ref}) {
+        util::Buffer& image = side == &real ? real_image : ref_image;
+        side->store(kVictim).serialize(image);
+        side->strat(kVictim).serialize(image);
+      }
+      ASSERT_EQ(real_image.bytes(), ref_image.bytes());
+    }
+    if (m == kRestartAt) {
+      for (Ranks* side : {&real, &ref}) {
+        util::Buffer& image = side == &real ? real_image : ref_image;
+        image.rewind();
+        side->store(kVictim).restore(image);
+        side->strat(kVictim).restore(image);
+        // Replay re-creates the victim's receptions since the checkpoint.
+        for (const ftapi::Determinant& d : created[kVictim]) {
+          if (d.seq <= image_known[kVictim]) continue;
+          side->store(kVictim).add(d);
+          side->strat(kVictim).on_local_event(d);
+        }
+        for (int r = 0; r < kN; ++r) {
+          if (r != kVictim) side->strat(r).on_peer_restart(kVictim, image_known);
+        }
+      }
+      for (int r = 0; r < kN; ++r) {
+        ASSERT_TRUE(same_rank_state(real, ref, r, kN)) << "after the restart";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, SkippingAbsorb,
+                         ::testing::Values(StrategyKind::kVcausal,
+                                           StrategyKind::kManetho,
+                                           StrategyKind::kLogOn),
+                         [](const auto& info) {
+                           return std::string(strategy_kind_name(info.param));
+                         });
 
 TEST(PeerViewTest, RestartClampsAndCaps) {
   PeerView v;

@@ -179,54 +179,86 @@ TEST(BufferDeath, UnderrunPanics) {
 }
 
 TEST(SeqWindow, EmplaceFindAndDuplicates) {
-  SeqWindow<int> w;
-  EXPECT_TRUE(w.empty());
-  EXPECT_TRUE(w.emplace(1, 10));
-  EXPECT_TRUE(w.emplace(3, 30));
-  EXPECT_FALSE(w.emplace(3, 31));  // duplicate keeps the original
-  EXPECT_EQ(w.size(), 2u);
-  EXPECT_EQ(*w.find(3), 30);
-  EXPECT_EQ(w.find(2), nullptr);  // hole
-  EXPECT_EQ(w.find(4), nullptr);  // beyond top
-  EXPECT_EQ(w.max_seq(), 3u);
+  // From first = 1 the window keeps its 16 slots; from 62..64 the three
+  // seqs land on slots 61..65 of a 128-slot ring, either side of the
+  // occupancy bitmap's first word boundary (bit 63 / bit 64).
+  for (const std::uint64_t first : {1ull, 62ull, 63ull, 64ull}) {
+    SCOPED_TRACE(first);
+    SeqWindow<int> w;
+    EXPECT_TRUE(w.empty());
+    EXPECT_TRUE(w.emplace(first, 10));
+    EXPECT_TRUE(w.emplace(first + 2, 30));
+    EXPECT_FALSE(w.emplace(first + 2, 31));  // duplicate keeps the original
+    EXPECT_EQ(w.size(), 2u);
+    EXPECT_EQ(*w.find(first), 10);
+    EXPECT_EQ(*w.find(first + 2), 30);
+    EXPECT_EQ(w.find(first + 1), nullptr);  // hole
+    EXPECT_EQ(w.find(first + 3), nullptr);  // beyond top
+    EXPECT_EQ(w.find(first - 1), nullptr);  // never admitted
+    EXPECT_EQ(w.max_seq(), first + 2);
+  }
 }
 
 TEST(SeqWindow, HolesIterateInOrder) {
-  SeqWindow<int> w;
-  // Insert out of order with gaps — the below-stable holes the causal
-  // stores see when a sender piggybacks only its unstable suffix.
-  for (std::uint64_t s : {9ull, 2ull, 5ull, 12ull}) {
-    EXPECT_TRUE(w.emplace(s, static_cast<int>(s * 10)));
+  // Inserted out of order with gaps: the below-stable holes the causal
+  // stores see when a sender piggybacks only its unstable suffix. The
+  // first two inputs stay in the 16-slot window, whose bitmap is one
+  // partially used word (the second fills its first and last slot); the
+  // third straddles the boundary between bitmap words.
+  const std::vector<std::vector<std::uint64_t>> inputs = {
+      {9, 2, 5, 12}, {16, 1, 8}, {65, 2, 64, 63, 128, 127}};
+  for (const std::vector<std::uint64_t>& input : inputs) {
+    SCOPED_TRACE(input.front());
+    SeqWindow<int> w;
+    for (const std::uint64_t s : input) {
+      EXPECT_TRUE(w.emplace(s, static_cast<int>(s * 10)));
+    }
+    std::vector<std::uint64_t> sorted = input;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint64_t> seqs;
+    w.for_each([&](std::uint64_t s, const int& v) {
+      seqs.push_back(s);
+      EXPECT_EQ(v, static_cast<int>(s * 10));
+    });
+    EXPECT_EQ(seqs, sorted);
+    // for_range is (lo, hi]: from the second-lowest key to the
+    // second-highest, it yields exactly the keys strictly inside.
+    const std::uint64_t lo = sorted[1];
+    const std::uint64_t hi = sorted[sorted.size() - 2];
+    seqs.clear();
+    w.for_range(lo, hi,
+                [&](std::uint64_t s, const int&) { seqs.push_back(s); });
+    EXPECT_EQ(seqs, std::vector<std::uint64_t>(sorted.begin() + 2,
+                                               sorted.end() - 1));
   }
-  std::vector<std::uint64_t> seqs;
-  w.for_each([&](std::uint64_t s, const int& v) {
-    seqs.push_back(s);
-    EXPECT_EQ(v, static_cast<int>(s * 10));
-  });
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{2, 5, 9, 12}));
-  seqs.clear();
-  w.for_range(2, 9, [&](std::uint64_t s, const int&) { seqs.push_back(s); });
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{5, 9}));  // (lo, hi]
 }
 
 TEST(SeqWindow, PrunePrefixRejectsBelowBase) {
-  SeqWindow<int> w;
-  for (std::uint64_t s = 1; s <= 10; ++s) w.emplace(s, static_cast<int>(s));
-  int dropped_sum = 0;
-  w.prune_to(6, [&](const int& v) { dropped_sum += v; });
-  EXPECT_EQ(dropped_sum, 1 + 2 + 3 + 4 + 5 + 6);
-  EXPECT_EQ(w.base(), 6u);
-  EXPECT_EQ(w.size(), 4u);
-  EXPECT_EQ(w.find(6), nullptr);
-  EXPECT_FALSE(w.emplace(6, 60));  // at/below base: pruned forever
-  EXPECT_FALSE(w.emplace(3, 30));
-  EXPECT_TRUE(w.contains(7));
-  w.prune_to(4);  // regression is a no-op
-  EXPECT_EQ(w.base(), 6u);
-  w.prune_to(100);  // past the top: empties the window
-  EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.max_seq(), 0u);
-  EXPECT_TRUE(w.emplace(101, 1));
+  // Ten entries in the 16-slot window, then 70 in a 128-slot one, where
+  // the first prune crosses the occupancy bitmap's word boundary.
+  for (const std::uint64_t n : {10ull, 70ull}) {
+    SCOPED_TRACE(n);
+    SeqWindow<int> w;
+    for (std::uint64_t s = 1; s <= n; ++s) w.emplace(s, static_cast<int>(s));
+    const std::uint64_t cut = n - 4;
+    std::uint64_t dropped_sum = 0;
+    w.prune_to(cut, [&](const int& v) {
+      dropped_sum += static_cast<std::uint64_t>(v);
+    });
+    EXPECT_EQ(dropped_sum, cut * (cut + 1) / 2);
+    EXPECT_EQ(w.base(), cut);
+    EXPECT_EQ(w.size(), 4u);
+    EXPECT_EQ(w.find(cut), nullptr);
+    EXPECT_FALSE(w.emplace(cut, 60));  // at/below base: pruned forever
+    EXPECT_FALSE(w.emplace(3, 30));
+    EXPECT_TRUE(w.contains(cut + 1));
+    w.prune_to(4);  // regression is a no-op
+    EXPECT_EQ(w.base(), cut);
+    w.prune_to(100);  // past the top: empties the window
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.max_seq(), 0u);
+    EXPECT_TRUE(w.emplace(101, 1));
+  }
 }
 
 /// "v<s>" through snprintf, not "v" + to_string: GCC 12 -Wrestrict false
@@ -258,15 +290,30 @@ TEST(SeqWindow, WraparoundGrowthKeepsEntries) {
 }
 
 TEST(SeqWindow, GrowthWithHolesRehomesOnlyOccupied) {
-  SeqWindow<int> w;
-  w.emplace(2, 2);
-  w.emplace(40, 40);  // forces growth past the initial capacity
-  w.emplace(1000, 1000);
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_EQ(*w.find(2), 2);
-  EXPECT_EQ(*w.find(40), 40);
-  EXPECT_EQ(*w.find(1000), 1000);
-  EXPECT_EQ(w.find(999), nullptr);
+  // Sparse keys that force growth past the initial capacity, then 64 slots
+  // filled with holes either side of bit 63/64 and grown to 128, where the
+  // re-homed entries and holes straddle the bitmap's word boundary.
+  std::vector<std::uint64_t> dense;
+  for (std::uint64_t s = 1; s <= 64; ++s) {
+    if (s != 32 && s != 63) dense.push_back(s);
+  }
+  dense.push_back(66);  // 66 - 0 > 64 slots: grows to 128; 65 stays a hole
+  const std::vector<std::vector<std::uint64_t>> inputs = {{2, 40, 1000}, dense};
+  for (const std::vector<std::uint64_t>& input : inputs) {
+    SCOPED_TRACE(input.size());
+    SeqWindow<int> w;
+    for (const std::uint64_t s : input) {
+      ASSERT_TRUE(w.emplace(s, static_cast<int>(s))) << s;
+    }
+    EXPECT_EQ(w.size(), input.size());
+    for (std::uint64_t s = 1; s <= input.back(); ++s) {
+      const bool held = std::find(input.begin(), input.end(), s) != input.end();
+      ASSERT_EQ(w.find(s) != nullptr, held) << s;
+      if (held) {
+        EXPECT_EQ(*w.find(s), static_cast<int>(s));
+      }
+    }
+  }
 }
 
 TEST(SeqWindow, PruneOnEmptyRaisesBaseForHighSequences) {
@@ -366,13 +413,22 @@ TEST(Slab, ReuseAfterRecycleOverwritesTheHusk) {
 }
 
 TEST(SeqWindow, ResetClearsBaseAndEntries) {
-  SeqWindow<int> w;
-  for (std::uint64_t s = 1; s <= 8; ++s) w.emplace(s, 1);
-  w.prune_to(4);
-  w.reset();
-  EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.base(), 0u);
-  EXPECT_TRUE(w.emplace(1, 1));  // below the old base: admitted again
+  // The 16-slot window, and a 256-slot one whose bitmap has four words.
+  for (const std::uint64_t n : {8ull, 200ull}) {
+    SCOPED_TRACE(n);
+    SeqWindow<int> w;
+    for (std::uint64_t s = 1; s <= n; ++s) w.emplace(s, 1);
+    w.prune_to(4);
+    w.reset();
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.base(), 0u);
+    EXPECT_TRUE(w.emplace(1, 1));  // below the old base: admitted again
+    // Re-admitting the old top reopens every slot below it: none may
+    // still read as occupied.
+    EXPECT_TRUE(w.emplace(n, 2));
+    for (std::uint64_t s = 2; s < n; ++s) ASSERT_EQ(w.find(s), nullptr) << s;
+    EXPECT_EQ(w.size(), 2u);
+  }
 }
 
 TEST(Accumulator, BasicMoments) {
