@@ -179,9 +179,10 @@ TEST(BufferDeath, UnderrunPanics) {
 }
 
 TEST(SeqWindow, EmplaceFindAndDuplicates) {
-  // From first = 1 the window keeps its 16 slots; from 62..64 the three
-  // seqs land on slots 61..65 of a 128-slot ring, either side of the
-  // occupancy bitmap's first word boundary (bit 63 / bit 64).
+  // From first = 1 the window keeps its 16 slots. From 62 the three seqs
+  // fill the last slots of a 64-slot ring (bits 61-63 of its one bitmap
+  // word); from 63 and 64 the ring grows to 128 and they straddle the
+  // boundary between its first two words (bit 63 / bit 64).
   for (const std::uint64_t first : {1ull, 62ull, 63ull, 64ull}) {
     SCOPED_TRACE(first);
     SeqWindow<int> w;
