@@ -1,11 +1,15 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 namespace mpiv::trace {
 
@@ -57,6 +61,11 @@ bool parse_kind(const std::string& name, Kind* out) {
 
 void Lane::push(const Record& r) {
   if (ring_.size() < capacity_) {
+    if (ring_.size() == ring_.capacity()) {
+      // Double as push_back would, but never past the capacity.
+      ring_.reserve(
+          std::min(capacity_, std::max<std::size_t>(1, 2 * ring_.size())));
+    }
     ring_.push_back(r);
   } else {
     ring_[static_cast<std::size_t>(total_ % capacity_)] = r;
@@ -77,19 +86,115 @@ TraceSink::TraceSink(int nranks, int el_shards, std::uint32_t capacity)
   lanes_.emplace_back("engine", cap);
 }
 
-Capture TraceSink::capture() const {
-  Capture c;
-  std::size_t retained = 0;
-  for (const Lane& l : lanes_) retained += l.retained();
-  c.lanes.reserve(lanes_.size());
-  c.lane_ends.reserve(lanes_.size());
-  c.records.reserve(retained);
-  for (const Lane& l : lanes_) {
-    c.lanes.push_back(LaneInfo{l.name(), l.total(), l.dropped()});
-    l.for_each([&c](const Record& r) { c.records.push_back(r); });
-    c.lane_ends.push_back(c.records.size());
+namespace {
+
+// Capture encoding (see Capture): header bits 0 and 1 flag a nonzero code
+// and digest, bits 2..7 hold the kind, or kKindEscape followed by the kind
+// byte for kinds past it.
+constexpr std::uint8_t kHasCode = 1;
+constexpr std::uint8_t kHasDigest = 2;
+constexpr std::uint8_t kKindEscape = 63;
+/// header + escaped kind + code + t and seq varints + peer varint + aux
+/// varint + digest.
+constexpr std::size_t kMaxRecordBytes = 1 + 1 + 1 + 10 + 10 + 5 + 10 + 8;
+
+std::uint64_t zigzag(std::uint64_t d) { return (d << 1) ^ (0 - (d >> 63)); }
+std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
+
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
   }
-  return c;
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+std::uint64_t get_varint(const std::uint8_t*& p) {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const std::uint8_t b = *p++;
+    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+    if (b < 0x80) return v;
+  }
+}
+
+}  // namespace
+
+Capture::Capture(const std::vector<Lane>& lanes) {
+  for (const Lane& l : lanes) records_ += l.retained();
+  // Encode into an upper-bound scratch buffer, then keep an exact copy.
+  const auto scratch = std::make_unique_for_overwrite<std::uint8_t[]>(
+      static_cast<std::size_t>(records_) * kMaxRecordBytes);
+  std::uint8_t* p = scratch.get();
+  lanes_.reserve(lanes.size());
+  lane_ends_.reserve(lanes.size());
+  for (const Lane& l : lanes) {
+    lanes_.push_back(LaneInfo{l.name(), l.total(), l.dropped()});
+    std::uint64_t prev_t = 0;
+    std::uint64_t kind_seq[kSeqSlots] = {};
+    l.for_each([&](const Record& r) {
+      const auto kind = static_cast<std::uint8_t>(r.kind);
+      std::uint8_t* const head = p++;
+      *head = static_cast<std::uint8_t>(std::min(kind, kKindEscape) << 2);
+      if (kind >= kKindEscape) *p++ = kind;
+      if (r.code != 0) {
+        *head |= kHasCode;
+        *p++ = r.code;
+      }
+      const auto t = static_cast<std::uint64_t>(r.t);
+      p = put_varint(p, zigzag(t - prev_t));
+      prev_t = t;
+      std::uint64_t& seq_base = kind_seq[kind % kSeqSlots];
+      p = put_varint(p, zigzag(r.seq - seq_base));
+      seq_base = r.seq;
+      const auto peer = static_cast<std::uint32_t>(r.peer);
+      p = put_varint(p, (peer << 1) ^ (0u - (peer >> 31)));
+      p = put_varint(p, r.aux);
+      if (r.digest != 0) {
+        *head |= kHasDigest;
+        std::memcpy(p, &r.digest, sizeof(r.digest));
+        p += sizeof(r.digest);
+      }
+    });
+    lane_ends_.push_back(static_cast<std::size_t>(p - scratch.get()));
+  }
+  bytes_.assign(scratch.get(), p);
+}
+
+Capture::Cursor Capture::cursor(std::size_t lane) const {
+  const std::size_t begin = lane == 0 ? 0 : lane_ends_[lane - 1];
+  return Cursor(bytes_.data() + begin, bytes_.data() + lane_ends_[lane]);
+}
+
+Capture::Cursor::Cursor(const std::uint8_t* begin, const std::uint8_t* end)
+    : p_(begin), end_(end) {
+  advance();
+}
+
+void Capture::Cursor::advance() {
+  if (p_ == end_) {
+    done_ = true;
+    return;
+  }
+  const std::uint8_t head = *p_++;
+  std::uint8_t kind = static_cast<std::uint8_t>(head >> 2);
+  if (kind == kKindEscape) kind = *p_++;
+  rec_.kind = static_cast<Kind>(kind);
+  rec_.code = (head & kHasCode) != 0 ? *p_++ : 0;
+  rec_.t = static_cast<sim::Time>(static_cast<std::uint64_t>(rec_.t) +
+                                  unzigzag(get_varint(p_)));
+  std::uint64_t& seq_base = kind_seq_[kind % kSeqSlots];
+  seq_base += unzigzag(get_varint(p_));
+  rec_.seq = seq_base;
+  const auto peer = static_cast<std::uint32_t>(get_varint(p_));
+  rec_.peer = static_cast<std::int32_t>((peer >> 1) ^ (0u - (peer & 1)));
+  rec_.aux = get_varint(p_);
+  rec_.digest = 0;
+  if ((head & kHasDigest) != 0) {
+    std::memcpy(&rec_.digest, p_, sizeof(rec_.digest));
+    p_ += sizeof(rec_.digest);
+  }
 }
 
 std::string TraceSink::dump() const { return render(capture()); }
@@ -101,21 +206,23 @@ namespace {
 /// deterministically; within a lane the capture order is the record order.
 template <class Fn>
 void for_each_merged(const Capture& c, Fn&& fn) {
-  std::vector<std::size_t> next(c.lanes.size());
-  for (std::size_t li = 1; li < next.size(); ++li) {
-    next[li] = c.lane_ends[li - 1];
+  std::vector<Capture::Cursor> lanes;
+  lanes.reserve(c.lanes().size());
+  for (std::size_t li = 0; li < c.lanes().size(); ++li) {
+    lanes.push_back(c.cursor(li));
   }
   for (;;) {
-    std::size_t best = next.size();
-    for (std::size_t li = 0; li < next.size(); ++li) {
-      if (next[li] == c.lane_ends[li]) continue;
-      if (best == next.size() ||
-          c.records[next[li]].t < c.records[next[best]].t) {
+    std::size_t best = lanes.size();
+    for (std::size_t li = 0; li < lanes.size(); ++li) {
+      if (lanes[li].done()) continue;
+      if (best == lanes.size() ||
+          lanes[li].record().t < lanes[best].record().t) {
         best = li;
       }
     }
-    if (best == next.size()) return;
-    fn(best, c.records[next[best]++]);
+    if (best == lanes.size()) return;
+    fn(best, lanes[best].record());
+    lanes[best].advance();
   }
 }
 
@@ -123,8 +230,8 @@ void for_each_merged(const Capture& c, Fn&& fn) {
 
 std::string render(const Capture& capture) {
   std::string out = "# mpiv-trace v1\n";
-  out.reserve(64 * (capture.lanes.size() + 1) + 48 * capture.records.size());
-  for (const LaneInfo& l : capture.lanes) {
+  out.reserve(64 * (capture.lanes().size() + 1) + 48 * capture.records());
+  for (const LaneInfo& l : capture.lanes()) {
     out += "# lane ";
     out += l.name;
     out += " total=";
@@ -139,7 +246,7 @@ std::string render(const Capture& capture) {
                   "%" PRId64 " %s %s %u %d %" PRIu64 " %" PRIu64 " %" PRIx64
                   "\n",
                   static_cast<std::int64_t>(r.t),
-                  capture.lanes[lane].name.c_str(), kind_name(r.kind),
+                  capture.lanes()[lane].name.c_str(), kind_name(r.kind),
                   static_cast<unsigned>(r.code), r.peer, r.seq, r.aux,
                   r.digest);
     out += line;
@@ -171,6 +278,41 @@ std::vector<Record> Stream::lane_records(const std::string& name) const {
   return out;
 }
 
+namespace {
+
+std::vector<std::string_view> split_fields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  std::size_t i = 0;
+  for (;;) {
+    i = line.find_first_not_of(" \t\r", i);
+    if (i == std::string_view::npos) return fields;
+    const std::size_t j =
+        std::min(line.find_first_of(" \t\r", i), line.size());
+    fields.push_back(line.substr(i, j - i));
+    i = j;
+  }
+}
+
+/// Reads all of `field` as a T; false unless it is a number in T's range.
+template <class T>
+bool parse_number(std::string_view field, T* out, int base = 10) {
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Reads "<key>=<number>".
+bool parse_keyed(std::string_view field, std::string_view key,
+                 std::uint64_t* out) {
+  if (field.size() <= key.size() || field.substr(0, key.size()) != key ||
+      field[key.size()] != '=') {
+    return false;
+  }
+  return parse_number(field.substr(key.size() + 1), out);
+}
+
+}  // namespace
+
 Stream parse_stream(const std::string& text) {
   Stream s;
   std::istringstream in(text);
@@ -181,6 +323,7 @@ Stream parse_stream(const std::string& text) {
                              ": " + why);
   };
   bool saw_header = false;
+  std::unordered_set<std::string> lane_names;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
@@ -190,43 +333,38 @@ Stream parse_stream(const std::string& text) {
         continue;
       }
       if (line.rfind("# lane ", 0) == 0) {
+        const std::vector<std::string_view> f = split_fields(line);
         LaneInfo li;
-        char name[64];
-        unsigned long long total = 0, dropped = 0;
-        if (std::sscanf(line.c_str(), "# lane %63s total=%llu dropped=%llu",
-                        name, &total, &dropped) != 3) {
+        if (f.size() != 5 || !parse_keyed(f[3], "total", &li.total) ||
+            !parse_keyed(f[4], "dropped", &li.dropped)) {
           bad("malformed lane header");
         }
-        li.name = name;
-        li.total = total;
-        li.dropped = dropped;
+        if (li.dropped > li.total) bad("lane drops more records than it saw");
+        li.name = f[2];
+        if (!lane_names.insert(li.name).second) {
+          bad("repeated lane '" + li.name + "'");
+        }
         s.lanes.push_back(std::move(li));
       }
       continue;  // other comments ignored
     }
     if (!saw_header) bad("missing '# mpiv-trace' header");
+    const std::vector<std::string_view> f = split_fields(line);
+    if (f.size() != 8) bad("malformed record");
     StreamRecord sr;
-    char lane[64];
-    char kind[32];
-    long long t = 0;
-    unsigned code = 0;
-    int peer = 0;
-    unsigned long long seq = 0, aux = 0, digest = 0;
-    if (std::sscanf(line.c_str(), "%lld %63s %31s %u %d %llu %llu %llx", &t,
-                    lane, kind, &code, &peer, &seq, &aux, &digest) != 8) {
-      bad("malformed record");
+    sr.lane = f[1];
+    if (lane_names.count(sr.lane) == 0) {
+      bad("record on lane '" + sr.lane + "' with no lane header");
     }
-    Kind k{};
-    if (!parse_kind(kind, &k)) bad(std::string("unknown kind '") + kind + "'");
-    if (code > 0xFF) bad("code out of range");
-    sr.lane = lane;
-    sr.rec.t = static_cast<sim::Time>(t);
-    sr.rec.kind = k;
-    sr.rec.code = static_cast<std::uint8_t>(code);
-    sr.rec.peer = peer;
-    sr.rec.seq = seq;
-    sr.rec.aux = aux;
-    sr.rec.digest = digest;
+    if (!parse_kind(std::string(f[2]), &sr.rec.kind)) {
+      bad("unknown kind '" + std::string(f[2]) + "'");
+    }
+    if (!parse_number(f[0], &sr.rec.t)) bad("bad timestamp");
+    if (!parse_number(f[3], &sr.rec.code)) bad("bad code");
+    if (!parse_number(f[4], &sr.rec.peer)) bad("bad peer");
+    if (!parse_number(f[5], &sr.rec.seq)) bad("bad seq");
+    if (!parse_number(f[6], &sr.rec.aux)) bad("bad aux");
+    if (!parse_number(f[7], &sr.rec.digest, 16)) bad("bad digest");
     s.records.push_back(std::move(sr));
   }
   if (!saw_header) {
@@ -237,10 +375,10 @@ Stream parse_stream(const std::string& text) {
 
 Stream to_stream(const Capture& capture) {
   Stream s;
-  s.lanes = capture.lanes;
-  s.records.reserve(capture.records.size());
+  s.lanes = capture.lanes();
+  s.records.reserve(capture.records());
   for_each_merged(capture, [&](std::size_t lane, const Record& r) {
-    s.records.push_back(StreamRecord{capture.lanes[lane].name, r});
+    s.records.push_back(StreamRecord{capture.lanes()[lane].name, r});
   });
   return s;
 }

@@ -10,15 +10,17 @@
 // one (tests/test_determinism.cpp pins the goldens both ways); with
 // tracing disabled every hook is one null-pointer test.
 //
-// At the end of a run the sink's lanes are copied into a Capture: an
-// immutable, exact-size binary snapshot of every retained record. Runs
-// keep captures, not text: `render` merge-sorts a capture by virtual
-// timestamp into the `# mpiv-trace v1` text stream only for a reader of
-// text (a `trace.dir` file, `TraceSink::dump()`, `Dump::text()`), and that
-// text parses back losslessly. `mpiv_trace` and the replay-equivalence
-// harness read captures directly through `to_stream`: aligning a faulty
-// run's stream with its `compare_reference` twin localizes a wrong replay
-// to the exact record instead of a final checksum mismatch.
+// At the end of a run the sink's lanes are packed into a Capture: an
+// immutable, delta/varint-encoded copy of every retained record, about a
+// third of the lanes' 40-byte records, decoded one lane at a time only
+// when someone reads it. Runs keep captures, not text: `render`
+// merge-sorts a capture by virtual timestamp into the `# mpiv-trace v1`
+// text stream only for a reader of text (a `trace.dir` file,
+// `TraceSink::dump()`, `Dump::text()`), and that text parses back
+// losslessly. `mpiv_trace` and the replay-equivalence harness read
+// captures directly through `to_stream`: aligning a faulty run's stream
+// with its `compare_reference` twin localizes a wrong replay to the exact
+// record instead of a final checksum mismatch.
 #pragma once
 
 #include <cstdint>
@@ -109,9 +111,10 @@ struct Config {
 
 /// One bounded lane. Appends are amortized O(1) struct copies. Storage
 /// grows with the records actually captured (a short run never pays for
-/// the whole capacity); once `capacity` records are held the lane wraps,
-/// the oldest records are overwritten and `dropped()` reports how many
-/// (the divergence comparator falls back to suffix alignment then).
+/// the whole capacity) and never past `capacity` slots; once `capacity`
+/// records are held the lane wraps, the oldest records are overwritten
+/// and `dropped()` reports how many (the divergence comparator falls back
+/// to suffix alignment then).
 class Lane {
  public:
   Lane(std::string name, std::size_t capacity)
@@ -125,6 +128,8 @@ class Lane {
   std::uint64_t total() const { return total_; }
   std::size_t retained() const { return ring_.size(); }
   std::uint64_t dropped() const { return total_ - retained(); }
+  /// Record slots allocated; at most the capacity.
+  std::size_t allocated() const { return ring_.capacity(); }
 
   /// Visits retained records oldest to newest (engine time is monotone, so
   /// this is also nondecreasing-timestamp order).
@@ -150,13 +155,57 @@ struct LaneInfo {
   std::uint64_t dropped = 0;
 };
 
-/// An immutable, exact-size snapshot of a sink's lanes: each lane's
-/// retained records, oldest first, stored lane after lane.
-struct Capture {
-  std::vector<LaneInfo> lanes;  // in sink order (ties break on it)
-  /// Lane i's records are [lane_ends[i - 1], lane_ends[i]) (from 0 for i = 0).
-  std::vector<std::size_t> lane_ends;
-  std::vector<Record> records;
+/// An immutable, packed copy of a sink's lanes: each lane's retained
+/// records, oldest first, encoded lane after lane into one exact-size byte
+/// vector. Per record: a header byte (kind, whether code and digest are
+/// nonzero), the code byte if nonzero, zigzag varints of t minus the
+/// lane's previous t, of seq minus the lane's previous seq of the same
+/// kind and of peer, a varint of aux, and the 8 digest bytes if nonzero.
+/// Every Record round-trips exactly. Readers decode through a Cursor; no
+/// unpacked copy is kept.
+class Capture {
+  /// A record's seq is a delta against the lane's previous seq in slot
+  /// `kind % kSeqSlots`; any fixed mapping is exact, this one gives every
+  /// Kind its own base.
+  static constexpr std::size_t kSeqSlots = 8;
+
+ public:
+  /// Packs the lanes' retained records (what TraceSink::capture() does).
+  explicit Capture(const std::vector<Lane>& lanes);
+
+  /// Lane headers, in sink order (timestamp ties break on it).
+  const std::vector<LaneInfo>& lanes() const { return lanes_; }
+  /// Retained records over all lanes.
+  std::uint64_t records() const { return records_; }
+  /// Size of the packed records in bytes.
+  std::size_t packed_bytes() const { return bytes_.size(); }
+
+  /// Decodes one lane's records, oldest first. Valid while its Capture is.
+  class Cursor {
+   public:
+    bool done() const { return done_; }
+    /// The current record; only meaningful while !done().
+    const Record& record() const { return rec_; }
+    void advance();
+
+   private:
+    friend class Capture;
+    Cursor(const std::uint8_t* begin, const std::uint8_t* end);
+
+    const std::uint8_t* p_;
+    const std::uint8_t* end_;
+    Record rec_;  // also the delta base: rec_.t is the previous t
+    bool done_ = false;
+    std::uint64_t kind_seq_[kSeqSlots] = {};  // previous seq per kind slot
+  };
+  Cursor cursor(std::size_t lane) const;
+
+ private:
+  std::vector<LaneInfo> lanes_;
+  /// Lane i's bytes are [lane_ends_[i - 1], lane_ends_[i]) (from 0 for i = 0).
+  std::vector<std::size_t> lane_ends_;
+  std::vector<std::uint8_t> bytes_;
+  std::uint64_t records_ = 0;
 };
 
 /// The `# mpiv-trace v1` text of a capture: lane headers, then every record
@@ -182,8 +231,8 @@ class TraceSink {
   int nranks() const { return nranks_; }
   const std::vector<Lane>& lanes() const { return lanes_; }
 
-  /// Copies every lane's retained records into an exact-size capture.
-  Capture capture() const;
+  /// Packs every lane's retained records into a capture.
+  Capture capture() const { return Capture(lanes_); }
 
   /// render(capture()): the deterministic text stream.
   std::string dump() const;
@@ -214,7 +263,7 @@ class Dump {
   const std::shared_ptr<const Capture>& capture() const { return capture_; }
   /// Retained records (the non-comment lines of text()).
   std::uint64_t records() const {
-    return empty() ? 0 : capture_->records.size();
+    return empty() ? 0 : capture_->records();
   }
   /// The rendered stream ("" when empty), rendered on first use and cached.
   const std::string& text() const;
@@ -243,7 +292,9 @@ struct Stream {
 };
 
 /// Parses a rendered stream back. Throws std::runtime_error with a line
-/// number on malformed input.
+/// number on malformed input: a field that is not a number in its type's
+/// range, extra fields, a record on a lane with no `# lane` header, a
+/// repeated lane header or a header whose dropped exceeds its total.
 Stream parse_stream(const std::string& text);
 
 /// The stream parse_stream(render(capture)) would return, built without

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -121,13 +122,32 @@ TEST(TraceSink, ParseRoundTripPreservesEveryField) {
 }
 
 TEST(TraceSink, ParserRejectsGarbage) {
-  EXPECT_THROW(trace::parse_stream("10 r0 send 0 1 2 3 4\n"),
-               std::runtime_error);  // no header
-  EXPECT_THROW(trace::parse_stream("# mpiv-trace v1\n10 r0 blip 0 1 2 3 4\n"),
-               std::runtime_error);  // unknown kind
-  EXPECT_THROW(trace::parse_stream("# mpiv-trace v1\n10 r0 send 0\n"),
-               std::runtime_error);  // short record
+  const std::string head = "# mpiv-trace v1\n# lane r0 total=1 dropped=0\n";
   EXPECT_NO_THROW(trace::parse_stream("# mpiv-trace v1\n"));
+  EXPECT_NO_THROW(trace::parse_stream(head + "10 r0 send 0 -1 2 3 4\n"));
+  const std::string garbage[] = {
+      "10 r0 send 0 1 2 3 4\n",                            // no header
+      head + "10 r0 blip 0 1 2 3 4\n",                     // unknown kind
+      head + "10 r0 send 0\n",                             // short record
+      head + "10 r0 send 256 1 2 3 4\n",                   // code > 255
+      head + "10 r0 send 0 99999999999 2 3 4\n",           // peer > int32
+      head + "10 r0 send 0 1 -1 3 4\n",                    // seq < 0
+      head + "10 r0 send 0 1 18446744073709551616 3 4\n",  // seq 2^64
+      head + "10 r0 send 0 1 2 -3 4\n",                    // aux < 0
+      head + "10 r0 send 0 1 2 3 1ffffffffffffffff\n",     // digest 2^64+
+      head + "100000000000000000000 r0 send 0 1 2 3 4\n",  // t 10^20
+      head + "10 r0 send 0 1 2 3 4 extra\n",               // trailing text
+      head + "10 r0 send 0 1x 2 3 4\n",                    // ... in a field
+      "# mpiv-trace v1\n10 r0 send 0 1 2 3 4\n",           // no lane header
+      head + "10 r1 send 0 1 2 3 4\n",                     // unknown lane
+      "# mpiv-trace v1\n# lane r0 total=-5 dropped=0\n",
+      "# mpiv-trace v1\n# lane r0 total=2 dropped=3\n",
+      "# mpiv-trace v1\n# lane r0 total=2\n",
+      head + "# lane r0 total=1 dropped=0\n",  // repeated lane
+  };
+  for (const std::string& bad : garbage) {
+    EXPECT_THROW(trace::parse_stream(bad), std::runtime_error) << bad;
+  }
 }
 
 /// Field-for-field stream equality, lane headers included; names the first
@@ -232,6 +252,121 @@ TEST(TraceText, ToStreamEqualsTheParsedRender) {
   ASSERT_EQ(direct.lanes.size(), 4u);
   EXPECT_EQ(direct.lanes[1].dropped, 2u);
   EXPECT_EQ(direct.lanes[2].total, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Packed capture round trip
+// ---------------------------------------------------------------------------
+
+std::vector<Record> ring_records(const trace::Lane& lane) {
+  std::vector<Record> out;
+  lane.for_each([&out](const Record& r) { out.push_back(r); });
+  return out;
+}
+
+std::vector<Record> decoded_records(const trace::Capture& c,
+                                    std::size_t lane) {
+  std::vector<Record> out;
+  for (auto cur = c.cursor(lane); !cur.done(); cur.advance()) {
+    out.push_back(cur.record());
+  }
+  return out;
+}
+
+::testing::AssertionResult same_records(const std::vector<Record>& a,
+                                        const std::vector<Record>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << a.size() << " vs " << b.size()
+                                         << " records";
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].t != b[i].t || !a[i].same_content(b[i])) {
+      return ::testing::AssertionFailure()
+             << "record " << i << ": t=" << a[i].t << " "
+             << trace::format_record("", a[i]) << " vs t=" << b[i].t << " "
+             << trace::format_record("", b[i]);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Seeded random lanes, empty and wrapped ones included, with every field
+// at its extremes: seq running backwards as after a rollback, negative
+// peers, code 0 and 255, zero and UINT64_MAX seq/aux/digest and timestamp
+// steps near INT64_MAX either way. The packed capture must decode to
+// exactly what each ring holds.
+TEST(Capture, PackedLanesDecodeToTheRetainedRecords) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr sim::Time kTMax = std::numeric_limits<sim::Time>::max();
+  std::mt19937_64 rng(29);
+  auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto cap = static_cast<std::uint32_t>(1 + pick(48));
+    const int nranks = static_cast<int>(1 + pick(4));
+    const int shards = static_cast<int>(pick(3));
+    trace::TraceSink sink(nranks, shards, cap);
+    std::vector<trace::Lane*> lanes{sink.engine_lane()};
+    for (int r = 0; r < nranks; ++r) lanes.push_back(sink.rank_lane(r));
+    for (int e = 0; e < shards; ++e) lanes.push_back(sink.el_lane(e));
+    for (trace::Lane* lane : lanes) {
+      const std::uint64_t n = pick(3) == 0 ? 0 : pick(2 * cap + 2);
+      sim::Time t = static_cast<sim::Time>(rng());
+      std::uint64_t seq[8] = {};
+      for (std::uint64_t i = 0; i < n; ++i) {
+        Record r;
+        switch (pick(8)) {
+          case 0: t = pick(2) == 0 ? kTMax : -kTMax; break;
+          case 1: t = static_cast<sim::Time>(rng()); break;
+          default:  // in uint64, as t may sit at kTMax
+            t = static_cast<sim::Time>(static_cast<std::uint64_t>(t) +
+                                       pick(1000));
+            break;
+        }
+        r.t = t;
+        r.kind = static_cast<Kind>(pick(8));
+        std::uint64_t& s = seq[static_cast<std::size_t>(r.kind)];
+        switch (pick(6)) {
+          case 0: s -= pick(50); break;  // rolled back
+          case 1: s = pick(2) == 0 ? kMax : 0; break;
+          default: s += 1; break;
+        }
+        r.seq = s;
+        const std::uint64_t codes[] = {0, 0, 255, pick(256)};
+        r.code = static_cast<std::uint8_t>(codes[pick(4)]);
+        const std::int32_t peers[] = {
+            -1, static_cast<std::int32_t>(pick(64)),
+            -static_cast<std::int32_t>(pick(1000)),
+            std::numeric_limits<std::int32_t>::min(),
+            std::numeric_limits<std::int32_t>::max()};
+        r.peer = peers[pick(5)];
+        const std::uint64_t wide[] = {0, pick(100), kMax, rng()};
+        r.aux = wide[pick(4)];
+        r.digest = wide[pick(4)];
+        lane->push(r);
+      }
+    }
+    const trace::Capture c = sink.capture();
+    std::uint64_t retained = 0;
+    for (std::size_t li = 0; li < sink.lanes().size(); ++li) {
+      retained += sink.lanes()[li].retained();
+      EXPECT_TRUE(same_records(decoded_records(c, li),
+                               ring_records(sink.lanes()[li])))
+          << sink.lanes()[li].name();
+    }
+    EXPECT_EQ(c.records(), retained);
+    EXPECT_TRUE(same_stream(trace::to_stream(c),
+                            trace::parse_stream(trace::render(c))));
+  }
+
+  // Kinds past the enum have no text form but still pack exactly.
+  trace::TraceSink odd(1, 0, 8);
+  for (const int kind : {8, 62, 63, 64, 200, 255}) {
+    odd.rank_lane(0)->push(rec(kind, static_cast<Kind>(kind), 1,
+                               static_cast<std::uint64_t>(kind), 2, 3, 4));
+  }
+  EXPECT_TRUE(same_records(decoded_records(odd.capture(), 0),
+                           ring_records(*odd.rank_lane(0))));
 }
 
 // ---------------------------------------------------------------------------
@@ -376,8 +511,8 @@ TEST(Divergence, RingTruncationFallsBackToSuffixAlignment) {
 TEST(Lane, GrowsOnDemandThenWrapsAtCapacity) {
   // Around each capacity boundary, retained/dropped and the dumped stream
   // must hold exactly the newest records, as a preallocated ring would.
-  for (const std::size_t cap :
-       {std::size_t{1}, std::size_t{8}, std::size_t{200}}) {
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{8},
+                                 std::size_t{200}, std::size_t{5000}}) {
     for (const std::size_t n : {cap - 1, cap, cap + 1, 2 * cap + 3}) {
       SCOPED_TRACE("capacity " + std::to_string(cap) + ", " +
                    std::to_string(n) + " records");
@@ -390,6 +525,7 @@ TEST(Lane, GrowsOnDemandThenWrapsAtCapacity) {
       EXPECT_EQ(lane.total(), n);
       EXPECT_EQ(lane.retained(), kept);
       EXPECT_EQ(lane.dropped(), n - kept);
+      EXPECT_LE(lane.allocated(), cap);  // growth stops at the capacity
       std::vector<std::uint64_t> suffix;
       for (std::size_t i = n - kept; i < n; ++i) suffix.push_back(i);
       std::vector<std::uint64_t> visited;
@@ -572,6 +708,25 @@ TEST(ReplayEquivalence, EveryCaptureStreamsAsItsRenderedTextParses) {
     }
   }
   EXPECT_GE(captures_checked, 10);
+}
+
+// Packing must stay narrow: a traced quick fault_campaign grid, faulty
+// runs and reference twins alike, takes at most 16 bytes per record
+// (records cost 40 bytes unpacked).
+TEST(ReplayEquivalence, FaultCampaignCapturesPackToAtMost16BytesPerRecord) {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+  for (const HarnessRun& run : harness().runs) {
+    if (run.label.rfind("fault_campaign.scn: ", 0) != 0) continue;
+    for (const trace::Dump* dump :
+         {&run.result.trace_dump, &run.result.reference_trace_dump}) {
+      if (dump->empty()) continue;
+      records += dump->capture()->records();
+      bytes += dump->capture()->packed_bytes();
+    }
+  }
+  ASSERT_GT(records, 1000u);
+  EXPECT_LE(bytes, 16 * records) << bytes << " bytes for " << records;
 }
 
 }  // namespace
