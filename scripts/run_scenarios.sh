@@ -5,10 +5,11 @@
 # way to sanity-check the whole scenario surface locally.
 #
 # It checks only what needs the command-line binaries: mpiv_run on every
-# file, the two mpiv_trace smokes, an mpiv_stat rerun diff and --jobs byte
-# identity. What the reports say (the paper's observations, the chaos,
-# split-brain, family-race and metrics invariants) is checked in process
-# by tests/test_report_digests.cpp on the same quick grids.
+# file, the two mpiv_trace smokes (pinned to tests/expected/mpiv_trace), an
+# mpiv_stat rerun diff and --jobs byte identity. What the reports say (the
+# paper's observations, the chaos, split-brain, family-race and metrics
+# invariants) is checked in process by tests/test_report_digests.cpp on the
+# same quick grids.
 #
 # Usage: scripts/run_scenarios.sh [--build-dir DIR] [--out-dir DIR] [--full]
 #                                 [--jobs N]
@@ -102,45 +103,32 @@ if [[ $fail -ne 0 ]]; then
   exit 1
 fi
 
-# Trace smoke: mpiv_trace re-runs the shard-failover campaign with trace
-# lanes and the reference twin on; it must localize the injected crash to
-# rank 2 and find the post-recovery stream replay-equivalent (exit 0).
-TRACE_OUT="$OUT_DIR/fault_campaign.trace.txt"
-if "$BUILD_DIR/mpiv_trace" --quick scenarios/fault_campaign.scn \
-    > "$TRACE_OUT" 2> "$OUT_DIR/fault_campaign.trace.log"; then
-  for marker in 'victim: rank 2' 'replay-equivalent: yes'; do
-    if ! grep -q "$marker" "$TRACE_OUT"; then
-      echo "trace smoke FAILED: missing '$marker' in mpiv_trace output" >&2
-      sed 's/^/  | /' "$TRACE_OUT" >&2
-      exit 1
-    fi
-  done
-  echo "trace smoke OK (victim localized, replay-equivalent)"
-else
-  echo "trace smoke FAILED: mpiv_trace exited $? on fault_campaign.scn" >&2
-  sed 's/^/  | /' "$OUT_DIR/fault_campaign.trace.log" >&2
-  exit 1
-fi
-
-# Split-brain trace smoke: mpiv_trace must name the first duplicated
-# submission the merge dropped (creator rank + sequence number) and find the
-# healed run replay-equivalent to its fault-free twin.
-SB_TRACE="$OUT_DIR/split_brain.trace.txt"
-if "$BUILD_DIR/mpiv_trace" --quick scenarios/split_brain.scn \
-    > "$SB_TRACE" 2> "$OUT_DIR/split_brain.trace.log"; then
-  for marker in 'first reconciled duplicate' 'replay-equivalent: yes'; do
-    if ! grep -q "$marker" "$SB_TRACE"; then
-      echo "split-brain trace FAILED: missing '$marker' in mpiv_trace output" >&2
-      sed 's/^/  | /' "$SB_TRACE" >&2
-      exit 1
-    fi
-  done
-  echo "split-brain trace OK (first duplicate localized, replay-equivalent)"
-else
-  echo "split-brain trace FAILED: mpiv_trace exited $? on split_brain.scn" >&2
-  sed 's/^/  | /' "$OUT_DIR/split_brain.trace.log" >&2
-  exit 1
-fi
+# Trace smokes: mpiv_trace re-runs the shard-failover campaign and the
+# split-brain grid with trace lanes and the reference twin on. Its whole
+# stdout (victim, stable watermark, first replayed reception, first
+# reconciled duplicate, replay-equivalence verdict) must match the
+# checked-in expected file byte for byte, so any change to the analysis
+# shows up as a diff. After a deliberate change, regenerate the file with
+#   ./build/mpiv_trace --quick scenarios/<name>.scn \
+#       > tests/expected/mpiv_trace/<name>.quick.txt
+for name in fault_campaign split_brain; do
+  expected="tests/expected/mpiv_trace/$name.quick.txt"
+  actual="$OUT_DIR/$name.trace.txt"
+  rc=0
+  "$BUILD_DIR/mpiv_trace" --quick "scenarios/$name.scn" > "$actual" \
+      2> "$OUT_DIR/$name.trace.log" || rc=$?
+  if [[ $rc -ne 0 ]]; then
+    echo "trace smoke FAILED: mpiv_trace exited $rc on $name.scn" >&2
+    sed 's/^/  | /' "$OUT_DIR/$name.trace.log" >&2
+    exit 1
+  fi
+  if ! diff -u "$expected" "$actual" >&2; then
+    echo "trace smoke FAILED: mpiv_trace output on $name.scn differs from" \
+         "$expected" >&2
+    exit 1
+  fi
+  echo "trace smoke OK ($name matches $expected)"
+done
 
 # Family race: fold the grid into the per-family completion-probability /
 # recovery-time table and print it; a --full run re-emits it into

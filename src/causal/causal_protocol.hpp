@@ -20,12 +20,9 @@ namespace mpiv::causal {
 class CausalProtocol final : public MsgLogProtocolBase {
  public:
   CausalProtocol(StrategyKind kind, bool use_el)
-      : MsgLogProtocolBase(use_el),
-        kind_(kind),
-        strategy_(make_strategy(kind)) {}
+      : MsgLogProtocolBase(use_el), strategy_(make_strategy(kind)) {}
 
   const char* name() const override { return strategy_->name(); }
-  StrategyKind strategy_kind() const { return kind_; }
   Strategy& strategy() { return *strategy_; }
 
   void bind(const ftapi::RankServices& svc) override {
@@ -113,7 +110,6 @@ class CausalProtocol final : public MsgLogProtocolBase {
         st.graph_peak_nodes, static_cast<std::uint64_t>(strategy_->graph_vertices()));
   }
 
-  StrategyKind kind_;
   std::unique_ptr<Strategy> strategy_;
 };
 

@@ -25,7 +25,6 @@ class MsgLogProtocolBase : public ftapi::VProtocol {
   explicit MsgLogProtocolBase(bool use_el) : use_el_(use_el) {}
 
   bool is_message_logging() const override { return true; }
-  bool uses_event_logger() const { return use_el_; }
   std::size_t pb_set_size() const override {
     return store_ ? store_->held_count() : 0;
   }

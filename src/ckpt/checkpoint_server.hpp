@@ -36,7 +36,6 @@ class CheckpointServer {
     return it == images_.end() || it->second.empty() ? 0
                                                      : it->second.rbegin()->first;
   }
-  std::uint64_t stores_completed() const { return stores_; }
 
  private:
   struct Image {
@@ -68,7 +67,6 @@ class CheckpointServer {
           // Keep the last two versions (coordinated rollback may need the
           // previous globally-complete snapshot).
           while (versions.size() > 2) versions.erase(versions.begin());
-          ++stores_;
           net::Message ack;
           ack.kind = net::MsgKind::kCkptStoreAck;
           ack.dst = reply_to;
@@ -104,9 +102,6 @@ class CheckpointServer {
         });
         return;
       }
-      case net::MsgKind::kCkptDelete:
-        images_.erase(static_cast<int>(m.arg));
-        return;
       default:
         return;
     }
@@ -116,7 +111,6 @@ class CheckpointServer {
   net::ServicePort port_;
   std::map<int, std::map<std::uint64_t, Image>> images_;
   sim::Time disk_free_ = 0;
-  std::uint64_t stores_ = 0;
 };
 
 }  // namespace mpiv::ckpt

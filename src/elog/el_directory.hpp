@@ -19,7 +19,6 @@ class ElDirectory {
   /// `serving` shards take ranks round-robin; shards in
   /// [serving, serving + standby) start cold.
   void init(int nranks, int serving, int standby) {
-    serving_ = serving;
     shard_of_.resize(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       shard_of_[static_cast<std::size_t>(r)] = serving > 0 ? r % serving : 0;
@@ -35,7 +34,6 @@ class ElDirectory {
     return shard_of_[static_cast<std::size_t>(rank)];
   }
   int total_shards() const { return static_cast<int>(dead_.size()); }
-  int serving_shards() const { return serving_; }
   bool dead(int shard) const { return dead_[static_cast<std::size_t>(shard)] != 0; }
   /// True when the shard died and no successor took over its ranks: the
   /// cluster is permanently in the no-EL regime for those ranks.
@@ -110,7 +108,6 @@ class ElDirectory {
   void bump_epoch() { ++epoch_; }
 
  private:
-  int serving_ = 0;
   std::uint64_t epoch_ = 0;
   std::vector<int> shard_of_;
   std::vector<char> dead_;

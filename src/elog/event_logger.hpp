@@ -72,7 +72,6 @@ class EventLogger {
   /// This shard's trace lane (null = tracing off).
   void set_trace(trace::Lane* lane) { trace_ = lane; }
   bool owns_rank(int r) const { return dir_.shard_of(r) == shard_; }
-  bool service_down() const { return down_; }
   std::size_t stored_count() const {
     std::size_t n = 0;
     for (const Per& p : per_) n += p.dets.size();

@@ -130,12 +130,6 @@ struct Campaign {
   sim::Time detection_delay = -1;
 
   bool empty() const { return injections.empty(); }
-  bool targets_el() const {
-    for (const Injection& i : injections) {
-      if (i.target == Target::kElShard) return true;
-    }
-    return false;
-  }
 };
 
 /// Per-run tally of what the engine actually injected (ClusterReport).
@@ -158,18 +152,6 @@ struct FaultCounts {
            ckpt_outages + link_faults + partitions;
   }
 };
-
-inline const char* target_name(Target t) {
-  switch (t) {
-    case Target::kRank: return "rank";
-    case Target::kDaemon: return "daemon";
-    case Target::kElShard: return "el_shard";
-    case Target::kCkptServer: return "ckpt_server";
-    case Target::kLink: return "link";
-    case Target::kFabric: return "fabric";
-  }
-  return "?";
-}
 
 inline const char* el_failover_name(ElFailover f) {
   switch (f) {

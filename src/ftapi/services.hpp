@@ -56,7 +56,6 @@ struct NodeLayout {
   std::uint32_t total_nodes() const {
     return static_cast<std::uint32_t>(nranks + el_count + 2);
   }
-  bool is_rank_node(net::NodeId n) const { return n < static_cast<net::NodeId>(nranks); }
 };
 
 /// Everything a V-protocol may use, owned by the rank runtime.

@@ -47,16 +47,10 @@ RankRuntime::RankRuntime(sim::Engine& eng, net::Network& net,
 
 RankRuntime::~RankRuntime() = default;
 
-RankRuntime::PostedInfo RankRuntime::posted_front() const {
-  if (posted_.empty()) return PostedInfo{-99, -99};
-  return PostedInfo{posted_.front()->src, posted_.front()->tag};
-}
-
 // --- lifecycle ---------------------------------------------------------------
 
 void RankRuntime::launch(AppFactory factory) {
   MPIV_CHECK(proc_ != nullptr, "rank %d has no process", rank_);
-  app_finished_ = false;
   proc_->start(app_main(std::move(factory)));
 }
 
@@ -73,7 +67,6 @@ void RankRuntime::restart(AppFactory factory, std::uint64_t image_version) {
   trace::emit(tlane_, eng_.now(), trace::Kind::kRecovery, trace::kPhaseRestart,
               rank_, image_version);
   net_.restart_node(layout_.rank_node(rank_));
-  app_finished_ = false;
   proc_->start(recovery_main(std::move(factory), image_version));
 }
 
@@ -126,7 +119,6 @@ void RankRuntime::shrink_relaunch(AppFactory factory,
               trace::kPhaseRepairDone, victim,
               static_cast<std::uint64_t>(survivors_.size()));
   net_.restart_node(layout_.rank_node(rank_));
-  app_finished_ = false;
   proc_->start(app_main(std::move(factory)));
 }
 
@@ -157,7 +149,6 @@ void RankRuntime::teardown() {
 
 sim::Task<void> RankRuntime::app_main(AppFactory factory) {
   co_await factory(*this);
-  app_finished_ = true;
   notify_dispatcher(CtlSub::kAppDone);
 }
 

@@ -105,7 +105,6 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   /// coordinated rollback passes the last globally-complete snapshot, or
   /// ckpt::kNoImage to restart from scratch.
   void restart(AppFactory factory, std::uint64_t image_version = 0);
-  bool app_finished() const { return app_finished_; }
 
   // --- replica promotion (dispatcher, RecoveryMode::kPromote) --------------
   /// A crash under the replication hybrid: the primary dies but its hot
@@ -141,9 +140,6 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   long daemon_restart();
   bool daemon_down() const { return daemon_->daemon_down(); }
 
-  // --- checkpoint scheduler interface ---------------------------------------
-  void request_checkpoint() { ckpt_requested_ = true; }
-
   // --- accessors -------------------------------------------------------------
   ftapi::VProtocol& protocol() { return *proto_; }
   net::Daemon& daemon() { return *daemon_; }
@@ -151,16 +147,6 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   std::uint64_t rsn() const { return rsn_; }
   bool replaying() const { return !replay_.empty(); }
   bool recovering() const { return recovering_; }
-  // Introspection for tests and diagnostics.
-  std::size_t posted_count() const { return posted_.size(); }
-  std::size_t unexpected_count() const { return unexpected_.size(); }
-  std::size_t replay_count() const { return replay_.size(); }
-  const ftapi::Determinant* replay_head() const {
-    return replay_.empty() ? nullptr : &replay_.front();
-  }
-  const std::deque<StoredMsg>& unexpected_queue() const { return unexpected_; }
-  struct PostedInfo { int src; int tag; };
-  PostedInfo posted_front() const;
 
   // --- Comm -------------------------------------------------------------------
   // After a ULFM shrink the application speaks virtual ranks on the
@@ -285,7 +271,6 @@ class RankRuntime final : public Comm, public ftapi::ICheckpointOps {
   // crash: the scheduled events still fire and drain their slots.
   util::Slab<net::Message> absorb_parked_;
   bool recovering_ = false;
-  bool app_finished_ = false;
   bool ckpt_requested_ = false;
   std::uint64_t logical_state_bytes_ = 1 << 20;
   std::uint64_t ckpt_version_ = 0;

@@ -46,7 +46,6 @@ void Daemon::finish_charged(Message&& m, Charged action) {
 
 void Daemon::inject(Message&& m) {
   m.wire_bytes = cost().header_bytes + m.payload.bytes + m.body.size();
-  wire_bytes_sent_ += m.wire_bytes;
   net_.send(std::move(m));
 }
 

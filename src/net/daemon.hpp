@@ -98,7 +98,6 @@ class Daemon {
   // --- Stats ---------------------------------------------------------------
   std::uint64_t app_msgs_sent() const { return app_msgs_sent_; }
   std::uint64_t app_bytes_sent() const { return app_bytes_sent_; }
-  std::uint64_t wire_bytes_sent() const { return wire_bytes_sent_; }
   /// Messages parked while the daemon is down (metrics backlog probe).
   std::size_t held_depth() const { return held_.size(); }
 
@@ -135,7 +134,6 @@ class Daemon {
   std::deque<std::pair<Message, Charged>> held_;
   std::uint64_t app_msgs_sent_ = 0;
   std::uint64_t app_bytes_sent_ = 0;
-  std::uint64_t wire_bytes_sent_ = 0;
   std::uint64_t rdv_cookie_ = 0;
   // Messages parked waiting for a rendezvous CTS, keyed by cookie.
   std::vector<std::pair<std::uint64_t, Message>> rdv_pending_;

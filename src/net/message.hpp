@@ -33,7 +33,6 @@ enum class MsgKind : std::uint8_t {
   kCkptStoreAck,
   kCkptFetchReq,
   kCkptFetchResp,
-  kCkptDelete,
   // Recovery between peers.
   kRecoveryReq,      // restarting node -> survivor
   kRecoveryResp,     // survivor -> restarting node: determinants it holds

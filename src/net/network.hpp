@@ -38,7 +38,6 @@ class Network {
 
   sim::Engine& engine() { return eng_; }
   const CostModel& cost() const { return cost_; }
-  std::uint32_t node_count() const { return static_cast<std::uint32_t>(nodes_.size()); }
 
   /// Installs the ingress handler for a node (its communication daemon).
   void attach(NodeId node, DeliverFn fn) {

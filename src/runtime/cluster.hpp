@@ -229,8 +229,6 @@ class Cluster {
   const ClusterConfig& config() const { return cfg_; }
   /// Null when tracing is disabled.
   trace::TraceSink* trace_sink() { return trace_.get(); }
-  /// Null when metrics are disabled.
-  metrics::Registry* metrics_registry() { return metrics_.get(); }
 
   /// Human-readable protocol tag ("Manetho (no EL)", "MPICH-P4", ...).
   std::string protocol_label() const;

@@ -110,28 +110,17 @@ std::string sanitize_label(const std::string& label) {
   return s;
 }
 
-/// Writes one trace stream under `dir`, returning the path ("" on failure —
-/// a broken report path must not abort a finished run).
-std::string write_trace_file(const std::string& dir, const std::string& stem,
-                             const std::string& dump) {
+/// Writes `text` to `dir`/`file` (a trace stream or a metrics CSV),
+/// returning the path ("" on failure — a broken report path must not abort
+/// a finished run).
+std::string write_file(const std::string& dir, const std::string& file,
+                       const std::string& text) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + stem + ".trace";
+  const std::string path = dir + "/" + file;
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return "";
-  f << dump;
-  return f.good() ? path : "";
-}
-
-/// Same contract for the metrics time-series CSV.
-std::string write_metrics_csv(const std::string& dir, const std::string& stem,
-                              const std::string& csv) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + stem + ".csv";
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return "";
-  f << csv;
+  f << text;
   return f.good() ? path : "";
 }
 
@@ -304,12 +293,12 @@ RunResult run_point(const RunPoint& point) {
     if (point.spec.trace_dir.empty()) return;
     const std::string stem = sanitize_label(r.label);
     if (!r.trace_dump.empty()) {
-      r.trace_path = write_trace_file(point.spec.trace_dir, stem,
-                                      trace::render(*r.trace_dump.capture()));
+      r.trace_path = write_file(point.spec.trace_dir, stem + ".trace",
+                                trace::render(*r.trace_dump.capture()));
     }
     if (!r.reference_trace_dump.empty()) {
-      r.reference_trace_path = write_trace_file(
-          point.spec.trace_dir, stem + ".reference",
+      r.reference_trace_path = write_file(
+          point.spec.trace_dir, stem + ".reference.trace",
           trace::render(*r.reference_trace_dump.capture()));
     }
   };
@@ -322,8 +311,8 @@ RunResult run_point(const RunPoint& point) {
       return;
     }
     r.metrics_csv_path =
-        write_metrics_csv(point.spec.metrics_dir, sanitize_label(r.label),
-                          r.report.metrics.series_csv());
+        write_file(point.spec.metrics_dir, sanitize_label(r.label) + ".csv",
+                   r.report.metrics.series_csv());
   };
 
   ScenarioSpec spec = point.spec;

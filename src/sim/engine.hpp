@@ -157,7 +157,6 @@ class Engine {
     MPIV_CHECK(pid < procs_.size(), "bad pid %u", pid);
     return *procs_[pid];
   }
-  std::size_t process_count() const { return procs_.size(); }
 
   /// Non-null while the engine is executing (a resume of) a process
   /// coroutine; awaitables use it to learn who is suspending.

@@ -17,8 +17,6 @@ constexpr double to_us(Time t) { return static_cast<double>(t) / 1e3; }
 constexpr double to_ms(Time t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_sec(Time t) { return static_cast<double>(t) / 1e9; }
 
-constexpr Time from_us(double us) { return static_cast<Time>(us * 1e3); }
 constexpr Time from_ms(double ms) { return static_cast<Time>(ms * 1e6); }
-constexpr Time from_sec(double s) { return static_cast<Time>(s * 1e9); }
 
 }  // namespace mpiv::sim

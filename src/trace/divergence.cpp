@@ -54,17 +54,16 @@ std::vector<Record> logical_sequence(const std::vector<Record>& lane) {
   return live;
 }
 
-DivergenceReport compare_streams(const Stream& faulty, const Stream& reference,
-                                 int nranks) {
+DivergenceReport compare_captures(const Capture& faulty,
+                                  const Capture& reference, int nranks) {
   DivergenceReport rep;
 
-  for (const StreamRecord& sr : faulty.records) {
-    if (sr.rec.kind == Kind::kFault && sr.rec.code == kRankCrash) {
-      rep.victim = sr.rec.peer;
-      rep.victim_fault_at = sr.rec.t;
-      break;
+  for_each_record(faulty, [&rep](std::size_t, const Record& r) {
+    if (rep.victim < 0 && r.kind == Kind::kFault && r.code == kRankCrash) {
+      rep.victim = r.peer;
+      rep.victim_fault_at = r.t;
     }
-  }
+  });
 
   for (int r = 0; r < nranks; ++r) {
     LaneDivergence ld;
@@ -72,18 +71,16 @@ DivergenceReport compare_streams(const Stream& faulty, const Stream& reference,
     char lane[16];
     std::snprintf(lane, sizeof(lane), "r%d", r);
     ld.lane = lane;
-    const LaneInfo* fi = faulty.lane_info(ld.lane);
-    const LaneInfo* ri = reference.lane_info(ld.lane);
-    if (fi == nullptr || ri == nullptr) {
+    const auto li = static_cast<std::size_t>(r);
+    if (li >= faulty.lanes().size() || li >= reference.lanes().size()) {
       rep.lanes.push_back(std::move(ld));
       continue;
     }
     ld.compared = true;
-    const std::vector<Record> fa =
-        logical_sequence(faulty.lane_records(ld.lane));
-    const std::vector<Record> re =
-        logical_sequence(reference.lane_records(ld.lane));
-    ld.truncated = fi->dropped > 0 || ri->dropped > 0;
+    const std::vector<Record> fa = logical_sequence(faulty.lane_records(li));
+    const std::vector<Record> re = logical_sequence(reference.lane_records(li));
+    ld.truncated =
+        faulty.lanes()[li].dropped > 0 || reference.lanes()[li].dropped > 0;
 
     std::size_t i = 0, j = 0;
     if (ld.truncated) {

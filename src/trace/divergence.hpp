@@ -1,5 +1,5 @@
-// Semantic replay-equivalence between a faulty run's trace stream and its
-// compare_reference twin.
+// Semantic replay-equivalence between a faulty run's trace capture and its
+// compare_reference twin's.
 //
 // The oracle from the paper: causal logging must replay a crashed rank's
 // reception sequence *exactly*, so after recovery every rank's logical
@@ -23,7 +23,7 @@ namespace mpiv::trace {
 /// Outcome of comparing one rank lane.
 struct LaneDivergence {
   std::string lane;
-  bool compared = false;   // lane present in both streams
+  bool compared = false;   // lane present in both captures
   bool truncated = false;  // ring drops forced suffix-only alignment
   bool diverged = false;
   std::string what;  // human description when diverged
@@ -34,8 +34,9 @@ struct LaneDivergence {
 };
 
 struct DivergenceReport {
-  // First rank-crash fault record in the faulty stream (the reference pass
-  // strips rank injections, so this exists only on the faulty side).
+  // First rank-crash fault record of the faulty capture in stream order
+  // (the reference pass strips rank injections, so this exists only on the
+  // faulty side).
   int victim = -1;
   sim::Time victim_fault_at = 0;
   bool equivalent = true;  // every compared rank lane matched
@@ -54,7 +55,10 @@ struct DivergenceReport {
 /// wins, original order of the survivors preserved.
 std::vector<Record> logical_sequence(const std::vector<Record>& lane);
 
-DivergenceReport compare_streams(const Stream& faulty, const Stream& reference,
-                                 int nranks);
+/// Compares rank lanes 0..nranks-1; rank r's lane is capture lane r
+/// (TraceSink's order, which render and parse_stream keep). `lanes[r]` of
+/// the report is rank r's.
+DivergenceReport compare_captures(const Capture& faulty,
+                                  const Capture& reference, int nranks);
 
 }  // namespace mpiv::trace

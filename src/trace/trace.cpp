@@ -9,7 +9,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
+
+#include "util/check.hpp"
 
 namespace mpiv::trace {
 
@@ -30,6 +32,8 @@ constexpr KindName kKindNames[] = {
     {Kind::kFault, "fault"},
     {Kind::kRecovery, "recovery"},
 };
+
+constexpr const char* kFormatHeader = "# mpiv-trace v1";
 
 /// "r<k>" / "el<s>" built via snprintf: `"r" + std::to_string(r)` trips a
 /// GCC 12 -Wrestrict false positive under -Werror (same issue the vendored
@@ -122,18 +126,37 @@ std::uint64_t get_varint(const std::uint8_t*& p) {
 }  // namespace
 
 Capture::Capture(const std::vector<Lane>& lanes) {
-  for (const Lane& l : lanes) records_ += l.retained();
+  lanes_.reserve(lanes.size());
+  for (const Lane& l : lanes) {
+    lanes_.push_back(LaneInfo{l.name(), l.total(), l.dropped()});
+    records_ += l.retained();
+  }
+  pack([&lanes](std::size_t li, auto&& put) { lanes[li].for_each(put); });
+}
+
+Capture::Capture(std::vector<LaneInfo> lanes,
+                 const std::vector<std::vector<Record>>& records)
+    : lanes_(std::move(lanes)) {
+  MPIV_CHECK(records.size() == lanes_.size(),
+             "capture of %zu lanes given %zu record lists", lanes_.size(),
+             records.size());
+  for (const std::vector<Record>& lane : records) records_ += lane.size();
+  pack([&records](std::size_t li, auto&& put) {
+    for (const Record& r : records[li]) put(r);
+  });
+}
+
+template <class VisitLane>
+void Capture::pack(VisitLane&& visit_lane) {
   // Encode into an upper-bound scratch buffer, then keep an exact copy.
   const auto scratch = std::make_unique_for_overwrite<std::uint8_t[]>(
       static_cast<std::size_t>(records_) * kMaxRecordBytes);
   std::uint8_t* p = scratch.get();
-  lanes_.reserve(lanes.size());
-  lane_ends_.reserve(lanes.size());
-  for (const Lane& l : lanes) {
-    lanes_.push_back(LaneInfo{l.name(), l.total(), l.dropped()});
+  lane_ends_.reserve(lanes_.size());
+  for (std::size_t li = 0; li < lanes_.size(); ++li) {
     std::uint64_t prev_t = 0;
     std::uint64_t kind_seq[kSeqSlots] = {};
-    l.for_each([&](const Record& r) {
+    visit_lane(li, [&](const Record& r) {
       const auto kind = static_cast<std::uint8_t>(r.kind);
       std::uint8_t* const head = p++;
       *head = static_cast<std::uint8_t>(std::min(kind, kKindEscape) << 2);
@@ -163,8 +186,17 @@ Capture::Capture(const std::vector<Lane>& lanes) {
 }
 
 Capture::Cursor Capture::cursor(std::size_t lane) const {
+  MPIV_CHECK(lane < lanes_.size(), "capture has no lane %zu", lane);
   const std::size_t begin = lane == 0 ? 0 : lane_ends_[lane - 1];
   return Cursor(bytes_.data() + begin, bytes_.data() + lane_ends_[lane]);
+}
+
+std::vector<Record> Capture::lane_records(std::size_t lane) const {
+  std::vector<Record> out;
+  for (Cursor cur = cursor(lane); !cur.done(); cur.advance()) {
+    out.push_back(cur.record());
+  }
+  return out;
 }
 
 Capture::Cursor::Cursor(const std::uint8_t* begin, const std::uint8_t* end)
@@ -199,37 +231,9 @@ void Capture::Cursor::advance() {
 
 std::string TraceSink::dump() const { return render(capture()); }
 
-namespace {
-
-/// Visits a capture's records as fn(lane index, record), k-way merged by
-/// (timestamp, lane index, lane order). Lane index breaks timestamp ties
-/// deterministically; within a lane the capture order is the record order.
-template <class Fn>
-void for_each_merged(const Capture& c, Fn&& fn) {
-  std::vector<Capture::Cursor> lanes;
-  lanes.reserve(c.lanes().size());
-  for (std::size_t li = 0; li < c.lanes().size(); ++li) {
-    lanes.push_back(c.cursor(li));
-  }
-  for (;;) {
-    std::size_t best = lanes.size();
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-      if (lanes[li].done()) continue;
-      if (best == lanes.size() ||
-          lanes[li].record().t < lanes[best].record().t) {
-        best = li;
-      }
-    }
-    if (best == lanes.size()) return;
-    fn(best, lanes[best].record());
-    lanes[best].advance();
-  }
-}
-
-}  // namespace
-
 std::string render(const Capture& capture) {
-  std::string out = "# mpiv-trace v1\n";
+  std::string out = kFormatHeader;
+  out += '\n';
   out.reserve(64 * (capture.lanes().size() + 1) + 48 * capture.records());
   for (const LaneInfo& l : capture.lanes()) {
     out += "# lane ";
@@ -241,7 +245,7 @@ std::string render(const Capture& capture) {
     out += '\n';
   }
   char line[160];
-  for_each_merged(capture, [&](std::size_t lane, const Record& r) {
+  for_each_record(capture, [&](std::size_t lane, const Record& r) {
     std::snprintf(line, sizeof(line),
                   "%" PRId64 " %s %s %u %d %" PRIu64 " %" PRIu64 " %" PRIx64
                   "\n",
@@ -261,21 +265,6 @@ const std::string& Dump::text() const {
     text_ = std::make_shared<const std::string>(render(*capture_));
   }
   return *text_;
-}
-
-const LaneInfo* Stream::lane_info(const std::string& name) const {
-  for (const LaneInfo& li : lanes) {
-    if (li.name == name) return &li;
-  }
-  return nullptr;
-}
-
-std::vector<Record> Stream::lane_records(const std::string& name) const {
-  std::vector<Record> out;
-  for (const StreamRecord& sr : records) {
-    if (sr.lane == name) out.push_back(sr.rec);
-  }
-  return out;
 }
 
 namespace {
@@ -313,8 +302,11 @@ bool parse_keyed(std::string_view field, std::string_view key,
 
 }  // namespace
 
-Stream parse_stream(const std::string& text) {
-  Stream s;
+Capture parse_stream(const std::string& text) {
+  std::vector<LaneInfo> lanes;
+  std::vector<std::vector<Record>> records;  // per lane, in text order
+  std::vector<int> header_lines;             // each lane header's line
+  std::unordered_map<std::string, std::size_t> lane_index;
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -323,15 +315,18 @@ Stream parse_stream(const std::string& text) {
                              ": " + why);
   };
   bool saw_header = false;
-  std::unordered_set<std::string> lane_names;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    if (line[0] == '#') {
-      if (line.rfind("# mpiv-trace", 0) == 0) {
-        saw_header = true;
-        continue;
+    if (!saw_header) {
+      if (line != kFormatHeader) {
+        bad(std::string("expected '") + kFormatHeader + "' first");
       }
+      saw_header = true;
+      continue;
+    }
+    if (line[0] == '#') {
+      if (line.rfind("# mpiv-trace", 0) == 0) bad("repeated format header");
       if (line.rfind("# lane ", 0) == 0) {
         const std::vector<std::string_view> f = split_fields(line);
         LaneInfo li;
@@ -341,46 +336,47 @@ Stream parse_stream(const std::string& text) {
         }
         if (li.dropped > li.total) bad("lane drops more records than it saw");
         li.name = f[2];
-        if (!lane_names.insert(li.name).second) {
+        if (!lane_index.try_emplace(li.name, lanes.size()).second) {
           bad("repeated lane '" + li.name + "'");
         }
-        s.lanes.push_back(std::move(li));
+        lanes.push_back(std::move(li));
+        records.emplace_back();
+        header_lines.push_back(lineno);
       }
       continue;  // other comments ignored
     }
-    if (!saw_header) bad("missing '# mpiv-trace' header");
     const std::vector<std::string_view> f = split_fields(line);
     if (f.size() != 8) bad("malformed record");
-    StreamRecord sr;
-    sr.lane = f[1];
-    if (lane_names.count(sr.lane) == 0) {
-      bad("record on lane '" + sr.lane + "' with no lane header");
+    const auto lane = lane_index.find(std::string(f[1]));
+    if (lane == lane_index.end()) {
+      bad("record on lane '" + std::string(f[1]) + "' with no lane header");
     }
-    if (!parse_kind(std::string(f[2]), &sr.rec.kind)) {
+    Record r;
+    if (!parse_kind(std::string(f[2]), &r.kind)) {
       bad("unknown kind '" + std::string(f[2]) + "'");
     }
-    if (!parse_number(f[0], &sr.rec.t)) bad("bad timestamp");
-    if (!parse_number(f[3], &sr.rec.code)) bad("bad code");
-    if (!parse_number(f[4], &sr.rec.peer)) bad("bad peer");
-    if (!parse_number(f[5], &sr.rec.seq)) bad("bad seq");
-    if (!parse_number(f[6], &sr.rec.aux)) bad("bad aux");
-    if (!parse_number(f[7], &sr.rec.digest, 16)) bad("bad digest");
-    s.records.push_back(std::move(sr));
+    if (!parse_number(f[0], &r.t)) bad("bad timestamp");
+    if (!parse_number(f[3], &r.code)) bad("bad code");
+    if (!parse_number(f[4], &r.peer)) bad("bad peer");
+    if (!parse_number(f[5], &r.seq)) bad("bad seq");
+    if (!parse_number(f[6], &r.aux)) bad("bad aux");
+    if (!parse_number(f[7], &r.digest, 16)) bad("bad digest");
+    records[lane->second].push_back(r);
   }
   if (!saw_header) {
-    throw std::runtime_error("trace stream: missing '# mpiv-trace' header");
+    throw std::runtime_error(std::string("trace stream: missing '") +
+                             kFormatHeader + "' header");
   }
-  return s;
-}
-
-Stream to_stream(const Capture& capture) {
-  Stream s;
-  s.lanes = capture.lanes();
-  s.records.reserve(capture.records());
-  for_each_merged(capture, [&](std::size_t lane, const Record& r) {
-    s.records.push_back(StreamRecord{capture.lanes()[lane].name, r});
-  });
-  return s;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    const std::uint64_t retained = lanes[i].total - lanes[i].dropped;
+    if (records[i].size() != retained) {
+      lineno = header_lines[i];
+      bad("lane '" + lanes[i].name + "' holds " +
+          std::to_string(records[i].size()) + " records, its header says " +
+          std::to_string(retained));
+    }
+  }
+  return Capture(std::move(lanes), records);
 }
 
 std::string format_record(const std::string& lane, const Record& r) {

@@ -13,14 +13,15 @@
 // At the end of a run the sink's lanes are packed into a Capture: an
 // immutable, delta/varint-encoded copy of every retained record, about a
 // third of the lanes' 40-byte records, decoded one lane at a time only
-// when someone reads it. Runs keep captures, not text: `render`
-// merge-sorts a capture by virtual timestamp into the `# mpiv-trace v1`
-// text stream only for a reader of text (a `trace.dir` file,
-// `TraceSink::dump()`, `Dump::text()`), and that text parses back
-// losslessly. `mpiv_trace` and the replay-equivalence harness read
-// captures directly through `to_stream`: aligning a faulty run's stream
-// with its `compare_reference` twin localizes a wrong replay to the exact
-// record instead of a final checksum mismatch.
+// when someone reads it. A Capture is the only container of a finished
+// trace. Runs keep captures, not text: `render` merge-sorts a capture by
+// virtual timestamp into the `# mpiv-trace v1` text stream only for a
+// reader of text (a `trace.dir` file, `TraceSink::dump()`, `Dump::text()`),
+// and `parse_stream` reads that text back into the Capture it was rendered
+// from. `mpiv_trace` and the replay-equivalence harness read captures
+// lane by lane: aligning each rank lane of a faulty run with its
+// `compare_reference` twin's localizes a wrong replay to the exact record
+// instead of a final checksum mismatch.
 #pragma once
 
 #include <cstdint>
@@ -153,6 +154,8 @@ struct LaneInfo {
   std::string name;
   std::uint64_t total = 0;
   std::uint64_t dropped = 0;
+
+  bool operator==(const LaneInfo&) const = default;
 };
 
 /// An immutable, packed copy of a sink's lanes: each lane's retained
@@ -162,7 +165,8 @@ struct LaneInfo {
 /// lane's previous t, of seq minus the lane's previous seq of the same
 /// kind and of peer, a varint of aux, and the 8 digest bytes if nonzero.
 /// Every Record round-trips exactly. Readers decode through a Cursor; no
-/// unpacked copy is kept.
+/// unpacked copy is kept. The packing is a pure function of the lanes, so
+/// equal captures hold equal lane headers and records.
 class Capture {
   /// A record's seq is a delta against the lane's previous seq in slot
   /// `kind % kSeqSlots`; any fixed mapping is exact, this one gives every
@@ -172,6 +176,11 @@ class Capture {
  public:
   /// Packs the lanes' retained records (what TraceSink::capture() does).
   explicit Capture(const std::vector<Lane>& lanes);
+  /// Packs parsed lanes: `records[i]` holds lane i's records, oldest first.
+  Capture(std::vector<LaneInfo> lanes,
+          const std::vector<std::vector<Record>>& records);
+
+  bool operator==(const Capture&) const = default;
 
   /// Lane headers, in sink order (timestamp ties break on it).
   const std::vector<LaneInfo>& lanes() const { return lanes_; }
@@ -199,8 +208,16 @@ class Capture {
     std::uint64_t kind_seq_[kSeqSlots] = {};  // previous seq per kind slot
   };
   Cursor cursor(std::size_t lane) const;
+  /// One lane's records, oldest first.
+  std::vector<Record> lane_records(std::size_t lane) const;
 
  private:
+  /// The one encoder behind both constructors: with lanes_ and records_
+  /// set, packs the records that visit_lane(i, put) passes to put(record)
+  /// for each lane i.
+  template <class VisitLane>
+  void pack(VisitLane&& visit_lane);
+
   std::vector<LaneInfo> lanes_;
   /// Lane i's bytes are [lane_ends_[i - 1], lane_ends_[i]) (from 0 for i = 0).
   std::vector<std::size_t> lane_ends_;
@@ -208,9 +225,34 @@ class Capture {
   std::uint64_t records_ = 0;
 };
 
+/// Visits a capture's records in stream order as fn(lane index, record):
+/// k-way merged by (timestamp, lane index, lane order). Lane index breaks
+/// timestamp ties deterministically; within a lane the capture order is
+/// the record order.
+template <class Fn>
+void for_each_record(const Capture& capture, Fn&& fn) {
+  std::vector<Capture::Cursor> lanes;
+  lanes.reserve(capture.lanes().size());
+  for (std::size_t li = 0; li < capture.lanes().size(); ++li) {
+    lanes.push_back(capture.cursor(li));
+  }
+  for (;;) {
+    std::size_t best = lanes.size();
+    for (std::size_t li = 0; li < lanes.size(); ++li) {
+      if (lanes[li].done()) continue;
+      if (best == lanes.size() ||
+          lanes[li].record().t < lanes[best].record().t) {
+        best = li;
+      }
+    }
+    if (best == lanes.size()) return;
+    fn(best, lanes[best].record());
+    lanes[best].advance();
+  }
+}
+
 /// The `# mpiv-trace v1` text of a capture: lane headers, then every record
-/// merge-sorted by (timestamp, lane index, lane order). parse_stream reads
-/// it back field for field.
+/// in stream order (for_each_record). parse_stream reads it back.
 std::string render(const Capture& capture);
 
 /// The per-cluster registry: one lane per rank ("r<k>"), one per EL shard
@@ -275,31 +317,14 @@ class Dump {
   mutable std::shared_ptr<const std::string> text_;
 };
 
-// --- parsed stream (the mpiv_trace / test-harness side) ---------------------
-
-struct StreamRecord {
-  std::string lane;  // "r2", "el0", "engine"
-  Record rec;
-};
-
-struct Stream {
-  std::vector<LaneInfo> lanes;
-  std::vector<StreamRecord> records;  // merged dump order
-
-  const LaneInfo* lane_info(const std::string& name) const;
-  /// Records of one lane, in stream (= lane) order.
-  std::vector<Record> lane_records(const std::string& name) const;
-};
-
-/// Parses a rendered stream back. Throws std::runtime_error with a line
-/// number on malformed input: a field that is not a number in its type's
-/// range, extra fields, a record on a lane with no `# lane` header, a
-/// repeated lane header or a header whose dropped exceeds its total.
-Stream parse_stream(const std::string& text);
-
-/// The stream parse_stream(render(capture)) would return, built without
-/// the text round trip.
-Stream to_stream(const Capture& capture);
+/// Parses a rendered stream back into the capture it was rendered from:
+/// parse_stream(render(c)) == c. Throws std::runtime_error with a line
+/// number on malformed input: a first non-empty line other than
+/// `# mpiv-trace v1` or a repeated one, a field that is not a number in
+/// its type's range, extra fields, a record on a lane with no `# lane`
+/// header, a repeated lane header, a header whose dropped exceeds its
+/// total, or a lane holding other than total - dropped records.
+Capture parse_stream(const std::string& text);
 
 /// One-line human rendering of a record ("r2 recv-match seq=57 peer=0 ...").
 std::string format_record(const std::string& lane, const Record& r);

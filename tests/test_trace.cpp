@@ -1,6 +1,6 @@
 // Tests for the trace subsystem: ring-lane semantics, merge-sorted dumps,
-// stream parse round-trips, the logical-sequence projection, divergence
-// localization on deliberately corrupted streams — and the replay-
+// capture parse round-trips, the logical-sequence projection, divergence
+// localization on deliberately corrupted captures — and the replay-
 // equivalence harness, which re-runs every bundled fault scenario with
 // lanes on and asserts the post-recovery trace is record-identical to the
 // compare_reference twin (the paper's replay guarantee at record
@@ -90,16 +90,18 @@ TEST(TraceSink, DumpMergesLanesByTimestampWithLaneTieBreak) {
       rec(20, Kind::kFault, 2, 0, 0, 0, trace::kRankCrash));
   sink.rank_lane(0)->push(rec(30, Kind::kSend, 1, 2));
 
-  const trace::Stream s = trace::parse_stream(sink.dump());
-  ASSERT_EQ(s.records.size(), 5u);
-  EXPECT_EQ(s.records[0].lane, "el0");     // t=5
-  EXPECT_EQ(s.records[1].lane, "r0");      // t=10, lane index 0 wins the tie
-  EXPECT_EQ(s.records[2].lane, "r1");      // t=10
-  EXPECT_EQ(s.records[3].lane, "engine");  // t=20
-  EXPECT_EQ(s.records[4].lane, "r0");      // t=30
-  for (std::size_t i = 1; i < s.records.size(); ++i) {
-    EXPECT_LE(s.records[i - 1].rec.t, s.records[i].rec.t);
-  }
+  const trace::Capture c = trace::parse_stream(sink.dump());
+  EXPECT_TRUE(c == sink.capture());
+  std::vector<std::string> lanes;
+  std::vector<sim::Time> stamps;
+  trace::for_each_record(c, [&](std::size_t lane, const Record& r) {
+    lanes.push_back(c.lanes()[lane].name);
+    stamps.push_back(r.t);
+  });
+  // t=5; t=10 where lane index 0 wins the tie; t=10; t=20; t=30.
+  EXPECT_EQ(lanes, (std::vector<std::string>{"el0", "r0", "r1", "engine",
+                                             "r0"}));
+  EXPECT_TRUE(std::is_sorted(stamps.begin(), stamps.end()));
 }
 
 TEST(TraceSink, ParseRoundTripPreservesEveryField) {
@@ -109,16 +111,15 @@ TEST(TraceSink, ParseRoundTripPreservesEveryField) {
   sink.rank_lane(0)->push(orig);
   sink.rank_lane(0)->push(rec(123456790, Kind::kRecovery, 3, 9, 0, 0,
                               trace::kPhaseElFailover));
-  const trace::Stream s = trace::parse_stream(sink.dump());
-  ASSERT_EQ(s.records.size(), 2u);
-  EXPECT_TRUE(s.records[0].rec.same_content(orig));
-  EXPECT_EQ(s.records[0].rec.t, orig.t);
-  const trace::LaneInfo* li = s.lane_info("r0");
-  ASSERT_NE(li, nullptr);
-  EXPECT_EQ(li->total, 2u);
-  EXPECT_EQ(li->dropped, 0u);
+  const trace::Capture c = trace::parse_stream(sink.dump());
+  ASSERT_EQ(c.records(), 2u);
+  const std::vector<Record> r0 = c.lane_records(0);
+  EXPECT_TRUE(r0[0].same_content(orig));
+  EXPECT_EQ(r0[0].t, orig.t);
+  ASSERT_EQ(c.lanes().size(), 2u);
+  EXPECT_EQ(c.lanes()[0], (trace::LaneInfo{"r0", 2, 0}));
   // Lane headers survive even for empty lanes.
-  EXPECT_NE(s.lane_info("engine"), nullptr);
+  EXPECT_EQ(c.lanes()[1], (trace::LaneInfo{"engine", 0, 0}));
 }
 
 TEST(TraceSink, ParserRejectsGarbage) {
@@ -144,44 +145,17 @@ TEST(TraceSink, ParserRejectsGarbage) {
       "# mpiv-trace v1\n# lane r0 total=2 dropped=3\n",
       "# mpiv-trace v1\n# lane r0 total=2\n",
       head + "# lane r0 total=1 dropped=0\n",  // repeated lane
+      "# mpiv-trace v2\n",                     // unknown format version
+      "# mpiv-trace-garbage\n",
+      "# lane r0 total=0 dropped=0\n# mpiv-trace v1\n",  // header not first
+      "# mpiv-trace v1\n# mpiv-trace v1\n",              // repeated header
+      "# mpiv-trace v1\n# lane r0 total=5 dropped=0\n"
+      "10 r0 send 0 1 2 3 4\n",  // fewer records than total - dropped
+      head + "10 r0 send 0 1 2 3 4\n11 r0 send 0 1 3 3 4\n",  // more
   };
   for (const std::string& bad : garbage) {
     EXPECT_THROW(trace::parse_stream(bad), std::runtime_error) << bad;
   }
-}
-
-/// Field-for-field stream equality, lane headers included; names the first
-/// difference.
-::testing::AssertionResult same_stream(const trace::Stream& a,
-                                       const trace::Stream& b) {
-  if (a.lanes.size() != b.lanes.size()) {
-    return ::testing::AssertionFailure() << "lane counts " << a.lanes.size()
-                                         << " vs " << b.lanes.size();
-  }
-  for (std::size_t i = 0; i < a.lanes.size(); ++i) {
-    const trace::LaneInfo& x = a.lanes[i];
-    const trace::LaneInfo& y = b.lanes[i];
-    if (x.name != y.name || x.total != y.total || x.dropped != y.dropped) {
-      return ::testing::AssertionFailure() << "lane header " << i << " ("
-                                           << x.name << " vs " << y.name << ")";
-    }
-  }
-  if (a.records.size() != b.records.size()) {
-    return ::testing::AssertionFailure() << "record counts "
-                                         << a.records.size() << " vs "
-                                         << b.records.size();
-  }
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const trace::StreamRecord& x = a.records[i];
-    const trace::StreamRecord& y = b.records[i];
-    if (x.lane != y.lane || x.rec.t != y.rec.t ||
-        !x.rec.same_content(y.rec)) {
-      return ::testing::AssertionFailure()
-             << "record " << i << ": " << trace::format_record(x.lane, x.rec)
-             << " vs " << trace::format_record(y.lane, y.rec);
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 /// Four lanes (r0, r1, el0, engine) exercising every corner of the text
@@ -244,14 +218,22 @@ TEST(TraceText, RenderMatchesTheGoldenText) {
   EXPECT_EQ(none.begin(), none.end());
 }
 
-TEST(TraceText, ToStreamEqualsTheParsedRender) {
+TEST(TraceText, RenderParsesBackToTheCapture) {
   const trace::Capture capture = golden_sink().capture();
-  const trace::Stream direct = trace::to_stream(capture);
-  EXPECT_TRUE(
-      same_stream(direct, trace::parse_stream(trace::render(capture))));
-  ASSERT_EQ(direct.lanes.size(), 4u);
-  EXPECT_EQ(direct.lanes[1].dropped, 2u);
-  EXPECT_EQ(direct.lanes[2].total, 0u);
+  const trace::Capture parsed = trace::parse_stream(trace::render(capture));
+  EXPECT_TRUE(parsed == capture);
+  ASSERT_EQ(parsed.lanes().size(), 4u);
+  EXPECT_EQ(parsed.lanes()[1].dropped, 2u);
+  EXPECT_EQ(parsed.lanes()[2].total, 0u);
+  // Repacking the decoded lanes gives the same capture; one field of one
+  // record changed gives a different one.
+  std::vector<std::vector<Record>> records;
+  for (std::size_t li = 0; li < capture.lanes().size(); ++li) {
+    records.push_back(capture.lane_records(li));
+  }
+  EXPECT_TRUE(trace::Capture(capture.lanes(), records) == capture);
+  records[1].back().aux += 1;
+  EXPECT_FALSE(trace::Capture(capture.lanes(), records) == capture);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,15 +243,6 @@ TEST(TraceText, ToStreamEqualsTheParsedRender) {
 std::vector<Record> ring_records(const trace::Lane& lane) {
   std::vector<Record> out;
   lane.for_each([&out](const Record& r) { out.push_back(r); });
-  return out;
-}
-
-std::vector<Record> decoded_records(const trace::Capture& c,
-                                    std::size_t lane) {
-  std::vector<Record> out;
-  for (auto cur = c.cursor(lane); !cur.done(); cur.advance()) {
-    out.push_back(cur.record());
-  }
   return out;
 }
 
@@ -350,13 +323,12 @@ TEST(Capture, PackedLanesDecodeToTheRetainedRecords) {
     std::uint64_t retained = 0;
     for (std::size_t li = 0; li < sink.lanes().size(); ++li) {
       retained += sink.lanes()[li].retained();
-      EXPECT_TRUE(same_records(decoded_records(c, li),
-                               ring_records(sink.lanes()[li])))
+      EXPECT_TRUE(
+          same_records(c.lane_records(li), ring_records(sink.lanes()[li])))
           << sink.lanes()[li].name();
     }
     EXPECT_EQ(c.records(), retained);
-    EXPECT_TRUE(same_stream(trace::to_stream(c),
-                            trace::parse_stream(trace::render(c))));
+    EXPECT_TRUE(trace::parse_stream(trace::render(c)) == c);
   }
 
   // Kinds past the enum have no text form but still pack exactly.
@@ -365,7 +337,7 @@ TEST(Capture, PackedLanesDecodeToTheRetainedRecords) {
     odd.rank_lane(0)->push(rec(kind, static_cast<Kind>(kind), 1,
                                static_cast<std::uint64_t>(kind), 2, 3, 4));
   }
-  EXPECT_TRUE(same_records(decoded_records(odd.capture(), 0),
+  EXPECT_TRUE(same_records(odd.capture().lane_records(0),
                            ring_records(*odd.rank_lane(0))));
 }
 
@@ -430,11 +402,11 @@ std::string two_rank_stream(bool corrupt_ssn, bool drop_tail,
 }
 
 TEST(Divergence, IdenticalStreamsAreEquivalent) {
-  const trace::Stream a = trace::parse_stream(two_rank_stream(false, false,
+  const trace::Capture a = trace::parse_stream(two_rank_stream(false, false,
                                                               true));
-  const trace::Stream b = trace::parse_stream(two_rank_stream(false, false,
+  const trace::Capture b = trace::parse_stream(two_rank_stream(false, false,
                                                               false));
-  const trace::DivergenceReport rep = trace::compare_streams(a, b, 2);
+  const trace::DivergenceReport rep = trace::compare_captures(a, b, 2);
   EXPECT_TRUE(rep.equivalent);
   EXPECT_EQ(rep.victim, 1);  // the kFault record names the victim
   EXPECT_EQ(rep.victim_fault_at, 15);
@@ -442,12 +414,12 @@ TEST(Divergence, IdenticalStreamsAreEquivalent) {
 }
 
 TEST(Divergence, CorruptedRecordIsLocalizedToLaneAndRecord) {
-  const trace::Stream faulty =
+  const trace::Capture faulty =
       trace::parse_stream(two_rank_stream(/*corrupt_ssn=*/true, false, true));
-  const trace::Stream reference =
+  const trace::Capture reference =
       trace::parse_stream(two_rank_stream(false, false, false));
   const trace::DivergenceReport rep =
-      trace::compare_streams(faulty, reference, 2);
+      trace::compare_captures(faulty, reference, 2);
   EXPECT_FALSE(rep.equivalent);
   const trace::LaneDivergence* d = rep.first_divergent();
   ASSERT_NE(d, nullptr);
@@ -464,12 +436,12 @@ TEST(Divergence, CorruptedRecordIsLocalizedToLaneAndRecord) {
 }
 
 TEST(Divergence, MissingTailRecordIsReported) {
-  const trace::Stream faulty =
+  const trace::Capture faulty =
       trace::parse_stream(two_rank_stream(false, /*drop_tail=*/true, true));
-  const trace::Stream reference =
+  const trace::Capture reference =
       trace::parse_stream(two_rank_stream(false, false, false));
   const trace::DivergenceReport rep =
-      trace::compare_streams(faulty, reference, 2);
+      trace::compare_captures(faulty, reference, 2);
   EXPECT_FALSE(rep.equivalent);
   const trace::LaneDivergence* d = rep.first_divergent();
   ASSERT_NE(d, nullptr);
@@ -477,6 +449,31 @@ TEST(Divergence, MissingTailRecordIsReported) {
   EXPECT_TRUE(d->has_reference);
   EXPECT_FALSE(d->has_faulty);
   EXPECT_NE(d->what.find("missing"), std::string::npos) << d->what;
+}
+
+// The victim is the first rank crash in stream order: the earliest
+// timestamp, ties broken by the lower lane index.
+TEST(Divergence, VictimIsTheFirstCrashInStreamOrder) {
+  auto crash = [](sim::Time t, std::int32_t victim) {
+    return rec(t, Kind::kFault, victim, 0, 0, 0, trace::kRankCrash);
+  };
+  auto victim_of = [](const trace::TraceSink& sink) {
+    const trace::Capture c = sink.capture();
+    const trace::DivergenceReport rep =
+        trace::compare_captures(c, c, sink.nranks());
+    return std::make_pair(rep.victim, rep.victim_fault_at);
+  };
+  // Two crashes at t=15 on lanes 1 and 0: lane 0's comes first.
+  trace::TraceSink tie(2, 0, 8);
+  tie.rank_lane(1)->push(crash(15, 7));
+  tie.rank_lane(0)->push(crash(15, 5));
+  EXPECT_EQ(victim_of(tie), std::make_pair(5, sim::Time{15}));
+  // Lane 3's crash at t=30 comes before lane 0's at t=40.
+  trace::TraceSink later(4, 0, 8);
+  later.rank_lane(0)->push(rec(5, Kind::kSend, 1, 1));
+  later.rank_lane(0)->push(crash(40, 0));
+  later.rank_lane(3)->push(crash(30, 3));
+  EXPECT_EQ(victim_of(later), std::make_pair(3, sim::Time{30}));
 }
 
 TEST(Divergence, RingTruncationFallsBackToSuffixAlignment) {
@@ -491,7 +488,7 @@ TEST(Divergence, RingTruncationFallsBackToSuffixAlignment) {
     small.rank_lane(0)->push(r);
     big.rank_lane(0)->push(r);
   }
-  const trace::DivergenceReport rep = trace::compare_streams(
+  const trace::DivergenceReport rep = trace::compare_captures(
       trace::parse_stream(small.dump()), trace::parse_stream(big.dump()), 1);
   EXPECT_TRUE(rep.equivalent);
   ASSERT_EQ(rep.lanes.size(), 1u);
@@ -501,7 +498,7 @@ TEST(Divergence, RingTruncationFallsBackToSuffixAlignment) {
   // A corrupted record inside the surviving suffix is still caught.
   small.rank_lane(0)->push(rec(70, Kind::kSend, 1, 7, 0, 0xbad));
   big.rank_lane(0)->push(rec(70, Kind::kSend, 1, 7, 0, 0x47));
-  const trace::DivergenceReport rep2 = trace::compare_streams(
+  const trace::DivergenceReport rep2 = trace::compare_captures(
       trace::parse_stream(small.dump()), trace::parse_stream(big.dump()), 1);
   EXPECT_FALSE(rep2.equivalent);
   EXPECT_TRUE(rep2.lanes[0].truncated);
@@ -532,13 +529,15 @@ TEST(Lane, GrowsOnDemandThenWrapsAtCapacity) {
       lane.for_each([&visited](const Record& r) { visited.push_back(r.seq); });
       EXPECT_EQ(visited, suffix);
 
-      const trace::Stream stream = trace::parse_stream(sink.dump());
-      const trace::LaneInfo* info = stream.lane_info("r0");
-      ASSERT_NE(info, nullptr);
-      EXPECT_EQ(info->total, n);
-      EXPECT_EQ(info->dropped, n - kept);
+      const trace::Capture parsed_capture = trace::parse_stream(sink.dump());
+      const trace::LaneInfo& info = parsed_capture.lanes()[0];
+      EXPECT_EQ(info.name, "r0");
+      EXPECT_EQ(info.total, n);
+      EXPECT_EQ(info.dropped, n - kept);
       std::vector<std::uint64_t> parsed;
-      for (const Record& r : stream.lane_records("r0")) parsed.push_back(r.seq);
+      for (const Record& r : parsed_capture.lane_records(0)) {
+        parsed.push_back(r.seq);
+      }
       EXPECT_EQ(parsed, suffix);
     }
   }
@@ -567,17 +566,15 @@ TEST(TraceRun, FaultyAndReferenceStreamsAreCapturedAndEquivalent) {
   ASSERT_TRUE(r.recovered_exact);
   ASSERT_FALSE(r.trace_dump.empty());
   ASSERT_FALSE(r.reference_trace_dump.empty());
-  const trace::Stream faulty = trace::to_stream(*r.trace_dump.capture());
-  const trace::Stream reference =
-      trace::to_stream(*r.reference_trace_dump.capture());
+  const trace::Capture& faulty = *r.trace_dump.capture();
   const trace::DivergenceReport rep =
-      trace::compare_streams(faulty, reference, 4);
+      trace::compare_captures(faulty, *r.reference_trace_dump.capture(), 4);
   EXPECT_EQ(rep.victim, 2);
   EXPECT_GT(rep.victim_fault_at, 0);
   EXPECT_TRUE(rep.equivalent) << rep.first_divergent()->what;
   // The faulty stream carries the recovery phase ladder for the victim.
   bool saw_restart = false, saw_replay_done = false;
-  for (const Record& rec : faulty.lane_records("r2")) {
+  for (const Record& rec : faulty.lane_records(2)) {
     if (rec.kind == Kind::kRecovery) {
       saw_restart |= rec.code == trace::kPhaseRestart;
       saw_replay_done |= rec.code == trace::kPhaseReplayDone;
@@ -592,13 +589,15 @@ TEST(TraceRun, TinyRingStillComparesViaSuffixAlignment) {
   ASSERT_TRUE(r.completed);
   ASSERT_FALSE(r.trace_dump.empty());
   ASSERT_FALSE(r.reference_trace_dump.empty());
-  const trace::Stream faulty = trace::to_stream(*r.trace_dump.capture());
+  const trace::Capture& faulty = *r.trace_dump.capture();
   // With 64-record lanes this workload must overflow at least one rank lane.
   bool any_dropped = false;
-  for (const trace::LaneInfo& li : faulty.lanes) any_dropped |= li.dropped > 0;
+  for (const trace::LaneInfo& li : faulty.lanes()) {
+    any_dropped |= li.dropped > 0;
+  }
   EXPECT_TRUE(any_dropped);
-  const trace::DivergenceReport rep = trace::compare_streams(
-      faulty, trace::to_stream(*r.reference_trace_dump.capture()), 4);
+  const trace::DivergenceReport rep =
+      trace::compare_captures(faulty, *r.reference_trace_dump.capture(), 4);
   EXPECT_TRUE(rep.equivalent) << rep.first_divergent()->what;
 }
 
@@ -676,9 +675,9 @@ TEST(ReplayEquivalence, EveryBundledFaultScenarioMatchesItsReference) {
     if (r.outcome() != scenario::Outcome::kRecoveredExact) continue;
     ASSERT_FALSE(r.trace_dump.empty()) << run.label;
     ASSERT_FALSE(r.reference_trace_dump.empty()) << run.label;
-    const trace::DivergenceReport rep = trace::compare_streams(
-        trace::to_stream(*r.trace_dump.capture()),
-        trace::to_stream(*r.reference_trace_dump.capture()), run.nranks);
+    const trace::DivergenceReport rep = trace::compare_captures(
+        *r.trace_dump.capture(), *r.reference_trace_dump.capture(),
+        run.nranks);
     const trace::LaneDivergence* d = rep.first_divergent();
     EXPECT_TRUE(rep.equivalent)
         << run.label << ": " << (d != nullptr ? d->what : "?") << " on "
@@ -692,18 +691,17 @@ TEST(ReplayEquivalence, EveryBundledFaultScenarioMatchesItsReference) {
   EXPECT_GE(points_checked, 5) << "no recovered_exact points to verify";
 }
 
-// The binary path mpiv_trace reads and the text path a .trace file takes
-// must agree on every captured stream, faulty and reference alike.
-TEST(ReplayEquivalence, EveryCaptureStreamsAsItsRenderedTextParses) {
+// The capture mpiv_trace reads and the text a .trace file holds must agree
+// on every run, faulty and reference alike: the text parses back into the
+// capture it was rendered from.
+TEST(ReplayEquivalence, EveryCaptureParsesBackFromItsRenderedText) {
   int captures_checked = 0;
   for (const HarnessRun& run : harness().runs) {
     for (const trace::Dump* dump :
          {&run.result.trace_dump, &run.result.reference_trace_dump}) {
       if (dump->empty()) continue;
       const trace::Capture& c = *dump->capture();
-      EXPECT_TRUE(same_stream(trace::to_stream(c),
-                              trace::parse_stream(trace::render(c))))
-          << run.label;
+      EXPECT_TRUE(trace::parse_stream(trace::render(c)) == c) << run.label;
       ++captures_checked;
     }
   }

@@ -1,9 +1,9 @@
 // mpiv_trace: causal divergence localization for faulty runs.
 //
 // Re-runs a scenario with per-rank trace lanes forced on and the
-// compare_reference twin enabled, then aligns the faulty stream against
-// the fault-free reference per rank. A correct causal-logging recovery
-// makes the two streams record-identical up to timestamps (the paper's
+// compare_reference twin enabled, then aligns the faulty capture against
+// the fault-free reference rank lane by rank lane. A correct causal-logging
+// recovery makes the two record-identical up to timestamps (the paper's
 // replay guarantee); when they are not, the tool names the victim rank,
 // the first divergent record, the first replayed reception after the
 // crash, and the causal chain behind the divergence point reconstructed
@@ -42,53 +42,51 @@ void usage(std::FILE* out, const char* argv0) {
                argv0);
 }
 
-/// snprintf, not "r" + to_string: GCC 12 -Wrestrict false positive.
-std::string rank_lane(int rank) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "r%d", rank);
-  return buf;
-}
-
-/// Antecedence edges for one stream: (rank, rsn) -> (dep rank, dep rsn),
-/// straight from the rank-side determinant records (code 0: peer =
-/// dep_creator, seq = rsn, aux = dep_seq). dep rank -1 = no antecedent
-/// (the reception did not causally depend on a prior delivery).
+/// Antecedence edges over the rank lanes (capture lanes 0..nranks-1):
+/// (rank, rsn) -> (dep rank, dep rsn), straight from the rank-side
+/// determinant records (code 0: peer = dep_creator, seq = rsn, aux =
+/// dep_seq). dep rank -1 = no antecedent (the reception did not causally
+/// depend on a prior delivery).
 using ChainKey = std::pair<int, std::uint64_t>;
 
-std::map<ChainKey, ChainKey> antecedence(const trace::Stream& s) {
+std::map<ChainKey, ChainKey> antecedence(const trace::Capture& c,
+                                         int nranks) {
   std::map<ChainKey, ChainKey> edges;
-  for (const trace::StreamRecord& sr : s.records) {
-    if (sr.rec.kind != trace::Kind::kDeterminant || sr.rec.code != 0) continue;
-    if (sr.lane.size() < 2 || sr.lane[0] != 'r') continue;
-    const int rank = std::atoi(sr.lane.c_str() + 1);
-    edges[{rank, sr.rec.seq}] = {sr.rec.peer, sr.rec.aux};
+  for (int rank = 0; rank < nranks; ++rank) {
+    for (const trace::Record& r :
+         c.lane_records(static_cast<std::size_t>(rank))) {
+      if (r.kind != trace::Kind::kDeterminant || r.code != 0) continue;
+      edges[{rank, r.seq}] = {r.peer, r.aux};
+    }
   }
   return edges;
 }
 
 /// Timestamped reception index: (rank, rsn) -> the kRecvMatch record.
-std::map<ChainKey, trace::Record> receptions(const trace::Stream& s) {
+std::map<ChainKey, trace::Record> receptions(const trace::Capture& c,
+                                             int nranks) {
   std::map<ChainKey, trace::Record> idx;
-  for (const trace::StreamRecord& sr : s.records) {
-    if (sr.rec.kind != trace::Kind::kRecvMatch) continue;
-    if (sr.lane.size() < 2 || sr.lane[0] != 'r') continue;
-    const int rank = std::atoi(sr.lane.c_str() + 1);
-    idx[{rank, sr.rec.seq}] = sr.rec;  // last occurrence (replay) wins
+  for (int rank = 0; rank < nranks; ++rank) {
+    for (const trace::Record& r :
+         c.lane_records(static_cast<std::size_t>(rank))) {
+      if (r.kind != trace::Kind::kRecvMatch) continue;
+      idx[{rank, r.seq}] = r;  // last occurrence (replay) wins
+    }
   }
   return idx;
 }
 
-void print_chain(const trace::Stream& s, int rank, std::uint64_t rsn,
-                 int max_depth) {
-  const std::map<ChainKey, ChainKey> edges = antecedence(s);
-  const std::map<ChainKey, trace::Record> recvs = receptions(s);
+void print_chain(const trace::Capture& c, int nranks, int rank,
+                 std::uint64_t rsn, int max_depth) {
+  const std::map<ChainKey, ChainKey> edges = antecedence(c, nranks);
+  const std::map<ChainKey, trace::Record> recvs = receptions(c, nranks);
   ChainKey cur{rank, rsn};
   for (int depth = 0; depth < max_depth; ++depth) {
     const auto rv = recvs.find(cur);
     if (rv != recvs.end()) {
-      std::printf("    %s%s\n",
-                  trace::format_record(rank_lane(cur.first), rv->second)
-                      .c_str(),
+      const std::string& lane =
+          c.lanes()[static_cast<std::size_t>(cur.first)].name;
+      std::printf("    %s%s\n", trace::format_record(lane, rv->second).c_str(),
                   depth == 0 ? "   <- divergence point" : "");
     } else {
       std::printf("    r%d rsn=%llu (reception not retained in ring)\n",
@@ -112,10 +110,11 @@ void print_chain(const trace::Stream& s, int rank, std::uint64_t rsn,
 
 /// Last EL stable watermark the victim saw before the crash (kElAck code 0
 /// on its lane): how much of its reception history was safe when it died.
-bool stable_before(const trace::Stream& s, int rank, sim::Time fault_at,
+bool stable_before(const trace::Capture& c, int rank, sim::Time fault_at,
                    std::uint64_t* out) {
   bool found = false;
-  for (const trace::Record& r : s.lane_records(rank_lane(rank))) {
+  for (const trace::Record& r :
+       c.lane_records(static_cast<std::size_t>(rank))) {
     if (r.kind == trace::Kind::kElAck && r.code == 0 && r.t <= fault_at) {
       *out = r.seq;
       found = true;
@@ -131,11 +130,10 @@ struct Tally {
 
 void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
   std::printf("== %s ==\n", r.label.c_str());
-  const trace::Stream faulty = trace::to_stream(*r.trace_dump.capture());
-  const trace::Stream reference =
-      trace::to_stream(*r.reference_trace_dump.capture());
-  const trace::DivergenceReport rep = trace::compare_streams(
-      faulty, reference, static_cast<int>(r.report.rank_stats.size()));
+  const trace::Capture& faulty = *r.trace_dump.capture();
+  const int nranks = static_cast<int>(r.report.rank_stats.size());
+  const trace::DivergenceReport rep = trace::compare_captures(
+      faulty, *r.reference_trace_dump.capture(), nranks);
   ++tally->analyzed;
 
   if (rep.victim >= 0) {
@@ -149,11 +147,12 @@ void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
     }
     // The first reception the recovered incarnation re-delivered: where
     // forced replay started.
-    for (const trace::Record& rec :
-         faulty.lane_records(rank_lane(rep.victim))) {
+    const auto victim = static_cast<std::size_t>(rep.victim);
+    for (const trace::Record& rec : faulty.lane_records(victim)) {
       if (rec.kind == trace::Kind::kRecvMatch && rec.t > rep.victim_fault_at) {
-        std::printf("  first replayed reception: %s\n",
-                    trace::format_record(rank_lane(rep.victim), rec).c_str());
+        std::printf(
+            "  first replayed reception: %s\n",
+            trace::format_record(faulty.lanes()[victim].name, rec).c_str());
         break;
       }
     }
@@ -165,20 +164,25 @@ void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
   // heal-time merge dropped, straight from the successor shard's lane
   // (kRecovery/kPhaseDupDrop: peer = creator rank, seq = duplicated seq).
   std::uint64_t dup_total = 0;
-  const trace::StreamRecord* first_dup = nullptr;
-  for (const trace::StreamRecord& sr : faulty.records) {
-    if (sr.rec.kind == trace::Kind::kRecovery &&
-        sr.rec.code == trace::kPhaseDupDrop) {
-      ++dup_total;
-      if (first_dup == nullptr) first_dup = &sr;
-    }
-  }
-  if (first_dup != nullptr) {
+  std::size_t dup_lane = 0;
+  trace::Record first_dup;
+  trace::for_each_record(
+      faulty, [&](std::size_t lane, const trace::Record& rec) {
+        if (rec.kind != trace::Kind::kRecovery ||
+            rec.code != trace::kPhaseDupDrop) {
+          return;
+        }
+        if (dup_total++ == 0) {
+          dup_lane = lane;
+          first_dup = rec;
+        }
+      });
+  if (dup_total > 0) {
     std::printf("  first reconciled duplicate: creator rank %d seq %llu "
                 "(dropped on lane %s at %.6f s; %llu duplicate(s) total)\n",
-                first_dup->rec.peer,
-                static_cast<unsigned long long>(first_dup->rec.seq),
-                first_dup->lane.c_str(), sim::to_sec(first_dup->rec.t),
+                first_dup.peer, static_cast<unsigned long long>(first_dup.seq),
+                faulty.lanes()[dup_lane].name.c_str(),
+                sim::to_sec(first_dup.t),
                 static_cast<unsigned long long>(dup_total));
   }
 
@@ -203,11 +207,11 @@ void analyze_point(const scenario::RunResult& r, int max_chain, Tally* tally) {
   }
   // The causal chain behind the faulty-side divergence point, from the
   // antecedence graph: which earlier deliveries forced this one.
-  if (d->has_faulty && d->faulty.kind == trace::Kind::kRecvMatch &&
-      d->lane.size() >= 2 && d->lane[0] == 'r') {
+  if (d->has_faulty && d->faulty.kind == trace::Kind::kRecvMatch) {
     std::printf("  causal chain (most recent first):\n");
-    print_chain(faulty, std::atoi(d->lane.c_str() + 1), d->faulty.seq,
-                max_chain);
+    // rep.lanes[r] is rank r's lane.
+    const auto rank = static_cast<int>(d - rep.lanes.data());
+    print_chain(faulty, nranks, rank, d->faulty.seq, max_chain);
   }
 }
 
