@@ -298,4 +298,39 @@ else
   exit 1
 fi
 
+# Bounded memory: a sweep keeps one summary per finished point (its JSON
+# stanza and outcome), not the full results, so a serial grid's peak memory
+# does not grow with every point's trace captures and metrics snapshots.
+# The full fault_soak_chaos grid (192 points, trace lanes and metrics on)
+# peaks at about 25 MB run serially; keeping every full result peaked at
+# 61 MB. The 40 MB bound sits between the two, with room for allocator and
+# platform noise. Sanitized builds are skipped: ASan's shadow memory and
+# quarantine alone exceed the bound.
+if grep -q '^MPIV_SANITIZE:BOOL=ON' "$BUILD_DIR/CMakeCache.txt" 2> /dev/null; then
+  echo "bounded-memory smoke skipped (sanitized build)"
+elif command -v python3 > /dev/null 2>&1; then
+  if ! RSS_OUT=$(python3 - "$BUILD_DIR/mpiv_run" \
+      bench/e2e/workloads/fault_soak_chaos.scn "$OUT_DIR" <<'EOF'
+import resource, subprocess, sys
+
+LIMIT_MB = 40
+binary, scn, out_dir = sys.argv[1:4]
+with open(out_dir + "/fault_soak_chaos.full.log", "w") as log:
+    rc = subprocess.run([binary, "--jobs", "1", "--out",
+                         out_dir + "/fault_soak_chaos.full.json", scn],
+                        stderr=log).returncode
+# ru_maxrss is in KiB on Linux and in bytes on macOS.
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+peak_mb = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+print(f"serial fault_soak_chaos peak RSS {peak_mb:.1f} MB "
+      f"(bound {LIMIT_MB} MB, mpiv_run exit {rc})")
+sys.exit(0 if rc in (0, 3) and peak_mb <= LIMIT_MB else 1)
+EOF
+  ); then
+    echo "bounded-memory smoke FAILED: $RSS_OUT" >&2
+    exit 1
+  fi
+  echo "bounded-memory smoke OK ($RSS_OUT)"
+fi
+
 echo "all scenarios OK (reports in $OUT_DIR)"

@@ -91,14 +91,12 @@ class AntecedenceGraph {
   /// query for the same peer; because a peer's knowledge is monotone, the
   /// walk skips everything at or below the cached watermarks and visits
   /// each vertex at most once per peer over its lifetime. `cache` is
-  /// updated to the new reach vector. Returns the number of NEW vertex
-  /// visits (the full-traversal cost the paper describes is priced
-  /// separately from the resulting reach vector).
-  std::uint64_t known_from_cached(std::uint32_t creator, std::uint64_t seq,
-                                  std::vector<std::uint64_t>& cache) const {
+  /// updated to the new reach vector. The full-traversal cost the paper
+  /// describes is priced by the caller from the resulting reach vector.
+  void known_from_cached(std::uint32_t creator, std::uint64_t seq,
+                         std::vector<std::uint64_t>& cache) const {
     if (cache.size() != per_.size()) cache.assign(per_.size(), 0);
-    if (seq == 0 || seq <= cache[creator]) return 0;
-    std::uint64_t visits = 0;
+    if (seq == 0 || seq <= cache[creator]) return;
     stack_.clear();
     stack_.emplace_back(creator, seq);
     while (!stack_.empty()) {
@@ -108,7 +106,6 @@ class AntecedenceGraph {
       while (cur > cache[c]) {
         const Vertex* v = per_[c].find(cur);
         if (v == nullptr) break;  // pruned / never learned: stop
-        ++visits;
         if (v->dep_creator != UINT32_MAX && v->dep_seq > cache[v->dep_creator]) {
           stack_.emplace_back(v->dep_creator, v->dep_seq);
         }
@@ -117,7 +114,6 @@ class AntecedenceGraph {
       // Everything in (cur, s] is now known-reachable for this peer.
       if (s > cache[c]) cache[c] = s;
     }
-    return visits;
   }
 
   std::size_t vertex_count() const { return vertices_; }

@@ -1,19 +1,16 @@
-// The sweep worker pool: fork, feed point indices over per-worker pipes,
-// reassemble prerendered results in sweep order.
+// The sweep dispatch loop: every point of run() runs here in process, in
+// sweep order, or in a forked worker, and the set keeps one summary each.
 //
-// Protocol. The parent keeps exactly one point outstanding per worker (a
+// Workers. The parent keeps exactly one point outstanding per worker (a
 // point is orders of magnitude slower than the dispatch round-trip, so
 // deeper prefetch buys nothing and would smear a worker crash over more
 // than one point). Requests are 4-byte little-endian point indices; the
 // sentinel 0xffffffff tells a worker to exit. A worker answers each index
-// with one length-prefixed result frame:
+// with its point's summary, less the fields the parent's copy of the point
+// holds, in one length-prefixed result frame:
 //
 //   u32 frame_len | u32 index | u8 outcome | u8 completed |
-//   i64 completion_time | u32 fragment_len | fragment bytes
-//
-// where `fragment` is run_json_fragment() of the finished RunResult — the
-// parent splices it into the report byte-identically instead of shipping
-// the whole ClusterReport across the process boundary.
+//   i64 completion_time | u32 stanza_len | stanza bytes
 //
 // Crash containment. EOF on a worker's result pipe before its outstanding
 // point answered means the worker died running it (assert failure, OOM
@@ -31,7 +28,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 namespace mpiv::scenario::detail {
@@ -95,29 +91,62 @@ std::int64_t get_i64(const std::string& buf, std::size_t at) {
   return static_cast<std::int64_t>(v);
 }
 
+/// What the set keeps of a finished point: its identity, how it ended and
+/// its rendered stanza. Summarizing a summary returns it unchanged.
+RunResult summarize(RunResult r) {
+  RunResult s;
+  s.stanza = run_json_fragment(r);
+  s.kept_outcome = r.outcome();
+  s.label = std::move(r.label);
+  s.axes = std::move(r.axes);
+  s.skipped = r.skipped;
+  s.skip_reason = std::move(r.skip_reason);
+  s.failed = r.failed;
+  s.fail_reason = std::move(r.fail_reason);
+  s.completed = r.completed;
+  s.report.completion_time = r.report.completion_time;
+  return s;
+}
+
+/// The result frame answering point `idx` (layout in the file header).
+std::string encode_frame(std::uint32_t idx, const RunResult& summary) {
+  const auto stanza_len = static_cast<std::uint32_t>(summary.stanza.size());
+  std::string frame;
+  put_u32(frame, 18 + stanza_len);
+  put_u32(frame, idx);
+  frame.push_back(static_cast<char>(summary.outcome()));
+  frame.push_back(summary.completed ? 1 : 0);
+  put_i64(frame, summary.report.completion_time);
+  put_u32(frame, stanza_len);
+  return frame + summary.stanza;
+}
+
+/// The summary a validated frame at the front of `buf` carries for `p`.
+RunResult decode_frame(const RunPoint& p, const std::string& buf) {
+  RunResult s;
+  s.label = p.label;
+  s.axes = p.axes;
+  s.kept_outcome = static_cast<Outcome>(buf[8]);
+  s.completed = buf[9] != 0;
+  s.report.completion_time = get_i64(buf, 10);
+  s.stanza = buf.substr(22, get_u32(buf, 18));
+  return s;
+}
+
 [[noreturn]] void worker_main(int req_rd, int res_wr,
                               const std::vector<RunPoint>& points,
                               const RunOptions& options) {
   for (;;) {
     std::uint32_t idx = 0;
     if (!read_exact(req_rd, &idx, 4) || idx == kSentinel) ::_exit(0);
-    const RunPoint& p = points[idx];
+    // Each forked worker would count down its own copy of the cache's
+    // users and keep the twins its share of a key left behind, so a point
+    // sent here runs its own twin.
+    RunPoint p = points[idx];
+    p.reference_cache.reset();
     if (options.before_point) options.before_point(p);
-    const RunResult r = run_point(p);
-
-    std::string payload;
-    put_u32(payload, idx);
-    payload.push_back(static_cast<char>(r.outcome()));
-    payload.push_back(r.completed ? 1 : 0);
-    put_i64(payload, r.report.completion_time);
-    const std::string frag = run_json_fragment(r);
-    put_u32(payload, static_cast<std::uint32_t>(frag.size()));
-    payload += frag;
-
-    std::string msg;
-    put_u32(msg, static_cast<std::uint32_t>(payload.size()));
-    msg += payload;
-    if (!write_exact(res_wr, msg.data(), msg.size())) ::_exit(1);
+    const std::string frame = encode_frame(idx, summarize(run_point(p)));
+    if (!write_exact(res_wr, frame.data(), frame.size())) ::_exit(1);
   }
 }
 
@@ -171,27 +200,25 @@ bool spawn_worker(const std::vector<RunPoint>& points,
   return true;
 }
 
-RunResult make_failed(const RunPoint& p, std::string why) {
-  RunResult r;
-  r.label = p.label;
-  r.axes = p.axes;
-  r.failed = true;
-  r.fail_reason = std::move(why);
-  return r;
-}
-
-RunResult make_failed(const RunPoint& p, int wstatus) {
-  char why[80];
-  if (WIFSIGNALED(wstatus)) {
+/// The point a worker lost: it sent a malformed frame, or it ended with
+/// `wstatus` before delivering a result.
+RunResult make_failed(const RunPoint& p, bool malformed, int wstatus) {
+  char why[80] = "worker sent a malformed result frame";
+  if (!malformed && WIFSIGNALED(wstatus)) {
     std::snprintf(why, sizeof why,
                   "worker killed by signal %d before delivering a result",
                   WTERMSIG(wstatus));
-  } else {
+  } else if (!malformed) {
     std::snprintf(why, sizeof why,
                   "worker exited with status %d before delivering a result",
                   WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1);
   }
-  return make_failed(p, std::string(why));
+  RunResult r;
+  r.label = p.label;
+  r.axes = p.axes;
+  r.failed = true;
+  r.fail_reason = why;
+  return r;
 }
 
 void retire(Worker& w) {
@@ -202,24 +229,25 @@ void retire(Worker& w) {
 
 }  // namespace
 
-std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
-                                           int jobs,
-                                           const RunOptions& options) {
-  // Workers bypass the grid's reference cache: each forked worker would
-  // count down its own copy of the users and keep the twins its share of a
-  // key left behind. Every point here runs its own twin.
-  std::vector<RunPoint> points = grid;
-  for (RunPoint& p : points) p.reference_cache.reset();
+std::vector<RunResult> run_points(const std::vector<RunPoint>& points,
+                                  const RunOptions& options) {
   std::vector<RunResult> results(points.size());
-  std::vector<std::size_t> work;  // indices the workers actually run
+  std::size_t done = 0;
+  const auto record = [&](std::size_t idx, RunResult r) {
+    if (options.on_result) options.on_result(points[idx], r);
+    results[idx] = summarize(std::move(r));
+    ++done;
+  };
+  // Skip classification is pure metadata — no cluster runs, so there is
+  // nothing to gain (and a fork to lose) shipping a skipped point to a
+  // worker. A one-point grid is not worth a fork either.
+  const bool fan_out = options.jobs > 1 && points.size() > 1;
+  std::vector<std::size_t> work;  // indices the workers run
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].skipped) {
-      // Skip classification is pure metadata — no cluster runs, so there
-      // is nothing to gain (and a fork to lose) shipping it to a worker.
-      results[i] = run_point(points[i]);
-      if (options.on_result) options.on_result(points[i], results[i]);
-    } else {
+    if (fan_out && !points[i].skipped) {
       work.push_back(i);
+    } else {
+      record(i, run_point(points[i]));
     }
   }
   if (work.empty()) return results;
@@ -230,15 +258,14 @@ std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
   const SigHandler old_sigpipe = ::signal(SIGPIPE, SIG_IGN);
 
   std::vector<Worker> workers;
-  const std::size_t target =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), work.size());
+  const std::size_t target = std::min<std::size_t>(
+      static_cast<std::size_t>(options.jobs), work.size());
   for (std::size_t i = 0; i < target; ++i) {
     Worker w;
     if (spawn_worker(points, options, workers, w)) workers.push_back(w);
   }
 
   std::size_t next = 0;  // next unassigned entry in `work`
-  std::size_t done = 0;
   std::size_t respawns = 0;
   const std::size_t respawn_cap = work.size() + target + 8;
 
@@ -259,15 +286,9 @@ std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
   };
   for (Worker& w : workers) feed(w);
 
-  const auto record = [&](std::size_t idx, RunResult r) {
-    results[idx] = std::move(r);
-    ++done;
-    if (options.on_result) options.on_result(points[idx], results[idx]);
-  };
-
-  while (done < work.size()) {
+  while (done < points.size()) {
     if (workers.empty()) {
-      // Could not fork (or every replacement died): finish in-process so
+      // Could not fork (or every replacement died): finish in process so
       // the grid still completes and reports every point.
       while (next < work.size()) {
         const std::size_t idx = work[next++];
@@ -282,7 +303,7 @@ std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
     }
     if (::poll(fds.data(), fds.size(), -1) < 0) {
       if (errno == EINTR) continue;
-      break;  // unrecoverable; the serial fallback above finishes the grid
+      break;  // unrecoverable
     }
 
     for (std::size_t i = workers.size(); i-- > 0;) {
@@ -295,10 +316,11 @@ std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
         w.buf.append(chunk, static_cast<std::size_t>(k));
         while (w.buf.size() >= 4) {
           // Validate the frame before trusting any of its fields: the
-          // payload is 18 fixed bytes plus the fragment, and it must answer
-          // the one point this worker has outstanding. Anything else is a
-          // protocol violation from a misbehaving worker — contain it like
-          // a crash instead of indexing results[] on the worker's say-so.
+          // payload is 18 fixed bytes plus the stanza, and it must answer
+          // the one point this worker has outstanding with a known
+          // outcome. Anything else is a protocol violation from a
+          // misbehaving worker — contain it like a crash instead of
+          // indexing results[] on the worker's say-so.
           const std::uint32_t len = get_u32(w.buf, 0);
           if (len < 18 || len > (std::uint32_t{1} << 30)) {
             malformed = true;
@@ -306,21 +328,17 @@ std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
           }
           if (w.buf.size() < 4 + static_cast<std::size_t>(len)) break;
           const std::size_t idx = get_u32(w.buf, 4);
-          const std::uint32_t frag_len = get_u32(w.buf, 18);
+          const std::uint32_t stanza_len = get_u32(w.buf, 18);
           if (static_cast<std::uint64_t>(len) !=
-                  18 + static_cast<std::uint64_t>(frag_len) ||
+                  18 + static_cast<std::uint64_t>(stanza_len) ||
               idx >= points.size() ||
-              static_cast<std::int64_t>(idx) != w.outstanding) {
+              static_cast<std::int64_t>(idx) != w.outstanding ||
+              static_cast<unsigned char>(w.buf[8]) >
+                  static_cast<unsigned char>(Outcome::kRecoveredExact)) {
             malformed = true;
             break;
           }
-          RunResult r;
-          r.label = points[idx].label;
-          r.axes = points[idx].axes;
-          r.forced_outcome = static_cast<unsigned char>(w.buf[8]);
-          r.completed = w.buf[9] != 0;
-          r.report.completion_time = get_i64(w.buf, 10);
-          r.prerendered_json = w.buf.substr(22, frag_len);
+          RunResult r = decode_frame(points[idx], w.buf);
           w.buf.erase(0, 4 + len);
           w.outstanding = -1;
           record(idx, std::move(r));
@@ -340,13 +358,10 @@ std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
       const bool crashed = !w.draining;
       workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(i));
       if (lost >= 0) {
-        const RunPoint& p = points[static_cast<std::size_t>(lost)];
-        record(static_cast<std::size_t>(lost),
-               malformed
-                   ? make_failed(p, "worker sent a malformed result frame")
-                   : make_failed(p, wstatus));
+        const auto idx = static_cast<std::size_t>(lost);
+        record(idx, make_failed(points[idx], malformed, wstatus));
       }
-      if (crashed && done < work.size() && respawns < respawn_cap) {
+      if (crashed && done < points.size() && respawns < respawn_cap) {
         ++respawns;
         Worker fresh;
         if (spawn_worker(points, options, workers, fresh)) {

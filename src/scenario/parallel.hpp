@@ -1,5 +1,5 @@
-// Fork-based worker pool for sweep execution (internal to the scenario
-// layer; the public entry point is run() with RunOptions::jobs).
+// The sweep dispatch loop and its fork-based worker pool (internal to the
+// scenario layer; the public entry point is run() with RunOptions::jobs).
 #pragma once
 
 #include <vector>
@@ -8,17 +8,13 @@
 
 namespace mpiv::scenario::detail {
 
-/// Runs the expanded points across up to `jobs` forked workers and returns
-/// results in sweep order. Each worker receives one point index at a time
-/// over its request pipe, executes run_point there, and ships back the
-/// outcome plus a prerendered JSON stanza over its result pipe, so the
-/// parent's report is byte-identical to the serial loop. A worker that
-/// dies mid-point takes exactly that point down with it: the point is
-/// classified `failed`, a replacement worker is forked, and the rest of
-/// the grid keeps running. Skipped points never leave the parent. Points
-/// run without the grid's reference cache: every point runs its own twin.
-std::vector<RunResult> run_points_parallel(const std::vector<RunPoint>& grid,
-                                           int jobs,
-                                           const RunOptions& options);
+/// Runs the expanded points and returns one summary per point, in sweep
+/// order. With options.jobs <= 1 every point runs in process, in sweep
+/// order, sharing the grid's reference cache. Otherwise the points that
+/// run a cluster fan across up to options.jobs forked workers, each point
+/// running its own twin. A worker that dies mid-point costs exactly that
+/// point, classified `failed`; the rest of the grid keeps running.
+std::vector<RunResult> run_points(const std::vector<RunPoint>& points,
+                                  const RunOptions& options);
 
 }  // namespace mpiv::scenario::detail

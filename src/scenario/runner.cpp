@@ -371,8 +371,7 @@ RunResult run_spec(const ScenarioSpec& spec) {
     throw SpecError("scenario '" + spec.name +
                     "': run_spec expects no sweep axes — use run()");
   }
-  validate(spec);
-  std::vector<RunPoint> points = expand(spec);
+  std::vector<RunPoint> points = expand(spec);  // validates the spec
   if (points.front().skipped) {
     throw SpecError("scenario '" + spec.name + "': " +
                     points.front().skip_reason);
@@ -382,28 +381,13 @@ RunResult run_spec(const ScenarioSpec& spec) {
 
 RunSet run(const ScenarioSpec& spec, const RunOptions& options) {
   ScenarioSpec resolved = spec;
-  if (options.quick) {
-    apply_quick(resolved);
-  } else {
-    resolved.quick.clear();
-  }
+  if (options.quick) apply_quick(resolved);
+  resolved.quick.clear();
   RunSet set;
   set.scenario = resolved.name;
   set.origin = "<builder>";
   set.quick = options.quick;
-  const std::vector<RunPoint> points = expand(resolved);
-  if (options.jobs > 1 && points.size() > 1) {
-    // Fan the grid across forked workers; results come back in sweep order
-    // carrying prerendered JSON stanzas, so the report is byte-identical
-    // to the serial loop below.
-    set.runs = detail::run_points_parallel(points, options.jobs, options);
-    return set;
-  }
-  for (const RunPoint& p : points) {
-    RunResult r = run_point(p);
-    if (options.on_result) options.on_result(p, r);
-    set.runs.push_back(std::move(r));
-  }
+  set.runs = detail::run_points(expand(resolved), options);
   return set;
 }
 
@@ -705,8 +689,7 @@ Json set_value(const RunSet& set) {
 }  // namespace
 
 std::string run_json_fragment(const RunResult& r) {
-  // A parallel worker already rendered this run.
-  if (!r.prerendered_json.empty()) return r.prerendered_json;
+  if (!r.stanza.empty()) return r.stanza;  // a summary
   return util::write_json(run_value(r));
 }
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,8 +47,8 @@ struct RunPoint {
 /// How one run point ended — the chaos-soak classifier. Ordered from worst
 /// to best so tallies can be compared at a glance.
 enum class Outcome : std::uint8_t {
-  kFailed,           // the worker executing the point died (parallel mode:
-                     // the crash is contained, the rest of the grid runs)
+  kFailed,           // the worker executing the point died (--jobs: the
+                     // crash is contained, the rest of the grid runs)
   kSkipped,          // the point never ran (workload/rank mismatch, ...)
   kAbandoned,        // hit max_sim_time without finishing
   kCompletedShrunk,  // finished on a repaired, smaller communicator (ULFM:
@@ -60,15 +61,16 @@ enum class Outcome : std::uint8_t {
 const char* outcome_name(Outcome o);
 
 /// Everything one cluster run produced, plus the reference run when the
-/// point uses the midrun-fault protocol.
+/// point uses the midrun-fault protocol. run() keeps only a summary of
+/// each finished point (see `stanza`); run_point() returns the full run.
 struct RunResult {
   std::string label;
   std::vector<std::pair<std::string, std::string>> axes;
   bool skipped = false;
   std::string skip_reason;
 
-  // Worker-crash containment (parallel mode): the process running this
-  // point died before delivering a result. The grid keeps going; the point
+  // Worker-crash containment (--jobs): the process running this point
+  // died before delivering a result. The grid keeps going; the point
   // is classified kFailed, never silently dropped.
   bool failed = false;
   std::string fail_reason;
@@ -104,19 +106,16 @@ struct RunResult {
   // report.metrics.
   std::string metrics_csv_path;
 
-  // Parallel-mode transport: a worker runs the point, renders its JSON
-  // stanza with run_json_fragment() and ships it back with the summary
-  // fields above; the parent splices the fragment verbatim (re-indented)
-  // so the report is byte-identical to the serial path. The heavyweight
-  // per-run payloads (report, checksums, traces) stay in the worker.
-  std::string prerendered_json;
-  // Outcome as classified where the point actually ran (parallel mode:
-  // the parent-side RunResult lacks the fields outcome() derives from).
-  int forced_outcome = -1;
+  // Set on a summary only, what run() keeps of a finished point besides
+  // the label, axes, skip and fail fields, `completed` and
+  // `report.completion_time`: its run_json_fragment() and the outcome
+  // classified from the full run. Every other payload is dropped.
+  std::string stanza;
+  std::optional<Outcome> kept_outcome;
 
   Outcome outcome() const {
+    if (kept_outcome) return *kept_outcome;
     if (failed) return Outcome::kFailed;
-    if (forced_outcome >= 0) return static_cast<Outcome>(forced_outcome);
     if (skipped) return Outcome::kSkipped;
     if (!completed) return Outcome::kAbandoned;
     // A repaired run finished on fewer ranks than the reference — it can
@@ -192,7 +191,8 @@ runtime::ClusterConfig lower(const ScenarioSpec& spec);
 /// once per key per grid: a later co-keyed point reuses it from the cache,
 /// and the key's last user evicts it. The lookup uses the key of the spec
 /// actually run, so a point whose spec was edited after expand() runs its
-/// own twin. Parallel workers bypass the cache (each runs its own twins).
+/// own twin. Points sent to a --jobs worker bypass the cache (each runs
+/// its own twin).
 RunResult run_point(const RunPoint& point);
 
 /// Validates, resolves and runs a single non-sweep spec.
@@ -200,23 +200,25 @@ RunResult run_spec(const ScenarioSpec& spec);
 
 struct RunOptions {
   bool quick = false;
-  /// Called after each point completes (progress reporting). Serial mode
-  /// fires in sweep order; parallel mode fires in completion order (the
-  /// report itself is reassembled in sweep order either way).
+  /// Called after each point completes (progress reporting). A point run
+  /// in process passes its full result, in sweep order; a point run by a
+  /// worker passes the summary the worker sent back, in completion order.
+  /// The set keeps only summaries, in sweep order either way.
   std::function<void(const RunPoint&, const RunResult&)> on_result;
-  /// Worker count: 1 = the serial in-process path, > 1 = fan points across
-  /// that many forked workers.
+  /// Worker count: 1 runs every point in process, > 1 fans the points
+  /// that run a cluster across that many forked workers.
   int jobs = 1;
-  /// Test hook, parallel mode only: runs inside the worker right before a
-  /// point executes (used to induce deterministic worker crashes).
+  /// Test hook, workers only: runs inside the worker right before a point
+  /// executes (used to induce deterministic worker crashes).
   std::function<void(const RunPoint&)> before_point;
 };
 
-/// Expands and runs a whole scenario.
+/// Expands and runs a whole scenario. The set keeps one summary per
+/// point (RunResult::stanza); on_result sees the full results.
 RunSet run(const ScenarioSpec& spec, const RunOptions& options = {});
 
-/// Renders one run's JSON stanza at zero indent — the parallel workers'
-/// wire format; to_json splices these fragments back byte-identically.
+/// Renders one run's JSON stanza at zero indent (a summary returns its
+/// stanza); to_json splices these fragments into the report.
 std::string run_json_fragment(const RunResult& r);
 
 /// Serializes a report as JSON (the mpiv_run output format).

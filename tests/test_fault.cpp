@@ -740,19 +740,25 @@ TEST(ChaosSoak, MiniSoakTallySumsToSweepSize) {
       .sweep("faults.daemon_rate", {"0", "120"})
       .sweep("el_shards", {"1", "2"})
       .sweep("seed", {"1", "2"});
-  const scenario::RunSet set = scenario::run(b.build());
-  ASSERT_EQ(set.runs.size(), 16u);
-  const scenario::OutcomeCounts t = set.tally();
-  EXPECT_EQ(t.total(), set.runs.size());
-  EXPECT_EQ(t.skipped, 0u);
   // Faults were really injected (the soak is not a quiet run in disguise)
-  // and at least one point made it through with an exact replay.
+  // and at least one point made it through with an exact replay. The set
+  // keeps summaries only, so the full results are read as they finish.
   std::uint64_t crashes = 0;
-  for (const scenario::RunResult& r : set.runs) {
+  std::size_t seen = 0;
+  scenario::RunOptions opt;
+  opt.on_result = [&crashes, &seen](const scenario::RunPoint&,
+                                    const scenario::RunResult& r) {
+    ++seen;
     crashes += r.report.fault_counts.rank_crashes +
                r.report.fault_counts.daemon_crashes;
     EXPECT_TRUE(r.has_reference) << r.label;
-  }
+  };
+  const scenario::RunSet set = scenario::run(b.build(), opt);
+  ASSERT_EQ(set.runs.size(), 16u);
+  EXPECT_EQ(seen, set.runs.size());
+  const scenario::OutcomeCounts t = set.tally();
+  EXPECT_EQ(t.total(), set.runs.size());
+  EXPECT_EQ(t.skipped, 0u);
   EXPECT_GT(crashes, 0u);
   EXPECT_GT(t.recovered_exact, 0u);
 }

@@ -850,6 +850,16 @@ TEST(Runner, PingpongResultsLandInTheReport) {
   EXPECT_NO_THROW(util::parse_json(json));
 }
 
+TEST(Runner, RunSpecRejectsAnOutOfRangeKeyByName) {
+  // expand() validates the sweepless spec; run_spec passes its error on.
+  const ScenarioSpec spec = scenario::parse_scenario_text(
+      "variant = vcausal:el\n"
+      "el_shards = 0\n");
+  const std::string msg = error_of([&spec] { scenario::run_spec(spec); });
+  EXPECT_NE(msg.find("el_shards must be >= 1 (got 0)"), std::string::npos)
+      << msg;
+}
+
 TEST(Report, DegradedTallyDrivesTheDistinctExitCode) {
   // An abandoned point (max_sim_time hit) makes the grid degraded — the
   // contract behind mpiv_run's exit status 3.

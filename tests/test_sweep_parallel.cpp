@@ -50,62 +50,78 @@ TEST(SweepParallel, FamilyRaceByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// --jobs 1 is the exact serial path: results are fully populated in
-// process, with no worker transport artifacts.
+// One loop: --jobs 1 runs every point in process and shows on_result the
+// full result; either way the set keeps the same summary of each point and
+// none of its per-run payload.
 // ---------------------------------------------------------------------------
 
-TEST(SweepParallel, Jobs1IsTheInProcessSerialPath) {
+TEST(SweepParallel, Jobs1AndJobs4KeepTheSameSummaries) {
+  scenario::ScenarioSpec spec = load("chaos_soak.scn");
+  scenario::apply_quick(spec);
+  // Observability on, so that a kept trace capture or metrics snapshot
+  // would show.
+  scenario::apply_key(spec, "trace.enabled", "true");
+  scenario::apply_key(spec, "metrics.enabled", "true");
+  const std::vector<scenario::RunPoint> points = scenario::expand(spec);
+
   scenario::RunOptions opt;
-  opt.quick = true;
   opt.jobs = 1;
-  std::vector<const scenario::RunPoint*> order;
-  opt.on_result = [&order](const scenario::RunPoint& p,
-                           const scenario::RunResult&) {
-    order.push_back(&p);
-  };
-  const scenario::RunSet set = scenario::run(load("chaos_soak.scn"), opt);
-  ASSERT_FALSE(set.runs.empty());
+  std::vector<std::string> order;
   std::size_t ran = 0;
-  for (const scenario::RunResult& r : set.runs) {
-    EXPECT_TRUE(r.prerendered_json.empty()) << r.label;
-    EXPECT_EQ(r.forced_outcome, -1) << r.label;
-    EXPECT_FALSE(r.failed) << r.label;
-    if (!r.skipped) {
-      ++ran;
-      EXPECT_FALSE(r.checksums.empty()) << r.label;
-      EXPECT_GT(r.events_executed, 0u) << r.label;
-    }
+  opt.on_result = [&order, &ran](const scenario::RunPoint& p,
+                                 const scenario::RunResult& r) {
+    order.push_back(p.label);
+    if (r.skipped) return;
+    ++ran;
+    EXPECT_FALSE(r.checksums.empty()) << r.label;
+    EXPECT_GT(r.events_executed, 0u) << r.label;
+    EXPECT_FALSE(r.trace_dump.empty()) << r.label;
+    EXPECT_TRUE(r.report.metrics.enabled) << r.label;
+  };
+  const scenario::RunSet ser = scenario::run(spec, opt);
+  opt.jobs = 4;
+  opt.on_result = nullptr;
+  const scenario::RunSet par = scenario::run(spec, opt);
+
+  // Serial mode reports progress in sweep order, with full results.
+  ASSERT_EQ(order.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(order[i], points[i].label);
   }
   EXPECT_GT(ran, 0u);
-  // Serial mode reports progress in sweep order.
-  EXPECT_EQ(order.size(), set.runs.size());
-}
 
-TEST(SweepParallel, ParallelResultsCarryTheSummaryFields) {
-  scenario::RunOptions opt;
-  opt.quick = true;
-  opt.jobs = 4;
-  const scenario::RunSet par = scenario::run(load("chaos_soak.scn"), opt);
-  opt.jobs = 1;
-  const scenario::RunSet ser = scenario::run(load("chaos_soak.scn"), opt);
-  ASSERT_EQ(par.runs.size(), ser.runs.size());
-  for (std::size_t i = 0; i < par.runs.size(); ++i) {
-    EXPECT_EQ(par.runs[i].label, ser.runs[i].label);
-    EXPECT_EQ(par.runs[i].outcome(), ser.runs[i].outcome()) << par.runs[i].label;
-    EXPECT_EQ(par.runs[i].completed, ser.runs[i].completed);
-    EXPECT_EQ(par.runs[i].report.completion_time,
-              ser.runs[i].report.completion_time);
+  ASSERT_EQ(ser.runs.size(), points.size());
+  ASSERT_EQ(par.runs.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const scenario::RunResult& a = ser.runs[i];
+    const scenario::RunResult& b = par.runs[i];
+    EXPECT_EQ(a.label, points[i].label);
+    EXPECT_EQ(b.label, a.label);
+    EXPECT_EQ(b.axes, a.axes) << a.label;
+    EXPECT_EQ(b.skipped, a.skipped) << a.label;
+    EXPECT_EQ(b.failed, a.failed) << a.label;
+    EXPECT_EQ(b.outcome(), a.outcome()) << a.label;
+    EXPECT_EQ(b.completed, a.completed) << a.label;
+    EXPECT_EQ(b.report.completion_time, a.report.completion_time) << a.label;
+    EXPECT_FALSE(a.stanza.empty()) << a.label;
+    EXPECT_EQ(b.stanza, a.stanza) << a.label;
+    for (const scenario::RunResult* r : {&a, &b}) {
+      EXPECT_TRUE(r->checksums.empty()) << r->label;
+      EXPECT_FALSE(r->report.metrics.enabled) << r->label;
+      EXPECT_TRUE(r->trace_dump.empty()) << r->label;
+      EXPECT_TRUE(r->reference_trace_dump.empty()) << r->label;
+    }
   }
   // And the tallies (what mpiv_run's exit code and the soak aggregation
   // read) agree field for field.
-  const scenario::OutcomeCounts a = par.tally();
-  const scenario::OutcomeCounts b = ser.tally();
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.skipped, b.skipped);
-  EXPECT_EQ(a.abandoned, b.abandoned);
-  EXPECT_EQ(a.completed_shrunk, b.completed_shrunk);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.recovered_exact, b.recovered_exact);
+  const scenario::OutcomeCounts x = ser.tally();
+  const scenario::OutcomeCounts y = par.tally();
+  EXPECT_EQ(x.failed, y.failed);
+  EXPECT_EQ(x.skipped, y.skipped);
+  EXPECT_EQ(x.abandoned, y.abandoned);
+  EXPECT_EQ(x.completed_shrunk, y.completed_shrunk);
+  EXPECT_EQ(x.completed, y.completed);
+  EXPECT_EQ(x.recovered_exact, y.recovered_exact);
 }
 
 // ---------------------------------------------------------------------------
